@@ -33,6 +33,7 @@ from .twopacket import (
     build_two_packet_equal,
     build_two_packet_general,
     confirmed_bad_lambdas,
+    normalizing_lambdas,
     two_packet_admissible,
 )
 
@@ -261,7 +262,9 @@ def _cmd_two_packet(args) -> int:
             return EXIT_MATH_FAIL
         _emit(serialize.packet_family_to_json(fam))
         return EXIT_OK
-    # sweep: every subset x lambda over the requested C values
+    # sweep: every subset over the requested C values.  Any lambda outside
+    # normalizing_lambdas leaves deg f = n + 1 and raises DegreeNotNormalized,
+    # so only those (at most four, ascending) are tried.
     from itertools import combinations
     mu = field.roots_of_unity(args.n + 1)
     ell0 = (args.n + 1) // 2
@@ -271,7 +274,8 @@ def _cmd_two_packet(args) -> int:
     for C in cs:
         for I in combinations(mu, ell0):
             bad = bad_lambda_set(field, args.n, I, C)
-            for lam in field.units():
+            for lam in sorted(normalizing_lambdas(field, args.n, I, C),
+                              key=lambda lam: lam.value):
                 try:
                     if C == field.one:
                         fam = build_two_packet_equal(field, args.n, I, lam)

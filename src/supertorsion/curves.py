@@ -166,12 +166,20 @@ class SuperellipticCurve:
         return AffinePoint(x, y)
 
     def points_above(self, x):
-        """All affine points with the given abscissa."""
+        """All affine points with the given abscissa; over F_p ascending in y,
+        over Q the nonnegative y first."""
         x = self.field(x)
         target = self.f(x)
         if self.field.kind == "Fp":
-            return tuple(AffinePoint(x, y) for y in self.field.elements()
-                         if y ** self.d == target)
+            # the d-th roots of target are one root times mu_gcd(d, p-1)
+            r = self.field.nth_root(target, self.d)
+            if r is None:
+                return ()
+            if r.is_zero():
+                return (AffinePoint(x, r),)
+            zetas = self.field.roots_of_unity(gcd(self.d, self.field.p - 1))
+            return tuple(AffinePoint(x, y)
+                         for y in sorted((r * z for z in zetas), key=lambda y: y.value))
         # over Q: y is a rational d-th root when one exists
         r = self.field.nth_root(target, self.d)
         if r is None:

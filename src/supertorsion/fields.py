@@ -7,6 +7,7 @@ pure and elements are immutable, so values are safe to share freely.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import BadParameters, DivisionByZero, FieldMismatch, UnsupportedField
@@ -25,6 +26,27 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _prime_factors(n: int):
+    """Prime factors of n >= 1 with multiplicity, ascending (trial division)."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _powers(h: int, m: int, p: int):
+    """[1, h, ..., h^(m-1)] mod p."""
+    out = [1] * m
+    for i in range(1, m):
+        out[i] = out[i - 1] * h % p
+    return out
 
 
 class Field:
@@ -47,7 +69,8 @@ class Field:
         return self(1)
 
     def nth_root(self, x: "FieldElement", k: int):
-        """Some r with r^k = x, or None if no such r exists in this field."""
+        """Some r with r^k = x (over F_p the smallest residue), or None if no
+        such r exists in this field."""
         raise NotImplementedError
 
     def roots_of_unity(self, m: int):
@@ -151,37 +174,83 @@ class PrimeField(Field):
             yield FieldElement(self, v)
 
     def nth_root(self, x, k):
+        """The smallest residue r with r^k = x, or None.
+
+        With g = gcd(k, p-1), x != 0 has a k-th root iff x^((p-1)/g) = 1.
+        Inverting k/g modulo (p-1)/g reduces the problem to a g-th root,
+        which is taken one prime factor of g at a time (Adleman-Manders-
+        Miller).  The k-th roots of x are then r * mu_g, and the smallest
+        of them is returned.
+        """
         if k < 1:
             raise BadParameters("root index must be >= 1")
-        target = x.value
-        for r in range(self.p):
-            if pow(r, k, self.p) == target:
-                return FieldElement(self, r)
-        return None
+        p, target = self.p, x.value
+        if target == 0:
+            return self.zero
+        g = math.gcd(k, p - 1)
+        order = (p - 1) // g
+        if pow(target, order, p) != 1:
+            return None
+        r = pow(target, pow(k // g, -1, order), p)
+        for q in _prime_factors(g):
+            r = self._prime_root(r, q)
+        orbit = _powers(self._element_of_order(g), g, p)
+        return FieldElement(self, min(r * z % p for z in orbit))
 
-    def multiplicative_order(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative order")
-        x, o = a, 1
-        while x != 1:
-            x = x * a % self.p
-            o += 1
-        return o
+    def _prime_root(self, a: int, q: int) -> int:
+        """Some r with r^q = a, for a prime q | p-1 and a q-th power a != 0
+        (Adleman-Manders-Miller; Tonelli-Shanks for q = 2)."""
+        p = self.p
+        s, e = p - 1, 0
+        while s % q == 0:
+            s //= q
+            e += 1
+        # r = a^(q^-1 mod s) has r^q = a * t with t in the Sylow q-subgroup;
+        # t is a q-th power there, so t = zq^j with zq = z^q
+        r = pow(a, pow(q, -1, s), p)
+        t = pow(r, q, p) * pow(a, -1, p) % p
+        if t == 1:
+            return r
+        z = self._element_of_order(q ** e)     # generates the Sylow q-subgroup
+        zq = pow(z, q, p)                      # order q^(e-1), and e >= 2 here
+        # the base-q digits of j, lowest first (Pohlig-Hellman)
+        unit = pow(zq, q ** (e - 2), p)        # order q
+        digits = {w: d for d, w in enumerate(_powers(unit, q, p))}
+        j, scale = 0, 1
+        for i in range(e - 1):
+            digit = digits.get(pow(t * pow(zq, -j, p) % p, q ** (e - 2 - i), p))
+            if digit is None:
+                raise UnsupportedField(f"{a} is not a {q}-th power in F_{p}")
+            j += digit * scale
+            scale *= q
+        return r * pow(z, -j, p) % p
+
+    def _element_of_order(self, m: int) -> int:
+        """A residue of multiplicative order exactly m, for m | p-1: the
+        first c^((p-1)/m) whose power to m/q is not 1 for any prime q | m."""
+        p = self.p
+        cofactor, primes = (p - 1) // m, _prime_factors(m)
+        for c in range(1, p):
+            h = pow(c, cofactor, p)
+            if all(pow(h, m // q, p) != 1 for q in primes):
+                return h
+        # unreachable for prime p with m | p-1
+        raise UnsupportedField(f"no element of order {m} in F_{p}^*")
 
     def roots_of_unity(self, m):
+        """(1, g, ..., g^(m-1)) for the smallest g of order exactly m.
+
+        The elements of order m are h^k with gcd(k, m) = 1 for any one h of
+        order m, so g is the smallest of those powers.
+        """
         if m < 1:
             raise BadParameters("m must be >= 1")
-        if (self.p - 1) % m != 0:
-            raise UnsupportedField(f"mu_{m} is not contained in F_{self.p}")
-        g = None
-        for a in range(1, self.p):
-            if self.multiplicative_order(a) == m:
-                g = a
-                break
-        if g is None:  # unreachable for prime p with m | p-1
-            raise UnsupportedField(f"no element of order {m} in F_{self.p}^*")
-        return tuple(FieldElement(self, pow(g, i, self.p)) for i in range(m))
+        p = self.p
+        if (p - 1) % m != 0:
+            raise UnsupportedField(f"mu_{m} is not contained in F_{p}")
+        powers = _powers(self._element_of_order(m), m, p)
+        g = min(powers[k] for k in range(m) if math.gcd(k, m) == 1)
+        return tuple(FieldElement(self, v) for v in _powers(g, m, p))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -16,6 +16,7 @@ from .errors import (
     CharDividesD,
     DivisionByZero,
     FieldMismatch,
+    MathCheckError,
     ZeroPolynomial,
 )
 from .fields import Field, FieldElement
@@ -315,14 +316,54 @@ def is_squarefree(f: Poly) -> bool:
 def roots_in_field(f: Poly):
     """All base-field roots of f, without multiplicity.
 
-    Exhaustive evaluation over F_p; rational-root search over Q.
+    Over F_p the distinct linear factors of f multiply to gcd(f, x^p - x),
+    with x^p mod f taken by repeated squaring; that product is split by
+    gcd((x+a)^((p-1)/2) - 1, .) for a = 0, 1, 2, ... in turn, so the result
+    needs no randomness.  The roots come back in ascending order of residue.
+    Over Q: rational-root search.
     """
     if f.is_zero():
         raise ZeroPolynomial("every point is a root of the zero polynomial")
     field = f.field
-    if field.kind == "Fp":
-        return tuple(x for x in field.elements() if f(x).is_zero())
-    return _rational_roots(f)
+    if field.kind != "Fp":
+        return _rational_roots(f)
+    if f.is_constant():
+        return ()
+    x = Poly.x(field)
+    linear = poly_gcd(f, _powmod(x, field.p, f) - x)
+    return tuple(sorted(_split_linear(linear), key=lambda r: r.value))
+
+
+def _powmod(base: Poly, e: int, modulus: Poly) -> Poly:
+    """base^e mod modulus (deg modulus >= 1) by repeated squaring."""
+    result, base = Poly.one(base.field), base % modulus
+    while e:
+        if e & 1:
+            result = result * base % modulus
+        e >>= 1
+        if e:
+            base = base * base % modulus
+    return result
+
+
+def _split_linear(g: Poly):
+    """The roots of a monic product of distinct linear factors over F_p."""
+    field = g.field
+    if g.degree < 1:
+        return []
+    if g.degree == 1:
+        return [-g[0]]
+    if g[0].is_zero():
+        # split off x: over F_2 the quadratic character below is trivial
+        return [field.zero] + _split_linear(Poly(field, g.coeffs[1:]))
+    p = field.p
+    for a in range(p):
+        h = poly_gcd(g, _powmod(Poly(field, (a, 1)), (p - 1) // 2, g) - 1)
+        if 0 < h.degree < g.degree:
+            return _split_linear(h) + _split_linear(g // h)
+    # unreachable: for distinct roots r, s a character sum shows that
+    # (r+a)(s+a) is a non-residue for some a, which puts exactly one in h
+    raise MathCheckError(f"no shift a < {p} splits {g!r}")
 
 
 def _rational_roots(f: Poly):

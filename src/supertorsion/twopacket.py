@@ -182,16 +182,12 @@ def wronskian_degree_audit(f1: Poly, f2: Poly, f3: Poly, d: int,
 def build_H(I, C: FieldElement) -> Poly:
     """prod_{eps in I} ((1 - C*eps) x + 1).  A factor with C*eps = 1 is the
     constant 1 and silently drops the degree; callers that need full degree
-    must check ``degenerate_factors``."""
+    must check the degree of the result."""
     field = C.field
     h = Poly.one(field)
     for eps in I:
         h = h * Poly(field, (field.one, field.one - C * eps))
     return h
-
-
-def degenerate_factors(I, C: FieldElement):
-    return tuple(eps for eps in I if (C * eps) == C.field.one)
 
 
 def _mu_and_complement(field: Field, n: int, I):
@@ -234,17 +230,25 @@ def packet_parts(field: Field, n: int, I, lam, C, sign: str = "plus"):
     ut = +-(lam*H_I - (1/lam)*H_comp)/(2 C^ell0) with the sign chosen by
     ``sign`` in {"plus", "minus"}.
     """
-    if sign not in ("plus", "minus"):
-        raise BadParameters("sign must be 'plus' or 'minus'")
+    _check_sign(sign)
     _, ell0, lam, C, I, comp = _packet_inputs(field, n, I, lam, C)
-    hi, hc = build_H(I, C), build_H(comp, C)
-    half = field(2).inverse()
-    a, b = lam * half, lam.inverse() * half
-    vt = a * hi + b * hc
-    ut = (a * hi - b * hc) * (C ** ell0).inverse()
+    ut, vt = _packet_shapes(build_H(I, C), build_H(comp, C), lam,
+                            (C ** ell0).inverse())
     if sign == "minus":
         ut = -ut
     return ut, vt
+
+
+def _check_sign(sign):
+    if sign not in ("plus", "minus"):
+        raise BadParameters("sign must be 'plus' or 'minus'")
+
+
+def _packet_shapes(hi: Poly, hc: Poly, lam: FieldElement, cl_inv: FieldElement):
+    """The "plus" ut and vt from H_I, H_comp, lam and cl_inv = 1/C^ell0."""
+    half = lam.field(2).inverse()
+    a, b = lam * half, lam.inverse() * half
+    return (a * hi - b * hc) * cl_inv, a * hi + b * hc
 
 
 def packet_polynomial(field: Field, n: int, I, lam, C, sign: str = "plus") -> Poly:
@@ -501,11 +505,9 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
     if eliminant.is_zero():
         candidates_x = tuple(field.elements())
     else:
-        candidates_x = roots_in_field(eliminant)
         # the elimination divides by the brackets; cover their zeros too
-        extra = [x for x in field.elements()
-                 if bi(x).is_zero() or bc(x).is_zero()]
-        candidates_x = tuple(set(candidates_x) | set(extra))
+        candidates_x = (set(roots_in_field(eliminant)) | set(roots_in_field(bi))
+                        | set(roots_in_field(bc)))
     bad = {field.one, -field.one}
     for x0 in candidates_x:
         a = hi(x0)
@@ -520,11 +522,21 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
 
 def confirmed_bad_lambdas(field, n: int, I, C, sign: str = "plus") -> frozenset:
     """Exhaustive sweep: the lambda for which x^(n+1) - ut^2 actually fails
-    squarefreeness (the zero polynomial counts as failing)."""
+    squarefreeness (the zero polynomial counts as failing).
+
+    O(p) on purpose, as the independent check of ``bad_lambda_set``; H_I and
+    H_comp are built once, and ``sign`` is only validated, since ut and -ut
+    give the same polynomial."""
     field = _as_prime_field(field)
+    _check_sign(sign)
+    _, ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
+    hi, hc = build_H(I, C), build_H(comp, C)
+    cl_inv = (C ** ell0).inverse()
+    top = Poly.monomial(field, n + 1)
     out = set()
     for lam in field.units():
-        f = packet_polynomial(field, n, I, lam, C, sign)
+        ut, _ = _packet_shapes(hi, hc, lam, cl_inv)
+        f = top - ut * ut
         if f.is_zero() or not is_squarefree(f):
             out.add(lam)
     return frozenset(out)

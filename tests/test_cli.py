@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from supertorsion.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, dispatch
 
 
@@ -163,3 +165,41 @@ def test_sweep_families_reverify(capsys):
         for x0 in (F(0), -F(1)):
             for pt in curve.points_above(x0):
                 assert elliptic_order(f, pt, 8) == 4
+
+
+def reference_sweep_lines(p, n, cs):
+    """The sweep output from trying every lambda in F_p^* for each subset."""
+    from itertools import combinations
+
+    from supertorsion import (GF, bad_lambda_set, build_two_packet_equal,
+                              build_two_packet_general, serialize)
+    from supertorsion.errors import SupertorsionError
+    field = GF(p)
+    lines = []
+    for C in map(field, cs):
+        for I in combinations(field.roots_of_unity(n + 1), (n + 1) // 2):
+            bad = bad_lambda_set(field, n, I, C)
+            for lam in field.units():
+                try:
+                    if C == field.one:
+                        fam = build_two_packet_equal(field, n, I, lam)
+                    else:
+                        fam = build_two_packet_general(
+                            field, n, I, lam, C ** (n + 1), field.one, C=C)
+                except SupertorsionError:
+                    continue
+                doc = serialize.packet_family_to_json(fam)
+                doc["candidate_bad"] = lam in bad
+                lines.append(json.dumps(doc, sort_keys=True))
+    return lines
+
+
+@pytest.mark.parametrize("p,n", [(13, 3), (29, 3), (13, 5)])
+def test_sweep_matches_exhaustive_lambda_loop(capsys, p, n):
+    code = dispatch(["two-packet", "sweep", "--p", str(p), "--n", str(n),
+                     "--C", "1,2,3"])
+    captured = capsys.readouterr()
+    expected = reference_sweep_lines(p, n, (1, 2, 3))
+    assert code == EXIT_OK and expected
+    assert captured.out.splitlines() == expected
+    assert captured.err.strip() == f"built {len(expected)} families"

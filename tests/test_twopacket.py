@@ -17,6 +17,7 @@ from supertorsion import (
     elliptic_order,
     example_m0_equals_nplus1,
     fermat_identity_check,
+    is_squarefree,
     normalizing_lambdas,
     order_of_class,
     packet_polynomial,
@@ -352,3 +353,27 @@ def test_shift_points_same_abscissa():
     q = curve.point(0, -1)
     with pytest.raises(SameAbscissa):
         shift_points_to_0_minus1(curve, p, q)
+
+
+def reference_confirmed_bad_lambdas(F, n, I, C):
+    """The exhaustive loop through packet_polynomial, one lambda at a time."""
+    out = set()
+    for lam in F.units():
+        f = packet_polynomial(F, n, I, lam, C)
+        if f.is_zero() or not is_squarefree(f):
+            out.add(lam)
+    return frozenset(out)
+
+
+# n = 5 stops at 31 to keep the suite fast: each lambda costs a squarefree
+# test on both sides
+@pytest.mark.parametrize("n,max_p", [(3, 101), (5, 31)])
+def test_confirmed_bad_lambdas_matches_packet_polynomial_loop(n, max_p):
+    primes = [p for p in range(5, max_p + 1)
+              if all(p % q for q in range(2, p)) and (p - 1) % (n + 1) == 0]
+    for p in primes:
+        F = GF(p)
+        for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
+            for C in sorted({1, 2, p - 1}):
+                assert confirmed_bad_lambdas(F, n, I, F(C)) == \
+                    reference_confirmed_bad_lambdas(F, n, I, F(C)), (p, I, C)
