@@ -12,7 +12,6 @@ from .curves import (
     SuperellipticCurve,
     TorsionParams,
     mu_d_orbit,
-    point_on_curve,
     reachability_status,
     torsion_params,
 )

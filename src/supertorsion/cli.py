@@ -22,7 +22,7 @@ from .certificates import (
 )
 from .curves import reachability_status
 from .elliptic4 import build_family, check_order_structure, from_kubert, to_kubert
-from .errors import MathCheckError, SupertorsionError, UsageError
+from .errors import SupertorsionError, UsageError
 from .fields import QQ, Field, PrimeField
 from .orders import cantor_order, elliptic_order, order_of_class
 from .poly import Poly
@@ -397,12 +397,12 @@ def dispatch(argv) -> int:
                     if k not in ("func", "manifest") and v is not None})
     try:
         code = args.func(args)
-    except MathCheckError as e:
-        print(f"check failed: {e}", file=sys.stderr)
-        code = EXIT_MATH_FAIL
     except (UsageError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_USAGE
+    except SupertorsionError as e:  # MathCheckError, PrecisionExhausted
+        print(f"check failed: {e}", file=sys.stderr)
+        code = EXIT_MATH_FAIL
     if args.manifest and code != EXIT_USAGE:
         if code == EXIT_MATH_FAIL and _manifest.checks_failed == 0:
             _manifest.checks_failed += 1

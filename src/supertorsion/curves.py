@@ -190,10 +190,6 @@ class SuperellipticCurve:
         return tuple(pts)
 
 
-def point_on_curve(curve: SuperellipticCurve, x, y) -> AffinePoint:
-    return curve.point(x, y)
-
-
 def mu_d_orbit(curve: SuperellipticCurve, point: AffinePoint):
     """The d points (x, zeta*y) for zeta running over mu_d; needs mu_d in the
     base field and y != 0."""

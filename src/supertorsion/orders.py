@@ -5,7 +5,10 @@ Three backends:
 * ``order_of_class`` -- works for any d: find the least k such that some
   function with pole divisor <= k*O vanishes at P to order >= k.  Such a
   function has divisor exactly k(P) - k(O), so k is the class order.  The
-  search is exact linear algebra on truncated local expansions at P.
+  search is one incremental exact elimination of the truncated local
+  expansions at P of the basis monomials, one monomial per pole order, on
+  bare residues or integers (``_principal_orders``, shared with
+  ``principality_profile``).
 * ``elliptic_order`` -- chord/tangent group law on y^2 = cubic.
 * ``cantor_order``  -- Mumford representation plus composition/reduction for
   hyperelliptic y^2 = f with odd deg f (genus >= 1), char != 2.
@@ -22,12 +25,13 @@ from math import gcd
 from .curves import AffinePoint, SuperellipticCurve
 from .errors import (
     BadParameters,
+    MathCheckError,
     NotRamified,
     PrecisionExhausted,
     RamifiedPoint,
     SingularCurve,
 )
-from .poly import Poly, TruncatedSeries, is_squarefree, poly_xgcd, series_dth_root
+from .poly import Poly, _series_root_powers, is_squarefree, poly_xgcd
 
 
 # ---------------------------------------------------------------------------
@@ -142,53 +146,82 @@ def _primitive(row, field):
 # order via vanishing functions (any d)
 # ---------------------------------------------------------------------------
 
-def _monomial_expansions(curve: SuperellipticCurve, point: AffinePoint, max_k: int,
-                         precision: int):
-    """Truncated t-expansions of the basis monomials at P, t = x - x(P)."""
-    field = curve.field
-    s = series_dth_root(curve.f, curve.d, point.x, point.y, precision)
-    xser = TruncatedSeries(field, [point.x, field.one], precision)
-    xpows = [TruncatedSeries(field, [field.one], precision)]
-    for _ in range(max_k // curve.d + 1):
-        xpows.append(xpows[-1] * xser)
-    ypows = [TruncatedSeries(field, [field.one], precision)]
-    for _ in range(curve.d - 1):
-        ypows.append(ypows[-1] * s)
+def _principal_orders(curve: SuperellipticCurve, point: AffinePoint, max_k: int):
+    """Yield, ascending, every k in 1..max_k with k(P) - k(O) principal.
 
-    def expand(i, j):
-        return xpows[i] * ypows[j]
-
-    return expand
-
-
-def principality_profile(curve: SuperellipticCurve, point: AffinePoint, max_k: int):
-    """[k in 1..max_k for which k(P) - k(O) is a principal divisor]."""
+    The basis monomials x^i y^j enter one at a time in order of pole order
+    w = d*i + n*j; the w are distinct, so at most one enters at each k.  Its
+    expansion at P in t = x - a, a = x(P), is the one of x^(i-1) y^j times
+    (a + t), and it is reduced against the echelon rows kept so far until
+    its leading column is new.  A function with pole order <= k vanishes at
+    P to order <= k, so every kept lead is below k, and k is principal iff
+    the new lead is k.  Rows hold bare values over max_k + 2 columns:
+    residues mod p, kept with lead 1, or over Q integer rows divided by
+    their content, in the variable t/C of ``_series_root_powers``.  Scaling
+    a row, or column t^c by C^c, moves no lead.
+    """
     if point.y.is_zero():
         raise RamifiedPoint("use order_of_ramified for points with y = 0")
     if max_k < 1:
         raise BadParameters("max_k must be >= 1")
     if not curve.contains(point.x, point.y):
         raise BadParameters("point does not lie on the curve")
-    precision = max_k + 2
-    expand = _monomial_expansions(curve, point, max_k, precision)
-    principal = []
-    for k in range(1, max_k + 1):
-        basis = rr_basis(curve.n, curve.d, k)
-        rows = [list(expand(i, j).coeffs[:k]) for (i, j) in basis.monomials]
-        combo = left_kernel_vector(rows, curve.field)
-        if combo is None:
+    n, d, ncols = curve.n, curve.d, max_k + 2
+    p = curve.field.characteristic()
+    powers, scale = _series_root_powers(curve.f, d, point.x, point.y, ncols)
+    if p:
+        a, step = point.x.value, 1
+
+        def norm(row):
+            return [v % p for v in row]
+    else:
+        a, step = point.x.value.numerator, point.x.value.denominator * scale
+        norm = _content_free
+    # rows[j]: the expansion of x^i y^j for the last i that entered
+    rows = [norm(row) for row in powers[:d]]
+    n_inv = pow(n, -1, d)
+    kept = {}  # lead column -> echelon row
+    for k in range(max_k + 1):
+        j = k * n_inv % d  # the only j with n*j = k mod d
+        if n * j > k:
             continue
-        # the combination must vanish to order exactly k, never deeper
-        full = [list(expand(i, j).coeffs) for (i, j) in basis.monomials]
-        residual = [sum((c * row[t] for c, row in zip(combo, full)),
-                        start=curve.field.zero) for t in range(precision)]
-        if any(not residual[t].is_zero() for t in range(k)):
-            raise PrecisionExhausted("kernel vector failed to vanish as computed")
-        if residual[k].is_zero():
+        if k >= d + n * j:  # i >= 1: the x^(i-1) y^j row times a + t
+            rows[j] = norm([a * u + step * v for u, v in zip(rows[j], [0] + rows[j])])
+        row = rows[j]
+        lead = _lead(row, 0)
+        while lead in kept:
+            pivot, c = kept[lead], row[lead]
+            if p:
+                row = [(u - c * v) % p for u, v in zip(row, pivot)]
+            else:
+                row = _content_free([pivot[lead] * u - c * v for u, v in zip(row, pivot)])
+            lead = _lead(row, lead + 1)
+        if lead is None or lead > k:
             raise PrecisionExhausted(
-                f"vanishing order exceeded {k}; divisor bookkeeping violated")
-        principal.append(k)
-    return principal
+                f"a function of pole order {k} vanished to order {lead} > {k};"
+                " divisor bookkeeping violated")
+        if p:
+            inv = pow(row[lead], -1, p)
+            row = [v * inv % p for v in row]
+        kept[lead] = row
+        if lead == k > 0:
+            yield k
+
+
+def _lead(row, start):
+    """Index of the first nonzero entry at or after start, or None."""
+    return next((c for c in range(start, len(row)) if row[c]), None)
+
+
+def _content_free(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def principality_profile(curve: SuperellipticCurve, point: AffinePoint, max_k: int):
+    """[k in 1..max_k for which k(P) - k(O) is a principal divisor]."""
+    return list(_principal_orders(curve, point, max_k))
 
 
 def order_of_class(curve: SuperellipticCurve, point: AffinePoint,
@@ -197,20 +230,7 @@ def order_of_class(curve: SuperellipticCurve, point: AffinePoint,
     it exceeds max_k (default 2*m0)."""
     if max_k is None:
         max_k = 2 * curve.params.m0
-    if point.y.is_zero():
-        raise RamifiedPoint("use order_of_ramified for points with y = 0")
-    if max_k < 1:
-        raise BadParameters("max_k must be >= 1")
-    if not curve.contains(point.x, point.y):
-        raise BadParameters("point does not lie on the curve")
-    precision = max_k + 2
-    expand = _monomial_expansions(curve, point, max_k, precision)
-    for k in range(1, max_k + 1):
-        basis = rr_basis(curve.n, curve.d, k)
-        rows = [list(expand(i, j).coeffs[:k]) for (i, j) in basis.monomials]
-        if left_kernel_vector(rows, curve.field) is not None:
-            return k
-    return None
+    return next(_principal_orders(curve, point, max_k), None)
 
 
 def order_of_ramified(curve: SuperellipticCurve, point: AffinePoint) -> int:
@@ -222,7 +242,8 @@ def order_of_ramified(curve: SuperellipticCurve, point: AffinePoint) -> int:
         raise NotRamified("x(P) is not a root of f")
     # squarefreeness of f makes x(P) a simple root, so ord_P(x - x(P)) = d
     cofactor = curve.f // Poly(curve.field, (-point.x, curve.field.one))
-    assert not cofactor(point.x).is_zero()
+    if cofactor(point.x).is_zero():
+        raise MathCheckError("x(P) is a repeated root of f")
     return curve.d
 
 
@@ -350,7 +371,8 @@ def _monicize(f: Poly, divisor: MumfordDivisor):
     n = f.degree
     g = (n - 1) // 2
     F = Poly(field, [f[i] * c ** (n - 1 - i) for i in range(n + 1)])
-    assert F.leading == field.one
+    if F.leading != field.one:
+        raise MathCheckError("the monic model's leading coefficient is not 1")
     cg = c ** g
     # u(x) monic deg r  ->  c^r * u(X/c) monic in X; v(x) -> c^g * v(X/c)
     r = divisor.u.degree

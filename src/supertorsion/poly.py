@@ -1,5 +1,5 @@
 """Dense univariate polynomials over an exact field, plus truncated power
-series with Newton d-th-root extraction.
+series and their d-th roots, solved one coefficient at a time.
 
 Coefficients are stored ascending by degree with trailing zeros trimmed; the
 zero polynomial has an empty coefficient tuple and degree ``NEG_INF``.
@@ -8,6 +8,9 @@ zero polynomial has an empty coefficient tuple and degree ``NEG_INF``.
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import (
     BadInitialValue,
@@ -445,9 +448,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.field, self.coeffs, self.precision))
 
-    def truncate(self, precision):
-        return TruncatedSeries(self.field, self.coeffs[:precision], precision)
-
     def __add__(self, other):
         n = min(self.precision, other.precision)
         return TruncatedSeries(self.field,
@@ -507,31 +507,66 @@ class TruncatedSeries:
 def series_dth_root(f: Poly, d: int, center, y0, precision: int) -> TruncatedSeries:
     """s(t) with s(t)^d = f(center + t) mod t^precision and s(0) = y0.
 
-    Newton iteration s <- s - (s^d - f)/(d s^(d-1)); needs char not dividing d
-    and y0 a d-th root of f(center).
+    Needs char not dividing d and y0 a nonzero d-th root of f(center); the
+    coefficients come from ``_series_root_powers``.
+    """
+    powers, scale = _series_root_powers(f, d, center, y0, precision)
+    y = f.field(y0).value
+    return TruncatedSeries(f.field, [Fraction(y * r, scale ** k)
+                                     for k, r in enumerate(powers[1])], precision)
+
+
+def _series_root_powers(f: Poly, d: int, center, y0, precision: int):
+    """(powers, C): powers[j][k] = C^k * (coefficient k of (s/y0)^j) for
+    j = 0..d and the s of ``series_dth_root``, as bare values: integers over
+    Q, residues mod p over F_p, where C = 1.
+
+    r = s/y0 has r(0) = 1 and r^d = h := g/g(0) with g = f(center + t).  Let
+    R_j be coefficient k of r^j computed with r_k set to 0; the true
+    coefficient is R_j + j*r_k, and r^d = h gives r_k = (h_k - R_d)/d.  R_j
+    is one convolution of r^(j-1) with r plus R_(j-1), so the powers fill
+    together in O(d*precision^2) operations.  Only d is ever inverted, so
+    every characteristic not dividing d works, p <= precision included.
+    Over Q the series is taken in u = t/C with C = c*d^2, where c clears the
+    denominators of h: then every coefficient is an integer (because
+    d^(2m) * binomial(1/d, m) is one) and the division by d is exact.
     """
     field = f.field
-    if not isinstance(center, FieldElement):
-        center = field(center)
-    if not isinstance(y0, FieldElement):
-        y0 = field(y0)
+    center, y0 = field(center), field(y0)
     char = field.characteristic()
     if char != 0 and d % char == 0:
         raise CharDividesD(f"characteristic {char} divides {d}")
     if precision < 1:
         raise BadParameters("precision must be >= 1")
-    g = f.shift(center)
-    if y0 ** d != g(field.zero):
+
+    def red(v):
+        return v % char if char else v
+
+    a, y = center.value, y0.value
+    g = []
+    for c in reversed(f.coeffs):  # Horner: g <- g*(a + t) + c
+        g = [red(a * u + v) for u, v in zip(g + [0], [0] + g)]
+        g[0] = red(g[0] + c.value)
+    g = (g + [0] * precision)[:precision]
+    if red(y ** d) != g[0]:
         raise BadInitialValue("y0^d != f(center)")
-    if y0.is_zero():
-        raise BadInitialValue("y0 must be nonzero for the Newton step")
-    s = TruncatedSeries(field, [y0], 1)
-    dconst = field(d)
-    while s.precision < precision:
-        prec = min(2 * s.precision, precision)
-        s = TruncatedSeries(field, s.coeffs, prec)
-        gser = TruncatedSeries.from_poly(g, prec)
-        num = s ** d - gser
-        den = (s ** (d - 1)) * dconst
-        s = s - num * den.inverse()
-    return s
+    if y == 0:
+        raise BadInitialValue("y0 must be nonzero: the series is y0 * (f/y0^d)^(1/d)")
+    if char:
+        scale, inv_d, inv_g0 = 1, pow(d, -1, char), pow(g[0], -1, char)
+        h = [v * inv_g0 % char for v in g]
+    else:
+        h = [v / g[0] for v in g]
+        scale = lcm(*(v.denominator for v in h)) * d * d
+        h = [int(v * scale ** k) for k, v in enumerate(h)]
+    powers = [[1] + [0] * (precision - 1) for _ in range(d)] + [h]
+    r = powers[1]
+    for k in range(1, precision):
+        tail = r[k - 1:0:-1]  # r_(k-1), ..., r_1
+        partial = [0, 0]      # R_0 (unused), R_1
+        for j in range(2, d + 1):
+            partial.append(red(sum(map(mul, powers[j - 1][1:k], tail)) + partial[-1]))
+        r[k] = (h[k] - partial[d]) * inv_d % char if char else (h[k] - partial[d]) // d
+        for j in range(2, d):
+            powers[j][k] = red(partial[j] + j * r[k])
+    return powers, scale

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from supertorsion import orders
 from supertorsion.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, dispatch
+from supertorsion.errors import PrecisionExhausted
 
 
 def run(capsys, *argv):
@@ -60,6 +62,21 @@ def test_order_exceeding_max(capsys):
                         "--max-k", "3")
     assert code == EXIT_MATH_FAIL
     assert docs[0]["order"] is None
+
+
+def test_engine_failure_is_a_math_failure(capsys, monkeypatch):
+    # PrecisionExhausted is a SupertorsionError outside MathCheckError
+    def exhausted(curve, point, max_k):
+        raise PrecisionExhausted("vanishing order exceeded k")
+        yield
+
+    monkeypatch.setattr(orders, "_principal_orders", exhausted)
+    curve = json.dumps({"d": 2, "field": {"kind": "Q"},
+                        "f": ["1", "2", "3", "2"]})
+    code, docs, err = run(capsys, "order", "--curve", curve, "--point", "0,1")
+    assert code == EXIT_MATH_FAIL
+    assert docs == []
+    assert err == "check failed: vanishing order exceeded k\n"
 
 
 def test_reachability(capsys):
