@@ -6,8 +6,8 @@ Three backends:
   function with pole divisor <= k*O vanishes at P to order >= k.  Such a
   function has divisor exactly k(P) - k(O), so k is the class order.  The
   search is one incremental exact elimination of the truncated local
-  expansions at P of the basis monomials, one monomial per pole order, on
-  bare residues or integers (``_principal_orders``, shared with
+  expansions at P of a basis of these functions, one function per pole
+  order, on bare residues or integers (``_principal_orders``, shared with
   ``principality_profile``).
 * ``elliptic_order`` -- chord/tangent group law on y^2 = cubic.
 * ``cantor_order``  -- Mumford representation plus composition/reduction for
@@ -149,16 +149,18 @@ def _primitive(row, field):
 def _principal_orders(curve: SuperellipticCurve, point: AffinePoint, max_k: int):
     """Yield, ascending, every k in 1..max_k with k(P) - k(O) principal.
 
-    The basis monomials x^i y^j enter one at a time in order of pole order
-    w = d*i + n*j; the w are distinct, so at most one enters at each k.  Its
-    expansion at P in t = x - a, a = x(P), is the one of x^(i-1) y^j times
-    (a + t), and it is reduced against the echelon rows kept so far until
-    its leading column is new.  A function with pole order <= k vanishes at
-    P to order <= k, so every kept lead is below k, and k is principal iff
-    the new lead is k.  Rows hold bare values over max_k + 2 columns:
-    residues mod p, kept with lead 1, or over Q integer rows divided by
-    their content, in the variable t/C of ``_series_root_powers``.  Scaling
-    a row, or column t^c by C^c, moves no lead.
+    The functions with divisor >= -k*O are spanned by x^i y^j with pole
+    order w = d*i + n*j <= k, and equally by (x - a)^i y^j, a = x(P): for
+    each j both give the polynomials in x of degree <= i.  The w are
+    distinct, so at most one monomial enters at each k, and the expansion at
+    P of (x - a)^i y^j in t = x - a is the one of y^j shifted by i places.
+    It is reduced against the echelon rows kept so far until its leading
+    column is new.  A function with pole order <= k vanishes at P to order
+    <= k, so every kept lead is below k, and k is principal iff the new
+    lead is k.  Rows hold bare values over max_k + 2 columns: residues mod
+    p, kept with lead 1, or over Q integer rows divided by their content, in
+    the variable t/C of ``_series_root_powers``.  Scaling a row, or column
+    t^c by C^c, moves no lead.
     """
     if point.y.is_zero():
         raise RamifiedPoint("use order_of_ramified for points with y = 0")
@@ -168,27 +170,17 @@ def _principal_orders(curve: SuperellipticCurve, point: AffinePoint, max_k: int)
         raise BadParameters("point does not lie on the curve")
     n, d, ncols = curve.n, curve.d, max_k + 2
     p = curve.field.characteristic()
-    powers, scale = _series_root_powers(curve.f, d, point.x, point.y, ncols)
-    if p:
-        a, step = point.x.value, 1
-
-        def norm(row):
-            return [v % p for v in row]
-    else:
-        a, step = point.x.value.numerator, point.x.value.denominator * scale
-        norm = _content_free
-    # rows[j]: the expansion of x^i y^j for the last i that entered
-    rows = [norm(row) for row in powers[:d]]
+    powers, _ = _series_root_powers(curve.f, d, point.x, point.y, ncols)
+    ys = powers[:d] if p else [_content_free(row) for row in powers[:d]]
     n_inv = pow(n, -1, d)
     kept = {}  # lead column -> echelon row
     for k in range(max_k + 1):
         j = k * n_inv % d  # the only j with n*j = k mod d
         if n * j > k:
             continue
-        if k >= d + n * j:  # i >= 1: the x^(i-1) y^j row times a + t
-            rows[j] = norm([a * u + step * v for u, v in zip(rows[j], [0] + rows[j])])
-        row = rows[j]
-        lead = _lead(row, 0)
+        i = (k - n * j) // d
+        row = [0] * i + ys[j][:ncols - i]
+        lead = _lead(row, i)
         while lead in kept:
             pivot, c = kept[lead], row[lead]
             if p:

@@ -121,11 +121,17 @@ def test_series_root_matches_newton(field):
             with pytest.raises(CharDividesD):
                 series_dth_root(Poly(field, (1, 1)), d, 0, 1, 3)
             continue
-        center = field(rng.randint(-3, 3))
-        y0 = field(rng.choice((1, 2, -3, 5)) if field.kind == "Q" else rng.randrange(1, 60))
-        if y0.is_zero():
-            y0 = field.one
-        f = Poly(field, [rng.randint(-4, 4) for _ in range(rng.randint(2, 7))] + [1])
+        if field.kind == "Q":
+            # rational center, y0 and f, so the integral rescaling has work to do
+            center = field(rng.choice((0, 2, (1, 2), (-2, 3))))
+            y0 = field(rng.choice((1, -3, (5, 2), (-1, 3))))
+            f = Poly(field, [(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                             for _ in range(rng.randint(2, 7))] + [1])
+        else:
+            center, y0 = field(rng.randrange(60)), field(rng.randrange(1, 60))
+            if y0.is_zero():
+                y0 = field.one
+            f = Poly(field, [rng.randrange(60) for _ in range(rng.randint(2, 7))] + [1])
         f = f + (y0 ** d - f(center))
         reference = newton_dth_root(f, d, center, y0, top).coeffs
         for precision in range(1, top + 1):
@@ -175,9 +181,8 @@ def _certificate(rng, n, d, field, a):
 def test_certificate_points_match_kloop(field):
     """The marked point of a certificate for every shape: the profile up to
     m0 and the order agree with the k-loop (both are [m0] and m0).  Over Q
-    the abscissa is 0 on two shapes in three and -1/2 on the third, so the
-    (a + t) shift of the rows sees a fraction as well as zero; over F_p it
-    is a random residue."""
+    the abscissa is 0 on two shapes in three and -1/2 on the third (a
+    fraction costs the references more); over F_p it is a random residue."""
     rng = random.Random(f"shapes:{field!r}")
     shapes = _shapes()
     assert len(shapes) == 48
