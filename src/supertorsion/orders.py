@@ -190,7 +190,7 @@ def _principal_orders(curve: SuperellipticCurve, point: AffinePoint, max_k: int)
             lead = _lead(row, lead + 1)
         if lead is None or lead > k:
             raise PrecisionExhausted(
-                f"a function of pole order {k} vanished to order {lead} > {k};"
+                f"a function of pole order {k} vanished at P to order above {k};"
                 " divisor bookkeeping violated")
         if p:
             inv = pow(row[lead], -1, p)
