@@ -512,6 +512,7 @@ def series_dth_root(f: Poly, d: int, center, y0, precision: int) -> TruncatedSer
     """
     powers, scale = _series_root_powers(f, d, center, y0, precision)
     y = f.field(y0).value
+    # s_k = y0 * r_k / C^k; over F_p, C = 1 and the field reduces y0 * r_k
     return TruncatedSeries(f.field, [Fraction(y * r, scale ** k)
                                      for k, r in enumerate(powers[1])], precision)
 

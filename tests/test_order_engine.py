@@ -111,9 +111,10 @@ def kloop_order(curve, point, max_k):
 
 @pytest.mark.parametrize("field", [QQ] + [GF(p) for p in SMALL_PRIMES], ids=repr)
 def test_series_root_matches_newton(field):
-    """Every d = 2..7 the characteristic allows, every precision 1..30 (so
-    p < precision for p < 30) against Newton at precision 30; above p = 30
-    Newton runs at precision 12, which is enough to cover p > precision."""
+    """Every d = 2..7 the characteristic allows, compared with the prefixes
+    of one Newton root: precision 1..30 over Q and for p < 30, so p <
+    precision occurs; 1..12 for p > 30, where every precision up to 30 is
+    below p anyway."""
     rng = random.Random(f"series:{field!r}")
     top = 30 if field.characteristic() < 30 else 12
     for d in range(2, 8):
