@@ -143,14 +143,6 @@ def test_series_root_matches_newton(field):
                    [type(c.value) for c in reference[:precision]]
 
 
-def test_series_root_rejects_bad_initial_values():
-    f = Poly(QQ, (4, 1))
-    with pytest.raises(BadInitialValue):
-        series_dth_root(f, 2, QQ(0), QQ(3), 5)
-    with pytest.raises(BadInitialValue):
-        series_dth_root(Poly(QQ, (0, 1)), 2, QQ(0), QQ(0), 5)
-
-
 # ---------------------------------------------------------------------------
 # the order engine
 # ---------------------------------------------------------------------------

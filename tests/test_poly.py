@@ -150,6 +150,8 @@ def test_series_cube_root_verified_by_cubing():
 def test_series_bad_initial_value():
     with pytest.raises(BadInitialValue):
         series_dth_root(Poly(QQ, (1, 1)), 2, QQ(0), QQ(2), 3)
+    with pytest.raises(BadInitialValue):  # y0 = 0 solves y0^2 = f(0) but is no start
+        series_dth_root(Poly(QQ, (0, 1)), 2, QQ(0), QQ(0), 3)
 
 
 def test_series_inverse_is_exact():
