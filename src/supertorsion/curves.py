@@ -35,7 +35,6 @@ def torsion_params(n: int, d: int) -> TorsionParams:
     _validate_nd(n, d)
     ell0 = (n + d) // d
     m0 = d * ell0
-    assert n < m0 < n + d and ell0 >= 2
     return TorsionParams(n=n, d=d, ell0=ell0, m0=m0, slack=n - m0 + ell0)
 
 

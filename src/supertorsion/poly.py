@@ -370,8 +370,6 @@ def _split_linear(g: Poly):
 
 
 def _rational_roots(f: Poly):
-    from fractions import Fraction
-
     field = f.field
     roots = []
     # strip x^k to make the constant term nonzero
@@ -384,9 +382,7 @@ def _rational_roots(f: Poly):
     if f.is_constant():
         return tuple(roots)
     # clear denominators to primitive integer form
-    denlcm = 1
-    for c in f.coeffs:
-        denlcm = denlcm * c.value.denominator // _gcd(denlcm, c.value.denominator)
+    denlcm = lcm(*(c.value.denominator for c in f.coeffs))
     ints = [int(c.value * denlcm) for c in f.coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     for p in _divisors(a0):
@@ -396,12 +392,6 @@ def _rational_roots(f: Poly):
                 if f(x).is_zero() and x not in roots:
                     roots.append(x)
     return tuple(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):

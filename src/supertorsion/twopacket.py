@@ -220,7 +220,7 @@ def _packet_inputs(field: Field, n: int, I, lam, C):
     mu, I, comp = _mu_and_complement(field, n, I)
     if len(I) != ell0:
         raise BadParameters(f"|I| = {len(I)}, expected ell0 = {ell0}")
-    return p, ell0, lam, C, I, comp
+    return ell0, lam, C, I, comp
 
 
 def packet_parts(field: Field, n: int, I, lam, C, sign: str = "plus"):
@@ -231,12 +231,9 @@ def packet_parts(field: Field, n: int, I, lam, C, sign: str = "plus"):
     ``sign`` in {"plus", "minus"}.
     """
     _check_sign(sign)
-    _, ell0, lam, C, I, comp = _packet_inputs(field, n, I, lam, C)
-    ut, vt = _packet_shapes(build_H(I, C), build_H(comp, C), lam,
-                            (C ** ell0).inverse())
-    if sign == "minus":
-        ut = -ut
-    return ut, vt
+    ell0, lam, C, I, comp = _packet_inputs(field, n, I, lam, C)
+    return _packet_shapes(build_H(I, C), build_H(comp, C), lam,
+                          (C ** ell0).inverse(), sign)
 
 
 def _check_sign(sign):
@@ -244,11 +241,14 @@ def _check_sign(sign):
         raise BadParameters("sign must be 'plus' or 'minus'")
 
 
-def _packet_shapes(hi: Poly, hc: Poly, lam: FieldElement, cl_inv: FieldElement):
-    """The "plus" ut and vt from H_I, H_comp, lam and cl_inv = 1/C^ell0."""
+def _packet_shapes(hi: Poly, hc: Poly, lam: FieldElement, cl_inv: FieldElement,
+                   sign: str = "plus"):
+    """ut and vt from H_I, H_comp, lam and cl_inv = 1/C^ell0; ut is negated
+    for the "minus" sign."""
     half = lam.field(2).inverse()
     a, b = lam * half, lam.inverse() * half
-    return (a * hi - b * hc) * cl_inv, a * hi + b * hc
+    ut = (a * hi - b * hc) * cl_inv
+    return (-ut if sign == "minus" else ut), a * hi + b * hc
 
 
 def packet_polynomial(field: Field, n: int, I, lam, C, sign: str = "plus") -> Poly:
@@ -262,7 +262,7 @@ def packet_polynomial(field: Field, n: int, I, lam, C, sign: str = "plus") -> Po
 def normalizing_lambdas(field: Field, n: int, I, C):
     """The lam with leading(ut) = +-1, i.e. the only lam for which
     x^(n+1) - ut^2 has degree n.  At most four values."""
-    _, ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
+    ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
     hi, hc = build_H(I, C), build_H(comp, C)
     a = hi[ell0]  # 0 when the H_I factor for eps with C*eps = 1 dropped degree
     b = hc[ell0]
@@ -376,13 +376,14 @@ def build_two_packet_general(field, n: int, I, lam, A1, A2, C=None,
         C = field(C)
         if C ** (n + 1) != ratio:
             raise BadParameters("C^(n+1) != A1/A2")
-    ut, vt = packet_parts(field, n, I, lam, C, sign)
-    _, ell0, lam, C, I, _ = _packet_inputs(field, n, I, lam, C)
+    _check_sign(sign)
+    ell0, lam, C, I, comp = _packet_inputs(field, n, I, lam, C)
+    cl_inv = (C ** ell0).inverse()
+    ut, vt = _packet_shapes(build_H(I, C), build_H(comp, C), lam, cl_inv, sign)
     B1, B2 = field.nth_root(A1, 2), field.nth_root(A2, 2)
     if B1 is None or B2 is None:
         if not allow_twist:
             raise NoSquareRoot(f"A1 or A2 has no square root in F_{field.p}")
-        cl_inv = (C ** ell0).inverse()
         return _finish_family(field, n, I, lam, C,
                               field.one, cl_inv * cl_inv, field.one, cl_inv,
                               ut, vt, sign, twisted=True)
@@ -399,13 +400,13 @@ def build_two_packet_equal(field, n: int, I, lam, sign: str = "plus"):
     if lam == field.one or lam == -field.one:
         raise BadParameters("lambda = +-1 is excluded in the equal case")
     one = field.one
-    ut, vt = packet_parts(field, n, I, lam, one, sign)
-    _, ell0, lam, C, I, comp = _packet_inputs(field, n, I, lam, one)
+    _check_sign(sign)
+    ell0, lam, _, I, comp = _packet_inputs(field, n, I, lam, one)
     # the split degrees must be {ell0, ell0 - 1}
     hi, hc = build_H(I, one), build_H(comp, one)
     if {hi.degree, hc.degree} != {ell0, ell0 - 1}:
         raise BadParameters("unexpected H degree split")
-    assert {(vt - ut).degree, (vt + ut).degree} == {ell0, ell0 - 1}
+    ut, vt = _packet_shapes(hi, hc, lam, one, sign)
     return _finish_family(field, n, I, lam, one, one, one, one, one,
                           ut, vt, sign, twisted=False)
 
@@ -435,7 +436,9 @@ class PacketExample:
 
 def example_m0_equals_nplus1(base_field: Field, n: int, d: int) -> PacketExample:
     """The curve y^d = (x+1)^m0 - x^m0 for m0 = n+1: every point above x = 0
-    or x = -1 has order m0."""
+    or x = -1 has order m0.  Since d*ell0 = m0, f = A2 (x+1)^m0 - v^d with
+    A2 = 1, v = x^ell0, and f = A1 x^m0 - u^d with A1 = -1,
+    u = gamma (x+1)^ell0 when some gamma in the base field has gamma^d = -1."""
     params = torsion_params(n, d)
     if params.m0 != n + 1:
         raise BadParameters(f"m0 = {params.m0} != n+1; the example needs d | n+1")
@@ -447,11 +450,8 @@ def example_m0_equals_nplus1(base_field: Field, n: int, d: int) -> PacketExample
     f = xp1 ** m0 - Poly.monomial(base_field, m0)
     curve = SuperellipticCurve(base_field, d, f)
     v = Poly.monomial(base_field, ell0)
-    assert f == base_field.one * xp1 ** m0 - v ** d
     gamma = base_field.nth_root(base_field(-1), d)
     u = gamma * xp1 ** ell0 if gamma is not None else None
-    if u is not None:
-        assert f == base_field(-1) * Poly.monomial(base_field, m0) - u ** d
     pts = []
     for a in (base_field.zero, -base_field.one):
         pts.extend(curve.points_above(a))
@@ -491,9 +491,7 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
     analysis localizes nothing and every abscissa is scanned.
     """
     field = _as_prime_field(field)
-    p, ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
-    if p % 2 == 0 or (n + 1) % p == 0 or ell0 % p == 0:
-        raise BadParameters(f"need p odd, p not dividing 2(n+1)ell0")
+    ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
     hi, hc = build_H(I, C), build_H(comp, C)
     bi, bc = nonvanishing_bracket(hi, ell0), nonvanishing_bracket(hc, ell0)
     if bi.is_zero() or bc.is_zero():
@@ -529,7 +527,7 @@ def confirmed_bad_lambdas(field, n: int, I, C, sign: str = "plus") -> frozenset:
     give the same polynomial."""
     field = _as_prime_field(field)
     _check_sign(sign)
-    _, ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
+    ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
     hi, hc = build_H(I, C), build_H(comp, C)
     cl_inv = (C ** ell0).inverse()
     top = Poly.monomial(field, n + 1)

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
@@ -10,9 +11,11 @@ from supertorsion import (
     build_certificate,
     family_slack0,
     family_slack1,
+    is_squarefree,
     normalize_certificate,
     order_of_class,
     slack0_reduce,
+    torsion_params,
     verify_certificate,
 )
 from supertorsion.errors import (
@@ -57,6 +60,17 @@ def test_verify_passes_and_tamper_fails():
     assert not bad_report.passed
     names = {c.name: c.passed for c in bad_report.checks}
     assert not names["identity"]
+    # P = (0, 1) is not on y^2 = f + 1, and f*(x + 1) has even degree 4, so
+    # it defines no curve with d = 2: both fail entries, neither raises
+    off_curve = verify_certificate(replace(cert, f=cert.f + 1), run_oracle=True)
+    names = {c.name: c.passed for c in off_curve.checks}
+    assert not names["vanishing_at_P"] and not names["oracle_order"]
+    assert off_curve.oracle_order is None
+    no_curve = verify_certificate(replace(cert, f=cert.f * Poly(QQ, (1, 1))),
+                                  run_oracle=True)
+    names = {c.name: c.passed for c in no_curve.checks}
+    assert not names["squarefree"] and not names["oracle_order"]
+    assert no_curve.oracle_order is None
 
 
 def test_verify_slack0_oracle_order_6():
@@ -165,6 +179,53 @@ def test_every_constructed_certificate_verifies():
         assert verify_certificate(cert).passed
         norm = normalize_certificate(cert)
         assert verify_certificate(norm.certificate).passed
+        field, va = cert.field, cert.v(cert.a)
+        assert norm.h == cert.f.shift(cert.a) * (va ** cert.d).inverse()
+        assert norm.w == cert.v.shift(cert.a) * va.inverse()
+        assert norm.r == cert.q.shift(cert.a) * va.inverse()
+        assert norm.w(field.zero) == field.one and norm.r(field.zero) == field.one
+
+
+def _shapes(slack):
+    """Every (n, d) with the given slack and m0 <= 21."""
+    return [(n, d) for n in range(3, 21) for d in range(2, n)
+            if gcd(n, d) == 1 and torsion_params(n, d).slack == slack
+            and torsion_params(n, d).m0 <= 21]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1009)])
+def test_family_slack0_is_inner_pullback(field):
+    # f = -x^m0 + (x^ell0 + 1)^d is inner(x^ell0) with inner = -X^d + (X+1)^d
+    # squarefree of degree d-1 and inner(0) = 1, which is why f is squarefree;
+    # scaling x by an ell0-th root B0 of B gives the curve with parameter B
+    X = Poly.x(field)
+    shapes = _shapes(0)
+    assert len(shapes) == 8
+    for n, d in shapes:
+        ell0 = torsion_params(n, d).ell0
+        inner = -(X ** d) + (X + 1) ** d
+        assert inner.degree == d - 1 and is_squarefree(inner)
+        assert inner(field.zero) == field.one
+        reference = family_slack0(n, d, field)
+        assert reference.f == inner.compose(X ** ell0)
+        B = field(2) ** ell0
+        cert = build_certificate(n, d, field.zero, B, Poly.one(field))
+        b0 = slack0_reduce(cert)
+        assert b0 ** ell0 == B and cert.f == reference.f.scale_arg(b0)
+
+
+def test_family_slack1_point_is_a_root():
+    # f(x0) = -B^d x0^m0 + (B x0^ell0)^d = 0 at x0 = -1/B1, since d*ell0 = m0
+    rng = random.Random(7)
+    F = GF(1009)
+    for n, d in _shapes(1):
+        for _ in range(3):
+            try:
+                cert, point_d = family_slack1(n, d, F(rng.randrange(1, 1009)),
+                                              F(rng.randrange(1, 1009)))
+            except NotSquarefree:
+                continue
+            assert cert.f(point_d.x).is_zero() and point_d.y.is_zero()
 
 
 @pytest.mark.parametrize("n,d,field", [

@@ -10,6 +10,7 @@ from supertorsion import (
     check_order_structure,
     elliptic_order,
     from_kubert,
+    is_squarefree,
     kubert_curve,
     to_kubert,
 )
@@ -35,6 +36,17 @@ def test_build_family_degenerations():
         build_family(QQ(1), QQ(0))
     with pytest.raises(CharTwo):
         build_family(GF(2)(1), GF(2)(1))
+
+
+def test_build_family_is_squarefree():
+    grids = [(QQ, range(-6, 7), range(-6, 7)),
+             (GF(101), range(1, 101, 7), range(1, 101, 3))]
+    for field, Bs, B1s in grids:
+        for B in map(field, Bs):
+            for B1 in map(field, B1s):
+                if B.is_zero() or B1.is_zero() or (B1 * B1 - 8 * B).is_zero():
+                    continue
+                assert is_squarefree(build_family(B, B1).f)
 
 
 def test_order_structure_rationals():
@@ -89,6 +101,46 @@ def test_from_kubert_example():
     assert fam.B == QQ(1) and fam.B1 == QQ("1/2")
     assert pmap(QQ(0), QQ(0)) == (QQ(0), QQ(1))
     assert elliptic_order(fam.f, pmap(QQ(0), QQ(0)), 8) == 4
+
+
+class _KubertAlgebra:
+    """Arithmetic in K[x][y] / (y^2 + xy - by - x^3 + bx^2), elements stored
+    as a0(x) + a1(x)*y."""
+
+    def __init__(self, b):
+        field = b.field
+        # y^2 reduces to (x^3 - b x^2) + (b - x) y
+        self.red0 = Poly(field, (0, 0, -b, field.one))
+        self.red1 = Poly(field, (b, -field.one))
+
+    def mul(self, A, B):
+        a0, a1 = A
+        b0, b1 = B
+        c2 = a1 * b1
+        return (a0 * b0 + c2 * self.red0, a0 * b1 + a1 * b0 + c2 * self.red1)
+
+
+def test_kubert_maps_symbolically():
+    # the point map sends the Kubert relation onto y^2 = f: (c0 + c1 y)^2 - f
+    # reduces to 0 modulo it; and both models reduce to the same cubic
+    cases = [QQ(b) for b in (-2, "-1/2", 1, 3, "5/7", -40)]
+    for p in (7, 101):
+        F = GF(p)
+        cases += [F(b) for b in range(1, p, max(1, p // 12))]
+    checked = 0
+    for b in cases:
+        if b.is_zero() or (1 + 16 * b).is_zero():
+            continue
+        field = b.field
+        fam, pmap = from_kubert(b)
+        image_y = (pmap.c0, Poly.constant(pmap.c1))
+        square = _KubertAlgebra(b).mul(image_y, image_y)
+        assert square == (fam.f, Poly.zero(field))
+        assert pmap(field.zero, field.zero) == (field.zero, field.one)
+        assert (reduced_cubic_from_family(fam.B, fam.B1)
+                == reduced_cubic_from_kubert(to_kubert(fam), fam.B1))
+        checked += 1
+    assert checked >= 20
 
 
 def test_from_kubert_degenerate():

@@ -1,0 +1,47 @@
+"""The library's invariants are raised checks, never ``assert``s, which
+``python -O`` removes."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+GUARDS = """
+from supertorsion import QQ, Poly, build_certificate, build_family, torsion_params
+from supertorsion.errors import BadParameters, Degenerate, QVanishesAtA
+
+if __debug__:
+    raise SystemExit("not running under -O")
+cases = [
+    (QVanishesAtA, lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (0, 1)))),
+    (Degenerate, lambda: build_family(QQ(2), QQ(4))),
+    (BadParameters, lambda: torsion_params(4, 2)),
+]
+for exc, call in cases:
+    try:
+        call()
+    except exc:
+        continue
+    raise SystemExit(exc.__name__ + " not raised")
+print("ok")
+"""
+
+
+def test_no_assert_in_src():
+    found = []
+    for path in sorted((SRC / "supertorsion").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_input_guards_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-O", "-c", GUARDS], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.strip() == "ok"

@@ -309,6 +309,26 @@ def test_example_m0_nplus1_f5():
     assert ex.curve.f == ex.A1 * Poly.monomial(F, 4) - ex.u ** 2
 
 
+def test_example_m0_nplus1_double_representation():
+    # f = A2 (x+1)^m0 - v^d always; f = A1 x^m0 - u^d when gamma^d = -1 has a
+    # root: for odd d, and over F_17 also for every d | 16
+    cases = [(QQ, 5, 3), (QQ, 9, 5), (QQ, 3, 2)]
+    cases += [(GF(17), n, d) for n, d in ((3, 2), (5, 2), (7, 4), (5, 3),
+                                          (11, 4), (7, 2), (15, 8), (9, 5))]
+    gammas = 0
+    for field, n, d in cases:
+        ex = example_m0_equals_nplus1(field, n, d)
+        f, m0 = ex.curve.f, n + 1
+        assert f == ex.A2 * Poly(field, (1, 1)) ** m0 - ex.v ** d
+        if ex.gamma is None:
+            assert ex.u is None and field is QQ and d % 2 == 0
+            continue
+        assert ex.gamma ** d == field(-1)
+        assert f == ex.A1 * Poly.monomial(field, m0) - ex.u ** d
+        gammas += 1
+    assert gammas == len(cases) - 1
+
+
 def test_example_m0_nplus1_char_divides():
     with pytest.raises(CharDividesM0):
         example_m0_equals_nplus1(GF(2), 3, 2)
