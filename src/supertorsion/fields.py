@@ -50,7 +50,9 @@ def _powers(h: int, m: int, p: int):
 
 
 class Field:
-    """Common interface of the two supported base fields."""
+    """Common interface of the two supported base fields.  Arithmetic on bare
+    values needs only ``reduce(v)``, the canonical form of v, and ``inv(v)``,
+    the inverse of a nonzero v: the two scalar operations that differ."""
 
     kind = None  # "Q" or "Fp"
 
@@ -78,9 +80,6 @@ class Field:
         of the smallest generator of the order-m subgroup."""
         raise NotImplementedError
 
-    def sqrt(self, x: "FieldElement"):
-        return self.nth_root(x, 2)
-
 
 class Rationals(Field):
     kind = "Q"
@@ -93,13 +92,17 @@ class Rationals(Field):
             if value.field is not self and value.field.kind != "Q":
                 raise FieldMismatch("cannot coerce a prime-field element into Q")
             return FieldElement(self, value.value)
-        if isinstance(value, (int, Fraction)):
-            return FieldElement(self, Fraction(value))
-        if isinstance(value, str):
+        if isinstance(value, (int, Fraction, str)):
             return FieldElement(self, Fraction(value))
         if isinstance(value, tuple) and len(value) == 2:
             return FieldElement(self, Fraction(value[0], value[1]))
         raise BadParameters(f"cannot build a rational from {value!r}")
+
+    def reduce(self, v):
+        return v
+
+    def inv(self, v):
+        return 1 / v
 
     def nth_root(self, x, k):
         if k < 1:
@@ -160,10 +163,14 @@ class PrimeField(Field):
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise DivisionByZero(f"denominator divisible by {self.p}")
-            num = value.numerator % self.p
-            den = pow(value.denominator % self.p, self.p - 2, self.p)
-            return FieldElement(self, num * den % self.p)
+            return FieldElement(self, self.reduce(value.numerator * self.inv(value.denominator)))
         raise BadParameters(f"cannot build an F_{self.p} element from {value!r}")
+
+    def reduce(self, v):
+        return v % self.p
+
+    def inv(self, v):
+        return pow(v, -1, self.p)
 
     def elements(self):
         for v in range(self.p):
@@ -314,9 +321,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.field.kind == "Fp":
-            return FieldElement(self.field, (self.value + o.value) % self.field.p)
-        return FieldElement(self.field, self.value + o.value)
+        return FieldElement(self.field, self.field.reduce(self.value + o.value))
 
     __radd__ = __add__
 
@@ -324,9 +329,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.field.kind == "Fp":
-            return FieldElement(self.field, (self.value - o.value) % self.field.p)
-        return FieldElement(self.field, self.value - o.value)
+        return FieldElement(self.field, self.field.reduce(self.value - o.value))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -338,9 +341,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.field.kind == "Fp":
-            return FieldElement(self.field, self.value * o.value % self.field.p)
-        return FieldElement(self.field, self.value * o.value)
+        return FieldElement(self.field, self.field.reduce(self.value * o.value))
 
     __rmul__ = __mul__
 
@@ -357,23 +358,19 @@ class FieldElement:
         return o * self.inverse()
 
     def __neg__(self):
-        if self.field.kind == "Fp":
-            return FieldElement(self.field, (-self.value) % self.field.p)
-        return FieldElement(self.field, -self.value)
+        return FieldElement(self.field, self.field.reduce(-self.value))
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        if self.field.kind == "Fp":
-            return FieldElement(self.field, pow(self.value, e, self.field.p))
-        return FieldElement(self.field, self.value ** e)
+        # three-argument pow over F_p: value ** e alone grows with e
+        return FieldElement(self.field,
+                            pow(self.value, e, self.field.characteristic() or None))
 
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero")
-        if self.field.kind == "Fp":
-            return FieldElement(self.field, pow(self.value, self.field.p - 2, self.field.p))
-        return FieldElement(self.field, 1 / self.value)
+        return FieldElement(self.field, self.field.inv(self.value))
 
     def __bool__(self):
         return self.value != 0

@@ -1,16 +1,19 @@
 """Dense univariate polynomials over an exact field, plus truncated power
 series and their d-th roots, solved one coefficient at a time.
 
-Coefficients are stored ascending by degree with trailing zeros trimmed; the
-zero polynomial has an empty coefficient tuple and degree ``NEG_INF``.
+Coefficients are stored as bare values (Fractions over Q, residues in [0, p)
+over F_p), ascending by degree with trailing zeros trimmed; every accessor
+hands out ``FieldElement``s.  The zero polynomial has an empty tuple of values
+and degree ``NEG_INF``.
 """
 
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (
     BadInitialValue,
@@ -29,21 +32,21 @@ NEG_INF = float("-inf")
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "values")
 
-    def __init__(self, field: Field, coeffs):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise FieldMismatch("coefficient from a different field")
-                cs.append(c)
-            else:
-                cs.append(field(c))
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, field: Field, coeffs):
+        return cls._from_values(field, [field(c).value for c in coeffs])
+
+    @classmethod
+    def _from_values(cls, field, values):
+        """From bare values already in canonical form for ``field``."""
+        values = list(values)
+        while values and not values[-1]:
+            values.pop()
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "values", tuple(values))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -73,24 +76,28 @@ class Poly:
     # --- basic structure ---
 
     @property
+    def coeffs(self):
+        return tuple(FieldElement(self.field, v) for v in self.values)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.values) - 1 if self.values else NEG_INF
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.values
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.values) <= 1
 
     @property
     def leading(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.values:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.field, self.values[-1])
 
     def __getitem__(self, i: int) -> FieldElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.values):
+            return FieldElement(self.field, self.values[i])
         return self.field.zero
 
     def __iter__(self):
@@ -98,11 +105,11 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.field == other.field and self.values == other.values
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.values))
 
     # --- arithmetic ---
 
@@ -115,21 +122,21 @@ class Poly:
             return Poly(self.field, (other,))
         return NotImplemented
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field, [self[i] + o[i] for i in range(n)])
+        red = self.field.reduce
+        return Poly._from_values(self.field, [
+            red(op(a, b)) for a, b in zip_longest(self.values, o.values, fillvalue=0)])
+
+    def __add__(self, other):
+        return self._termwise(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field, [self[i] - o[i] for i in range(n)])
+        return self._termwise(other, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -138,24 +145,19 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        red = self.field.reduce
+        return Poly._from_values(self.field, [red(-a) for a in self.values])
 
     def __mul__(self, other):
+        red = self.field.reduce
         if isinstance(other, FieldElement) or isinstance(other, int):
-            c = self.field(other)
-            return Poly(self.field, [a * c for a in self.coeffs])
+            c = self.field(other).value
+            return Poly._from_values(self.field, [red(a * c) for a in self.values])
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        n = len(self.values) + len(o.values) - 1
+        return Poly._from_values(self.field, [red(c) for c in _convolve(self.values, o.values, n)])
 
     __rmul__ = __mul__
 
@@ -177,21 +179,21 @@ class Poly:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
+        field, red, b = self.field, self.field.reduce, o.values
+        rem = list(self.values)
+        dq = len(rem) - len(b)
         if dq < 0:
-            return Poly.zero(self.field), self
-        quo = [self.field.zero] * (dq + 1)
-        inv_lead = o.leading.inverse()
+            return Poly.zero(field), self
+        quo = [field.zero.value] * (dq + 1)
+        inv_lead = field.inv(b[-1])
         for shift in range(dq, -1, -1):
-            top = rem[shift + len(o.coeffs) - 1]
-            if top.is_zero():
+            top = rem[shift + len(b) - 1]
+            if not top:
                 continue
-            c = top * inv_lead
-            quo[shift] = c
-            for i, b in enumerate(o.coeffs):
-                rem[shift + i] = rem[shift + i] - c * b
-        return Poly(self.field, quo), Poly(self.field, rem)
+            c = quo[shift] = red(top * inv_lead)
+            for i, y in enumerate(b):
+                rem[shift + i] = red(rem[shift + i] - c * y)
+        return Poly._from_values(field, quo), Poly._from_values(field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -199,18 +201,14 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero()
-
     # --- evaluation and substitution ---
 
     def __call__(self, x) -> FieldElement:
-        if not isinstance(x, FieldElement):
-            x = self.field(x)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x, red = self.field(x).value, self.field.reduce
+        acc = self.field.zero.value
+        for c in reversed(self.values):
+            acc = red(acc * x + c)
+        return FieldElement(self.field, acc)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)) by Horner on polynomial values."""
@@ -220,23 +218,26 @@ class Poly:
         return acc
 
     def shift(self, a) -> "Poly":
-        """x -> x + a substitution."""
-        if not isinstance(a, FieldElement):
-            a = self.field(a)
-        return self.compose(Poly(self.field, (a, 1)))
+        """x -> x + a substitution (Taylor shift by Horner's rule)."""
+        a, red = self.field(a).value, self.field.reduce
+        g = []
+        for c in reversed(self.values):  # g <- g*(x + a) + c
+            g = [red(a * u + v) for u, v in zip(g + [0], [0] + g)]
+            g[0] = red(g[0] + c)
+        return Poly._from_values(self.field, g)
 
     def scale_arg(self, c) -> "Poly":
         """x -> c*x substitution."""
-        if not isinstance(c, FieldElement):
-            c = self.field(c)
-        out, power = [], self.field.one
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power = power * c
-        return Poly(self.field, out)
+        c, red = self.field(c).value, self.field.reduce
+        out, power = [], 1
+        for a in self.values:
+            out.append(red(a * power))
+            power = red(power * c)
+        return Poly._from_values(self.field, out)
 
     def derivative(self) -> "Poly":
-        return Poly(self.field, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        red, a = self.field.reduce, self.values
+        return Poly._from_values(self.field, [red(a[i] * i) for i in range(1, len(a))])
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -247,23 +248,33 @@ class Poly:
         """x^m * self(1/x): coefficient reversal padded to length m+1."""
         if self.degree > m:
             raise BadParameters(f"degree {self.degree} exceeds reversal order {m}")
-        padded = [self[i] for i in range(m + 1)]
-        return Poly(self.field, list(reversed(padded)))
+        padded = self.values + (self.field.zero.value,) * (m + 1 - len(self.values))
+        return Poly._from_values(self.field, padded[::-1])
 
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for i, c in enumerate(self.values):
+            if not c:
                 continue
             if i == 0:
-                terms.append(f"{c!r}")
+                terms.append(f"{c}")
             elif i == 1:
-                terms.append(f"{c!r}*x")
+                terms.append(f"{c}*x")
             else:
-                terms.append(f"{c!r}*x^{i}")
+                terms.append(f"{c}*x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _convolve(a, b, n):
+    """Coefficients 0..n-1 (n < len(a) + len(b)) of the product of a and b."""
+    rb = b[::-1]
+    out = []
+    for k in range(n):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1) + 1
+        out.append(sum(map(mul, a[lo:hi], rb[len(b) - 1 - k + lo:])))
+    return out
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -358,7 +369,7 @@ def _split_linear(g: Poly):
         return [-g[0]]
     if g[0].is_zero():
         # split off x: over F_2 the quadratic character below is trivial
-        return [field.zero] + _split_linear(Poly(field, g.coeffs[1:]))
+        return [field.zero] + _split_linear(Poly._from_values(field, g.values[1:]))
     p = field.p
     for a in range(p):
         h = poly_gcd(g, _powmod(Poly(field, (a, 1)), (p - 1) // 2, g) - 1)
@@ -374,16 +385,16 @@ def _rational_roots(f: Poly):
     roots = []
     # strip x^k to make the constant term nonzero
     k = 0
-    while k < len(f.coeffs) and f.coeffs[k].is_zero():
+    while not f.values[k]:
         k += 1
     if k > 0:
         roots.append(field.zero)
-        f = Poly(field, f.coeffs[k:])
+        f = Poly._from_values(field, f.values[k:])
     if f.is_constant():
         return tuple(roots)
     # clear denominators to primitive integer form
-    denlcm = lcm(*(c.value.denominator for c in f.coeffs))
-    ints = [int(c.value * denlcm) for c in f.coeffs]
+    denlcm = lcm(*(v.denominator for v in f.values))
+    ints = [int(v * denlcm) for v in f.values]
     a0, an = abs(ints[0]), abs(ints[-1])
     for p in _divisors(a0):
         for q in _divisors(an):
@@ -408,59 +419,68 @@ def _divisors(n: int):
 
 
 class TruncatedSeries:
-    """Power series known modulo t^precision; exactly ``precision`` coefficients."""
+    """Power series known modulo t^precision; exactly ``precision`` coefficients,
+    stored as bare values like ``Poly.values``."""
 
-    __slots__ = ("field", "coeffs", "precision")
+    __slots__ = ("field", "values", "precision")
 
-    def __init__(self, field, coeffs, precision: int):
+    def __new__(cls, field, coeffs, precision: int):
+        return cls._from_values(field, [field(c).value for c in coeffs], precision)
+
+    @classmethod
+    def _from_values(cls, field, values, precision: int):
         if precision < 1:
             raise BadParameters("precision must be >= 1")
-        cs = [c if isinstance(c, FieldElement) else field(c) for c in coeffs]
-        cs = cs[:precision] + [field.zero] * (precision - len(cs))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "precision", precision)
+        values = list(values[:precision])
+        values += [field.zero.value] * (precision - len(values))
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "values", tuple(values))
+        object.__setattr__(out, "precision", precision)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def from_poly(cls, f: Poly, precision: int):
-        return cls(f.field, f.coeffs, precision)
+        return cls._from_values(f.field, f.values, precision)
+
+    @property
+    def coeffs(self):
+        return tuple(FieldElement(self.field, v) for v in self.values)
 
     def __getitem__(self, i):
-        return self.coeffs[i]
+        return FieldElement(self.field, self.values[i])
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and self.field == other.field
-                and self.precision == other.precision and self.coeffs == other.coeffs)
+                and self.precision == other.precision and self.values == other.values)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs, self.precision))
+        return hash((self.field, self.values, self.precision))
+
+    def _termwise(self, other, op):
+        red = self.field.reduce
+        return TruncatedSeries._from_values(
+            self.field, [red(op(a, b)) for a, b in zip(self.values, other.values)],
+            min(self.precision, other.precision))
 
     def __add__(self, other):
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(self.field,
-                               [self.coeffs[i] + other.coeffs[i] for i in range(n)], n)
+        return self._termwise(other, add)
 
     def __sub__(self, other):
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(self.field,
-                               [self.coeffs[i] - other.coeffs[i] for i in range(n)], n)
+        return self._termwise(other, sub)
 
     def __mul__(self, other):
+        red = self.field.reduce
         if isinstance(other, (int, FieldElement)):
-            c = self.field(other)
-            return TruncatedSeries(self.field, [a * c for a in self.coeffs], self.precision)
+            c = self.field(other).value
+            return TruncatedSeries._from_values(
+                self.field, [red(a * c) for a in self.values], self.precision)
         n = min(self.precision, other.precision)
-        out = [self.field.zero] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(n - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return TruncatedSeries(self.field, out, n)
+        return TruncatedSeries._from_values(
+            self.field, [red(c) for c in _convolve(self.values, other.values, n)], n)
 
     __rmul__ = __mul__
 
@@ -471,24 +491,14 @@ class TruncatedSeries:
         return result
 
     def inverse(self):
-        if self.coeffs[0].is_zero():
+        a = self.values
+        if not a[0]:
             raise DivisionByZero("series with zero constant term is not invertible")
-        n = self.precision
-        inv0 = self.coeffs[0].inverse()
-        out = [inv0] + [self.field.zero] * (n - 1)
-        for k in range(1, n):
-            acc = self.field.zero
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -acc * inv0
-        return TruncatedSeries(self.field, out, n)
-
-    def valuation(self):
-        """Index of the first nonzero coefficient (None if all vanish)."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        return None
+        red, inv0 = self.field.reduce, self.field.inv(a[0])
+        out = [inv0]
+        for k in range(1, self.precision):
+            out.append(red(-sum(map(mul, a[1:k + 1], out[::-1])) * inv0))
+        return TruncatedSeries._from_values(self.field, out, self.precision)
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r} + O(t^{self.precision}))"
@@ -500,11 +510,12 @@ def series_dth_root(f: Poly, d: int, center, y0, precision: int) -> TruncatedSer
     Needs char not dividing d and y0 a nonzero d-th root of f(center); the
     coefficients come from ``_series_root_powers``.
     """
+    field = f.field
     powers, scale = _series_root_powers(f, d, center, y0, precision)
-    y = f.field(y0).value
-    # s_k = y0 * r_k / C^k; over F_p, C = 1 and the field reduces y0 * r_k
-    return TruncatedSeries(f.field, [Fraction(y * r, scale ** k)
-                                     for k, r in enumerate(powers[1])], precision)
+    y, c = field(y0).value, field.inv(field(scale).value)
+    # s_k = y0 * r_k / C^k; over F_p, C = 1
+    return TruncatedSeries._from_values(
+        field, [field.reduce(y * r * c ** k) for k, r in enumerate(powers[1])], precision)
 
 
 def _series_root_powers(f: Poly, d: int, center, y0, precision: int):
@@ -522,23 +533,14 @@ def _series_root_powers(f: Poly, d: int, center, y0, precision: int):
     denominators of h: then every coefficient is an integer (because
     d^(2m) * binomial(1/d, m) is one) and the division by d is exact.
     """
-    field = f.field
-    center, y0 = field(center), field(y0)
+    field, red = f.field, f.field.reduce
     char = field.characteristic()
     if char != 0 and d % char == 0:
         raise CharDividesD(f"characteristic {char} divides {d}")
     if precision < 1:
         raise BadParameters("precision must be >= 1")
-
-    def red(v):
-        return v % char if char else v
-
-    a, y = center.value, y0.value
-    g = []
-    for c in reversed(f.coeffs):  # Horner: g <- g*(a + t) + c
-        g = [red(a * u + v) for u, v in zip(g + [0], [0] + g)]
-        g[0] = red(g[0] + c.value)
-    g = (g + [0] * precision)[:precision]
+    y = field(y0).value
+    g = (list(f.shift(center).values) + [0] * precision)[:precision]
     if red(y ** d) != g[0]:
         raise BadInitialValue("y0^d != f(center)")
     if y == 0:

@@ -55,7 +55,7 @@ def elem_from_str(field: Field, s) -> FieldElement:
 
 
 def poly_to_json(f: Poly) -> list:
-    return [elem_to_str(c) for c in f.coeffs]
+    return [str(v) for v in f.values]
 
 
 def poly_from_json(field: Field, doc) -> Poly:

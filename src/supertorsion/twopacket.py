@@ -220,7 +220,7 @@ def _packet_inputs(field: Field, n: int, I, lam, C):
     mu, I, comp = _mu_and_complement(field, n, I)
     if len(I) != ell0:
         raise BadParameters(f"|I| = {len(I)}, expected ell0 = {ell0}")
-    return ell0, lam, C, I, comp
+    return ell0, lam, C, I, build_H(I, C), build_H(comp, C)
 
 
 def packet_parts(field: Field, n: int, I, lam, C, sign: str = "plus"):
@@ -231,9 +231,8 @@ def packet_parts(field: Field, n: int, I, lam, C, sign: str = "plus"):
     ``sign`` in {"plus", "minus"}.
     """
     _check_sign(sign)
-    ell0, lam, C, I, comp = _packet_inputs(field, n, I, lam, C)
-    return _packet_shapes(build_H(I, C), build_H(comp, C), lam,
-                          (C ** ell0).inverse(), sign)
+    ell0, lam, C, _, hi, hc = _packet_inputs(field, n, I, lam, C)
+    return _packet_shapes(hi, hc, lam, (C ** ell0).inverse(), sign)
 
 
 def _check_sign(sign):
@@ -262,8 +261,7 @@ def packet_polynomial(field: Field, n: int, I, lam, C, sign: str = "plus") -> Po
 def normalizing_lambdas(field: Field, n: int, I, C):
     """The lam with leading(ut) = +-1, i.e. the only lam for which
     x^(n+1) - ut^2 has degree n.  At most four values."""
-    ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
-    hi, hc = build_H(I, C), build_H(comp, C)
+    ell0, _, C, _, hi, hc = _packet_inputs(field, n, I, 1, C)
     a = hi[ell0]  # 0 when the H_I factor for eps with C*eps = 1 dropped degree
     b = hc[ell0]
     out = []
@@ -283,7 +281,7 @@ def _quadratic_roots(a: FieldElement, b: FieldElement, c: FieldElement, field):
             return ()
         return (-c / b,)
     disc = b * b - 4 * a * c
-    s = field.sqrt(disc)
+    s = field.nth_root(disc, 2)
     if s is None:
         return ()
     inv2a = (2 * a).inverse()
@@ -377,9 +375,9 @@ def build_two_packet_general(field, n: int, I, lam, A1, A2, C=None,
         if C ** (n + 1) != ratio:
             raise BadParameters("C^(n+1) != A1/A2")
     _check_sign(sign)
-    ell0, lam, C, I, comp = _packet_inputs(field, n, I, lam, C)
+    ell0, lam, C, I, hi, hc = _packet_inputs(field, n, I, lam, C)
     cl_inv = (C ** ell0).inverse()
-    ut, vt = _packet_shapes(build_H(I, C), build_H(comp, C), lam, cl_inv, sign)
+    ut, vt = _packet_shapes(hi, hc, lam, cl_inv, sign)
     B1, B2 = field.nth_root(A1, 2), field.nth_root(A2, 2)
     if B1 is None or B2 is None:
         if not allow_twist:
@@ -401,9 +399,8 @@ def build_two_packet_equal(field, n: int, I, lam, sign: str = "plus"):
         raise BadParameters("lambda = +-1 is excluded in the equal case")
     one = field.one
     _check_sign(sign)
-    ell0, lam, _, I, comp = _packet_inputs(field, n, I, lam, one)
+    ell0, lam, _, I, hi, hc = _packet_inputs(field, n, I, lam, one)
     # the split degrees must be {ell0, ell0 - 1}
-    hi, hc = build_H(I, one), build_H(comp, one)
     if {hi.degree, hc.degree} != {ell0, ell0 - 1}:
         raise BadParameters("unexpected H degree split")
     ut, vt = _packet_shapes(hi, hc, lam, one, sign)
@@ -491,8 +488,7 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
     analysis localizes nothing and every abscissa is scanned.
     """
     field = _as_prime_field(field)
-    ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
-    hi, hc = build_H(I, C), build_H(comp, C)
+    ell0, _, C, _, hi, hc = _packet_inputs(field, n, I, 1, C)
     bi, bc = nonvanishing_bracket(hi, ell0), nonvanishing_bracket(hc, ell0)
     if bi.is_zero() or bc.is_zero():
         raise NonvanishingViolation("ell0*H - x*H' vanished identically")
@@ -527,8 +523,7 @@ def confirmed_bad_lambdas(field, n: int, I, C, sign: str = "plus") -> frozenset:
     give the same polynomial."""
     field = _as_prime_field(field)
     _check_sign(sign)
-    ell0, _, C, I, comp = _packet_inputs(field, n, I, 1, C)
-    hi, hc = build_H(I, C), build_H(comp, C)
+    ell0, _, C, _, hi, hc = _packet_inputs(field, n, I, 1, C)
     cl_inv = (C ** ell0).inverse()
     top = Poly.monomial(field, n + 1)
     out = set()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as strat
 
-from supertorsion import GF, QQ, PrimeField
+from supertorsion import GF, QQ, Poly, PrimeField
 from supertorsion.errors import (
     BadParameters,
     DivisionByZero,
@@ -57,6 +57,23 @@ def test_field_mismatch():
         GF(5)(1) + GF(7)(1)
     with pytest.raises(FieldMismatch):
         QQ(1) + GF(7)(1)
+    # polynomials hold bare values, so the field check happens on the way in
+    with pytest.raises(FieldMismatch):
+        Poly(GF(7), [GF(5)(1)])
+    with pytest.raises(FieldMismatch):
+        Poly(QQ, [GF(7)(1)])
+    with pytest.raises(FieldMismatch):
+        Poly(GF(5), (1, 1)) + Poly(GF(7), (1, 1))
+    with pytest.raises(FieldMismatch):
+        Poly(GF(5), (1, 1)) * GF(7)(2)
+
+
+def test_power_with_huge_exponent():
+    # three-argument pow: value ** e would not finish at e = 10^18
+    F = GF(1000003)
+    assert F(3) ** 10**18 == F(pow(3, 10**18, 1000003))
+    assert F(3) ** -(10**18) == F(pow(3, 10**18, 1000003)).inverse()
+    assert QQ(2) ** -3 == QQ("1/8")
 
 
 def test_non_prime_rejected():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -41,6 +42,19 @@ def test_shift_matches_pointwise_evaluation():
     g = f.shift(QQ(3))
     for x in range(-4, 5):
         assert g(QQ(x)) == f(QQ(x + 3))
+    for p in (2, 7, 101):
+        F = GF(p)
+        f = Poly(F, (3, 1, 4, 1, 5, 9, 2, 6))
+        for a in (0, 1, p - 1, 5):
+            g = f.shift(a)
+            assert g == f.compose(Poly(F, (a, 1)))
+            assert all(g(F(x)) == f(F(x + a)) for x in range(min(p, 12)))
+
+
+def test_repr_prints_values():
+    assert repr(Poly(QQ, (Fraction(1, 2), 0, 3))) == "Poly(1/2 + 3*x^2)"
+    assert repr(Poly(GF(7), (-1, 1))) == "Poly(6 + 1*x)"
+    assert repr(Poly.zero(QQ)) == "Poly(0)"
 
 
 def test_divmod_and_reconstruction():
@@ -123,7 +137,6 @@ def test_series_sqrt_binomial_oracle():
     # sqrt(1 + t) = 1 + t/2 - t^2/8 + ...: compare to the binomial series
     f = Poly(QQ, (1, 1))
     s = series_dth_root(f, 2, QQ(0), QQ(1), 3)
-    from fractions import Fraction
     def half_binomial(k):
         num, den, top = 1, 1, Fraction(1, 2)
         for i in range(k):

@@ -385,9 +385,9 @@ def reference_confirmed_bad_lambdas(F, n, I, C):
     return frozenset(out)
 
 
-# n = 5 stops at 31 to keep the suite fast: each lambda costs a squarefree
-# test on both sides
-@pytest.mark.parametrize("n,max_p", [(3, 101), (5, 31)])
+# n = 5 stops at 43 to keep the suite fast: each lambda costs a squarefree
+# test on both sides, and the subsets and lambdas grow with p
+@pytest.mark.parametrize("n,max_p", [(3, 101), (5, 43)])
 def test_confirmed_bad_lambdas_matches_packet_polynomial_loop(n, max_p):
     primes = [p for p in range(5, max_p + 1)
               if all(p % q for q in range(2, p)) and (p - 1) % (n + 1) == 0]
