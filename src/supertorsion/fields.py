@@ -13,18 +13,36 @@ from fractions import Fraction
 from .errors import BadParameters, DivisionByZero, FieldMismatch, UnsupportedField
 
 
+#: strong-probable-prime bases of ``is_prime``, and the bound below which
+#: they leave no strong pseudoprime (Sorenson and Webster, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases 2..41, exact for
+    n < 3,317,044,064,679,887,385,961,981.  Above that bound only a base
+    that divides n decides; otherwise BadParameters is raised."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        raise BadParameters(f"primality of {n} is only decided below {_MR_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -304,6 +304,46 @@ def poly_xgcd(f: Poly, g: Poly):
     return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
 
 
+def resultant(f: Poly, g: Poly) -> FieldElement:
+    """Res(f, g) of nonzero f and g at their actual degrees, by Euclid's
+    algorithm: with r = f mod g,
+    Res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f - deg r) * Res(g, r),
+    down to Res(f, c) = c^(deg f) for a constant c, or to 0 when a remainder
+    vanishes while g is not constant.  Zero iff f and g share a root in an
+    algebraic closure."""
+    if f.is_zero() or g.is_zero():
+        raise ZeroPolynomial("resultant with the zero polynomial")
+    res = f.field.one
+    while g.degree > 0:
+        r = f % g
+        if r.is_zero():
+            return f.field.zero
+        if f.degree * g.degree % 2:
+            res = -res
+        res = res * g.leading ** (f.degree - r.degree)
+        f, g = g, r
+    return res * g.leading ** f.degree
+
+
+def interpolate(field: Field, points, values) -> Poly:
+    """The polynomial of degree < len(points) taking values[i] at points[i],
+    for distinct points: Newton's divided differences, then Horner's rule
+    for the Newton form, on bare values."""
+    red, inv = field.reduce, field.inv
+    xs = [field(x).value for x in points]
+    c = [field(y).value for y in values]
+    if len(set(xs)) != len(xs) or len(c) != len(xs):
+        raise BadParameters("interpolation needs distinct points, one value each")
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = red((c[i] - c[i - 1]) * inv(red(xs[i] - xs[i - j])))
+    out = []
+    for x, ci in zip(reversed(xs), reversed(c)):  # out <- out*(t - x) + ci
+        out = [red(u - x * v) for u, v in zip([0] + out, out + [0])]
+        out[0] = red(out[0] + ci)
+    return Poly._from_values(field, out)
+
+
 class InseparableWarning(UserWarning):
     """f' vanished identically over F_p: f is a p-th power in disguise."""
 

@@ -17,15 +17,18 @@ which leads to the one-parameter shapes
 
 Only finitely many lam make x^(n+1) - ut^2 non-squarefree; ``bad_lambda_set``
 assembles that exclusion set from the multiple-root analysis, and
-``confirmed_bad_lambdas`` recomputes it by exhaustive sweep as an independent
-check.  Separately, only the lam for which ut has leading coefficient +-1
-give the polynomial degree n (anything else leaves degree n+1, which defines
-no curve with a single infinite point); ``normalizing_lambdas`` lists them.
+``confirmed_bad_lambdas`` recomputes it independently: an exact squarefree
+test of each lam that a discriminant in lam^2 leaves as a candidate, or of
+every unit when p is too small for that discriminant.  Separately, only the
+lam for which ut has leading coefficient +-1 give the polynomial degree n
+(anything else leaves degree n+1, which defines no curve with a single
+infinite point); ``normalizing_lambdas`` lists them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .curves import AffinePoint, SuperellipticCurve, torsion_params
 from .errors import (
@@ -42,7 +45,7 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Field, FieldElement, PrimeField
-from .poly import Poly, is_squarefree, roots_in_field
+from .poly import Poly, interpolate, is_squarefree, resultant, roots_in_field
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +518,67 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
 
 
 def confirmed_bad_lambdas(field, n: int, I, C, sign: str = "plus") -> frozenset:
-    """Exhaustive sweep: the lambda for which x^(n+1) - ut^2 actually fails
-    squarefreeness (the zero polynomial counts as failing).
+    """The lambda for which x^(n+1) - ut^2 actually fails squarefreeness
+    (the zero polynomial counts as failing), as the independent check of
+    ``bad_lambda_set``.
 
-    O(p) on purpose, as the independent check of ``bad_lambda_set``; H_I and
-    H_comp are built once, and ``sign`` is only validated, since ut and -ut
-    give the same polynomial."""
+    A lambda enters the set only by the exact test of its own polynomial.
+    What keeps a lambda out untested is a discriminant.  With mu = lam^2,
+    G(mu, x) = 4 C^(n+1) mu x^(n+1) - (mu H_I - H_comp)^2 equals
+    4 C^(n+1) lam^2 (x^(n+1) - ut^2).  Its x^(n+1) coefficient,
+    4 C^(n+1) mu - (mu a - b)^2 with a, b the x^ell0 coefficients of H_I and
+    H_comp, vanishes at mu = lam^2 exactly for the ``normalizing_lambdas``.
+    For any other lam, G(lam^2, x) has degree n+1 and, as p does not divide
+    n+1, its x-derivative has degree n, so it is squarefree iff
+    D(lam^2) = Res_x(G, dG/dx) is nonzero.  The Sylvester matrix of D has
+    2n+1 rows of entries of degree <= 2 in mu, so deg D <= 4n+2: D is
+    interpolated from its values at the first 4n+3 mu = 1, 2, ... where the
+    leading coefficient is nonzero, at which Euclid's resultant of the
+    specialized polynomials is D(mu).  The lambdas tested are the square
+    roots of the roots of D and the normalizing lambdas, at most
+    2(4n+2) + 4.  When p leaves fewer than 4n+3 such mu (p below about
+    4n+6), or D vanishes identically, every unit is tested.
+
+    H_I and H_comp are built once, and ``sign`` is only validated, since ut
+    and -ut give the same polynomial."""
     field = _as_prime_field(field)
     _check_sign(sign)
     ell0, _, C, _, hi, hc = _packet_inputs(field, n, I, 1, C)
     cl_inv = (C ** ell0).inverse()
     top = Poly.monomial(field, n + 1)
     out = set()
-    for lam in field.units():
+    for lam in _candidate_lambdas(field, n, I, C, hi, hc):
         ut, _ = _packet_shapes(hi, hc, lam, cl_inv)
         f = top - ut * ut
         if f.is_zero() or not is_squarefree(f):
             out.add(lam)
     return frozenset(out)
+
+
+def _candidate_lambdas(field, n: int, I, C, hi: Poly, hc: Poly):
+    """The units ``confirmed_bad_lambdas`` tests: the roots in lam of
+    D(lam^2) and the normalizing lambdas, or every unit as the fallback."""
+    ell0 = (n + 1) // 2
+    red, count = field.reduce, 4 * n + 3
+    four_c = (4 * C ** (n + 1)).value
+    a, b = hi[ell0].value, hc[ell0].value
+    mus = list(islice((mu for mu in range(1, field.p)
+                       if red(four_c * mu - (mu * a - b) ** 2)), count))
+    if len(mus) == count:
+        values = []
+        for mu in mus:
+            w = hi * mu - hc
+            g = Poly.monomial(field, n + 1, four_c * mu) - w * w
+            values.append(resultant(g, g.derivative()))
+        disc = interpolate(field, mus, values)
+        if not disc.is_zero():
+            out = set(normalizing_lambdas(field, n, I, C))
+            for mu in roots_in_field(disc):
+                lam = field.nth_root(mu, 2)
+                if lam is not None and not lam.is_zero():
+                    out |= {lam, -lam}
+            return out
+    return field.units()
 
 
 # ---------------------------------------------------------------------------

@@ -220,3 +220,17 @@ def test_sweep_matches_exhaustive_lambda_loop(capsys, p, n):
     assert code == EXIT_OK and expected
     assert captured.out.splitlines() == expected
     assert captured.err.strip() == f"built {len(expected)} families"
+
+
+def test_field_beyond_primality_bound_is_usage_error(capsys):
+    code, docs, err = run(capsys, "family", "slack0", "--n", "4", "--d", "3",
+                          "--field", "F3317044064679887385961981")
+    assert code == EXIT_USAGE and docs == []
+    assert "primality" in err
+
+
+def test_field_with_large_prime(capsys):
+    code, docs, _ = run(capsys, "family", "slack0", "--n", "4", "--d", "3",
+                        "--field", "F100000000000000003")
+    assert code == EXIT_OK
+    assert docs[0]["field"] == {"kind": "Fp", "p": 100000000000000003}

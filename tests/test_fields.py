@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from supertorsion.errors import (
     FieldMismatch,
     UnsupportedField,
 )
+from supertorsion.fields import is_prime
 
 
 def xgcd(a, b):
@@ -79,6 +82,37 @@ def test_power_with_huge_exponent():
 def test_non_prime_rejected():
     with pytest.raises(BadParameters):
         PrimeField(12)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == \
+        [n for n in range(20000) if trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,         # ... to bases 2 through 23
+    318665857834031151167461,    # ... to bases 2 through 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large_prime_is_fast():
+    start = time.perf_counter()
+    assert is_prime(10**17 + 3)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_is_prime_undecided_above_bound():
+    # the bound itself is the least strong pseudoprime to bases 2 through 41
+    with pytest.raises(BadParameters):
+        is_prime(3317044064679887385961981)
+    assert not is_prime(3317044064679887385961981 * 2)  # a base divides it
 
 
 def test_nth_root_fp_by_exhaustive_oracle():

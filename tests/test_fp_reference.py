@@ -10,6 +10,8 @@ documented order.
 import random
 from itertools import product
 
+import pytest
+
 from supertorsion import GF, Poly, SuperellipticCurve, is_squarefree, roots_in_field
 from supertorsion.cli import EXIT_OK, dispatch
 from supertorsion.fields import is_prime
@@ -157,9 +159,17 @@ def test_large_prime_known_answers():
     assert curve.points_above(F(1)) == ()                  # f(1) is not a cube
 
 
-def test_large_prime_bad_lambdas_cli(capsys):
-    code = dispatch(["two-packet", "bad-lambdas", "--p", "1009", "--n", "3",
-                     "--I", "0,1", "--C", "1"])
+# the subsets are not alternate roots, so bad_lambda_set needs no field scan
+# either; confirmed_bad_lambdas tests a few dozen lambdas at any p
+@pytest.mark.parametrize("p,n,subset", [
+    (1009, 3, "0,1"),
+    (100049, 3, "0,1"),
+    (1000000009, 3, "0,1"),
+    (1000000009, 5, "0,1,2"),
+])
+def test_large_prime_bad_lambdas_cli(capsys, p, n, subset):
+    code = dispatch(["two-packet", "bad-lambdas", "--p", str(p), "--n", str(n),
+                     "--I", subset, "--C", "1"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert '"contained": true' in out

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as strat
 
 from supertorsion import GF, QQ, Poly, TruncatedSeries, is_squarefree, poly_gcd, \
     roots_in_field, series_dth_root
-from supertorsion.errors import BadInitialValue, BothZero, DivisionByZero, \
-    ZeroPolynomial
-from supertorsion.poly import NEG_INF, InseparableWarning
+from supertorsion.errors import BadInitialValue, BadParameters, BothZero, \
+    DivisionByZero, ZeroPolynomial
+from supertorsion.poly import NEG_INF, InseparableWarning, interpolate, resultant
 
 
 def binomial_power(field, inner_exponent, shift, e):
@@ -215,3 +215,68 @@ def test_compose_and_scale_arg():
         assert f.scale_arg(c) == f.compose(Poly(QQ, (0, c)))
         for x in range(-3, 4):
             assert f.scale_arg(c)(QQ(x)) == f(c * QQ(x))
+
+
+def sylvester_determinant(f, g):
+    """Res(f, g) as the determinant of the Sylvester matrix, by Gaussian
+    elimination over the field."""
+    field, m, k = f.field, f.degree, g.degree
+    size = m + k
+    rows = [[field.zero] * i + list(reversed(f.coeffs)) + [field.zero] * (k - 1 - i)
+            for i in range(k)]
+    rows += [[field.zero] * i + list(reversed(g.coeffs)) + [field.zero] * (m - 1 - i)
+             for i in range(m)]
+    det = field.one
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return field.zero
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = rows[col][col].inverse()
+        for r in range(col + 1, size):
+            factor = rows[r][col] * inv
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def test_resultant_matches_sylvester_determinant():
+    rng = random.Random(11)
+    for field, draw in ((QQ, lambda: rng.randint(-4, 4)),
+                        (GF(13), lambda: rng.randrange(13))):
+        for _ in range(60):
+            f = Poly(field, [draw() for _ in range(rng.randint(1, 6))])
+            g = Poly(field, [draw() for _ in range(rng.randint(1, 6))])
+            if f.is_zero() or g.is_zero():
+                continue
+            assert resultant(f, g) == sylvester_determinant(f, g), (f, g)
+
+
+def test_resultant_examples():
+    F = GF(101)
+    # Res(prod (x - r_i), g) = prod g(r_i)
+    f = Poly(F, (-2, 1)) * Poly(F, (-5, 1)) * Poly(F, (-7, 1))
+    g = Poly(F, (3, 0, 1))
+    assert resultant(f, g) == g(F(2)) * g(F(5)) * g(F(7))
+    assert not resultant(f, f.derivative()).is_zero()
+    assert resultant(f * Poly(F, (-5, 1)), g * Poly(F, (-5, 1))).is_zero()
+    assert resultant(Poly(QQ, (3,)), Poly(QQ, (1, 0, 1))) == QQ(9)
+    assert resultant(Poly(QQ, (3,)), Poly(QQ, (2,))) == QQ(1)
+    with pytest.raises(ZeroPolynomial):
+        resultant(Poly.zero(QQ), g)
+
+
+def test_interpolate_round_trip():
+    rng = random.Random(12)
+    for field, draw in ((QQ, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))),
+                        (GF(10009), lambda: rng.randrange(10009))):
+        for size in range(0, 9):
+            f = Poly(field, [draw() for _ in range(size)])
+            points = rng.sample(range(-20, 20), size)
+            assert interpolate(field, points, [f(x) for x in points]) == f
+    F = GF(7)
+    assert interpolate(F, [1, 2, 3], [F(5)] * 3) == Poly(F, (5,))
+    with pytest.raises(BadParameters):
+        interpolate(F, [1, 8], [F(1), F(2)])  # 1 = 8 in F_7

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from supertorsion import twopacket
 from supertorsion import (
     GF,
     QQ,
@@ -385,8 +386,11 @@ def reference_confirmed_bad_lambdas(F, n, I, C):
     return frozenset(out)
 
 
-# n = 5 stops at 43 to keep the suite fast: each lambda costs a squarefree
-# test on both sides, and the subsets and lambdas grow with p
+# n = 5 stops at 43 to keep the suite fast: the reference costs a squarefree
+# test per lambda, and the subsets and lambdas grow with p.  The grids cover
+# both sides of the discriminant's fallback to every unit: it applies at
+# p = 5, 13, 17 (n = 3) and 7, 13, 19 (n = 5), where fewer than 4n+3 evaluation
+# points exist, and not from p = 29 (n = 3) and 31 (n = 5) on.
 @pytest.mark.parametrize("n,max_p", [(3, 101), (5, 43)])
 def test_confirmed_bad_lambdas_matches_packet_polynomial_loop(n, max_p):
     primes = [p for p in range(5, max_p + 1)
@@ -397,3 +401,29 @@ def test_confirmed_bad_lambdas_matches_packet_polynomial_loop(n, max_p):
             for C in sorted({1, 2, p - 1}):
                 assert confirmed_bad_lambdas(F, n, I, F(C)) == \
                     reference_confirmed_bad_lambdas(F, n, I, F(C)), (p, I, C)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_confirmed_bad_lambdas_matches_loop_at_2017(n):
+    F = GF(2017)
+    I = tuple(F.roots_of_unity(n + 1)[:(n + 1) // 2])
+    assert confirmed_bad_lambdas(F, n, I, F(2)) == \
+        reference_confirmed_bad_lambdas(F, n, I, F(2))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_confirmed_bad_lambdas_tests_few_lambdas(n, monkeypatch):
+    # at most two square roots per root of the discriminant (degree <= 4n+2)
+    # and the at most four normalizing lambdas, not one test per unit
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return is_squarefree(f)
+
+    monkeypatch.setattr(twopacket, "is_squarefree", counting)
+    F = GF(10009)
+    I = tuple(F.roots_of_unity(n + 1)[:(n + 1) // 2])
+    confirmed = confirmed_bad_lambdas(F, n, I, F(1))
+    assert len(calls) <= 2 * (4 * n + 2) + 4
+    assert {F(1), F(-1)} <= confirmed
