@@ -7,6 +7,7 @@ pure and elements are immutable, so values are safe to share freely.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -68,9 +69,9 @@ def _powers(h: int, m: int, p: int):
 
 
 class Field:
-    """Common interface of the two supported base fields.  Arithmetic on bare
-    values needs only ``reduce(v)``, the canonical form of v, and ``inv(v)``,
-    the inverse of a nonzero v: the two scalar operations that differ."""
+    """Common interface of the two supported base fields.  On bare values:
+    ``reduce(v)`` (canonical form), ``inv(v)`` (v != 0), ``split(values)``
+    (integers over one denominator, 1 over F_p) and back ``join(ints, den)``."""
 
     kind = None  # "Q" or "Fp"
 
@@ -121,6 +122,14 @@ class Rationals(Field):
 
     def inv(self, v):
         return 1 / v
+
+    def split(self, values):
+        # pairwise: math.lcm(*args) per product kept raising peak RSS (CPython 3.11)
+        den = functools.reduce(math.lcm, (v.denominator for v in values), 1)
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def join(self, ints, den):
+        return [Fraction(c, den) for c in ints]
 
     def nth_root(self, x, k):
         if k < 1:
@@ -189,6 +198,14 @@ class PrimeField(Field):
 
     def inv(self, v):
         return pow(v, -1, self.p)
+
+    def split(self, values):
+        return values, 1
+
+    def join(self, ints, den):
+        p = self.p
+        s = 1 if den == 1 else pow(den, -1, p)
+        return [c % p for c in ints] if s == 1 else [c * s % p for c in ints]
 
     def elements(self):
         for v in range(self.p):

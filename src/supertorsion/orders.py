@@ -128,18 +128,8 @@ def left_kernel_vector(rows, field):
 def _primitive(row, field):
     if field.kind != "Q":
         return row
-    # clear denominators and divide by the integer content
-    denlcm = 1
-    for c in row:
-        d = c.value.denominator
-        denlcm = denlcm * d // gcd(denlcm, d)
-    ints = [int(c.value * denlcm) for c in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return [field(v) for v in ints]
+    ints, _ = field.split([c.value for c in row])
+    return [field(v) for v in _content_free(ints)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
 from operator import add, mul, sub
 
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     MathCheckError,
     ZeroPolynomial,
 )
-from .fields import Field, FieldElement
+from .fields import GF, Field, FieldElement
 
 #: degree of the zero polynomial; compares below every integer
 NEG_INF = float("-inf")
@@ -149,15 +148,15 @@ class Poly:
         return Poly._from_values(self.field, [red(-a) for a in self.values])
 
     def __mul__(self, other):
-        red = self.field.reduce
-        if isinstance(other, FieldElement) or isinstance(other, int):
-            c = self.field(other).value
-            return Poly._from_values(self.field, [red(a * c) for a in self.values])
+        field = self.field
+        if isinstance(other, (FieldElement, int)):
+            c, red = field(other).value, field.reduce
+            return Poly._from_values(field, [red(a * c) for a in self.values])
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = len(self.values) + len(o.values) - 1
-        return Poly._from_values(self.field, [red(c) for c in _convolve(self.values, o.values, n)])
+        (a, da), (b, db) = field.split(self.values), field.split(o.values)
+        return Poly._from_values(field, field.join(_convolve(a, b, len(a) + len(b) - 1), da * db))
 
     __rmul__ = __mul__
 
@@ -218,13 +217,21 @@ class Poly:
         return acc
 
     def shift(self, a) -> "Poly":
-        """x -> x + a substitution (Taylor shift by Horner's rule)."""
-        a, red = self.field(a).value, self.field.reduce
+        """x -> x + a substitution by Horner's rule on integer numerators: with
+        self = F/den and a = A/s (den = s = 1 over F_p), self(x + a) is
+        G(s*x) / (den * s^n) for G(x) = H(x + A), H_i = F_i * s^(n-i)."""
+        field, red = self.field, self.field.reduce
+        ints, den = field.split(self.values)
+        (A,), s = field.split((field(a).value,))
+        n = max(len(ints) - 1, 0)
+        if s != 1:
+            ints = [c * s ** (n - i) for i, c in enumerate(ints)]
         g = []
-        for c in reversed(self.values):  # g <- g*(x + a) + c
-            g = [red(a * u + v) for u, v in zip(g + [0], [0] + g)]
-            g[0] = red(g[0] + c)
-        return Poly._from_values(self.field, g)
+        for c in reversed(ints):  # g <- g*(x + A) + c
+            g = [red(A * u + v) for u, v in zip(g + [0], [c] + g)]
+        if s != 1:
+            g, den = [c * s ** k for k, c in enumerate(g)], den * s ** n
+        return Poly._from_values(field, field.join(g, den))
 
     def scale_arg(self, c) -> "Poly":
         """x -> c*x substitution."""
@@ -344,6 +351,10 @@ def interpolate(field: Field, points, values) -> Poly:
     return Poly._from_values(field, out)
 
 
+#: F_q for primes q near 2^31; over Q, ``is_squarefree`` tries these first
+_GOOD_FIELDS = tuple(GF(q) for q in (2147483647, 2147483629, 2147483587))
+
+
 class InseparableWarning(UserWarning):
     """f' vanished identically over F_p: f is a p-th power in disguise."""
 
@@ -354,11 +365,21 @@ def is_squarefree(f: Poly) -> bool:
     Nonzero constants count as squarefree.  Over F_p a vanishing derivative
     means f lies in F_p[x^p]; that is reported as not squarefree with a
     warning, since it only arises from degenerate parameters here.
+
+    Over Q, f mod q squarefree of the same degree, for a prime q of
+    ``_GOOD_FIELDS``, proves f squarefree (a square factor would survive);
+    only when every q fails does the exact Euclid run and may answer False.
     """
     if f.is_zero():
         raise ZeroPolynomial("squarefreeness of the zero polynomial is undefined")
     if f.is_constant():
         return True
+    if not f.field.characteristic():
+        ints, _ = f.field.split(f.values)
+        for fq in _GOOD_FIELDS:
+            g = Poly._from_values(fq, fq.join(ints, 1))
+            if g.degree == f.degree and poly_gcd(g, g.derivative()).degree == 0:
+                return True
     fp = f.derivative()
     if fp.is_zero():
         warnings.warn("derivative vanished identically (inseparable direction)",
@@ -432,12 +453,9 @@ def _rational_roots(f: Poly):
         f = Poly._from_values(field, f.values[k:])
     if f.is_constant():
         return tuple(roots)
-    # clear denominators to primitive integer form
-    denlcm = lcm(*(v.denominator for v in f.values))
-    ints = [int(v * denlcm) for v in f.values]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
+    ints, _ = field.split(f.values)
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 x = field(cand)
                 if f(x).is_zero() and x not in roots:
@@ -589,9 +607,9 @@ def _series_root_powers(f: Poly, d: int, center, y0, precision: int):
         scale, inv_d, inv_g0 = 1, pow(d, -1, char), pow(g[0], -1, char)
         h = [v * inv_g0 % char for v in g]
     else:
-        h = [v / g[0] for v in g]
-        scale = lcm(*(v.denominator for v in h)) * d * d
-        h = [int(v * scale ** k) for k, v in enumerate(h)]
+        h, den = field.split([v / g[0] for v in g])
+        scale = den * d * d
+        h = [c * scale ** k // den for k, c in enumerate(h)]
     powers = [[1] + [0] * (precision - 1) for _ in range(d)] + [h]
     r = powers[1]
     for k in range(1, precision):

@@ -1,5 +1,6 @@
 """The library's invariants are raised checks, never ``assert``s, which
-``python -O`` removes."""
+``python -O`` removes; and the library imports nothing outside the standard
+library."""
 
 import ast
 import os
@@ -11,7 +12,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 GUARDS = """
 from supertorsion import QQ, Poly, build_certificate, build_family, torsion_params
-from supertorsion.errors import BadParameters, Degenerate, QVanishesAtA
+from supertorsion.errors import BadParameters, Degenerate, NotSquarefree, QVanishesAtA
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -19,6 +20,9 @@ cases = [
     (QVanishesAtA, lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (0, 1)))),
     (Degenerate, lambda: build_family(QQ(2), QQ(4))),
     (BadParameters, lambda: torsion_params(4, 2)),
+    # f = (x^2 + 4x + 2)^2 - x^4 = 4(x + 1)^2 (2x + 1): the modular early exit
+    # of is_squarefree must not turn that into a pass
+    (NotSquarefree, lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (2, 4)))),
 ]
 for exc, call in cases:
     try:
@@ -30,12 +34,31 @@ print("ok")
 """
 
 
+def _src_trees():
+    for path in sorted((SRC / "supertorsion").glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_assert_in_src():
     found = []
-    for path in sorted((SRC / "supertorsion").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+    for name, tree in _src_trees():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_src_imports_only_the_standard_library():
+    found = []
+    for name, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}: {m}" for m in modules
+                      if m.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
 
 

@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as strat
@@ -9,7 +10,8 @@ from supertorsion import GF, QQ, Poly, TruncatedSeries, is_squarefree, poly_gcd,
     roots_in_field, series_dth_root
 from supertorsion.errors import BadInitialValue, BadParameters, BothZero, \
     DivisionByZero, ZeroPolynomial
-from supertorsion.poly import NEG_INF, InseparableWarning, interpolate, resultant
+from supertorsion.poly import NEG_INF, _GOOD_FIELDS, InseparableWarning, interpolate, \
+    resultant
 
 
 def binomial_power(field, inner_exponent, shift, e):
@@ -101,6 +103,9 @@ def test_squarefree_examples():
     assert is_squarefree(Poly(QQ, (1, 0, 3, 0, 3)))
     assert not is_squarefree(Poly(QQ, (-1, 1)) ** 2)
     assert is_squarefree(Poly(QQ, (5,)))
+    f, g = Poly(QQ, (Fraction(1, 3), 2, -5)), Poly(QQ, (7, Fraction(-2, 9)))
+    assert is_squarefree(f * g)
+    assert not is_squarefree(f * g * g) and not is_squarefree(f * g ** 3)
     with pytest.raises(ZeroPolynomial):
         is_squarefree(Poly.zero(QQ))
 
@@ -280,3 +285,138 @@ def test_interpolate_round_trip():
     assert interpolate(F, [1, 2, 3], [F(5)] * 3) == Poly(F, (5,))
     with pytest.raises(BadParameters):
         interpolate(F, [1, 8], [F(1), F(2)])  # 1 = 8 in F_7
+
+
+# --- Q on integer numerators: reference kernels on field values ---
+
+def reference_mul(f, g):
+    """The product as one reduced field operation per term pair."""
+    field, a, b = f.field, [c.value for c in f.coeffs], [c.value for c in g.coeffs]
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = field.reduce(out[i + j] + u * v)
+    return Poly(field, out)
+
+
+def reference_shift(f, a):
+    """f(x + a) by Horner's rule on field values."""
+    field, a = f.field, f.field(a).value
+    g = []
+    for c in reversed([c.value for c in f.coeffs]):  # g <- g*(x + a) + c
+        g = [field.reduce(a * u + v) for u, v in zip(g + [0], [0] + g)]
+        g[0] = field.reduce(g[0] + c)
+    return Poly(field, g)
+
+
+def assert_canonical(f):
+    """Values are Fractions over Q and residues in [0, p) over F_p."""
+    p = f.field.characteristic()
+    if p:
+        assert all(type(v) is int and 0 <= v < p for v in f.values), f
+    else:
+        assert all(type(v) is Fraction for v in f.values), f
+
+
+def kernel_cases(field, rng):
+    """Operands with mixed denominators (over Q), zero and constants, and
+    shift points with denominators, plus seeded ones."""
+    if field is QQ:
+        draw = lambda: Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 6, 9, 35)))
+        polys = [Poly(QQ, (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), 0, Fraction(7, 9))),
+                 Poly(QQ, (Fraction(2, 3), Fraction(1, 5))), Poly(QQ, (3, 0, -1, 2)),
+                 Poly(QQ, (Fraction(3, 7),)), Poly(QQ, (5,)), Poly.zero(QQ)]
+        points = [0, 3, -2, Fraction(-1, 2), Fraction(7, 3), Fraction(5, 6), Fraction(-9, 4)]
+    else:
+        p = field.characteristic()
+        draw = lambda: rng.randrange(p)
+        polys = [Poly(field, (1, 2, 3, 4, 5)), Poly(field, (3,)), Poly.one(field),
+                 Poly.zero(field)]
+        points = [0, 1, p - 1, 5, rng.randrange(p)]
+    polys += [Poly(field, [draw() for _ in range(rng.randint(1, 9))]) for _ in range(12)]
+    return polys, points
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(1009)], ids=repr)
+def test_mul_pow_shift_match_reference_kernels(field):
+    rng = random.Random(f"kernels:{field!r}")
+    polys, points = kernel_cases(field, rng)
+    for f in polys:
+        for g in polys:
+            h = f * g
+            assert h == reference_mul(f, g), (f, g)
+            assert_canonical(h)
+        expected = Poly.one(field)
+        for e in range(5):
+            assert f ** e == expected, (f, e)
+            assert_canonical(f ** e)
+            expected = reference_mul(expected, f)
+        for a in points:
+            g = f.shift(a)
+            assert g == reference_shift(f, a), (f, a)
+            assert_canonical(g)
+
+
+def euclid_is_squarefree(f):
+    """Exact Euclid on Fraction lists: gcd(f, f') is a nonzero constant."""
+    def trimmed(values):
+        while values and values[-1] == 0:
+            values.pop()
+        return values
+    a = trimmed([Fraction(c.value) for c in f.coeffs])
+    b = trimmed([i * a[i] for i in range(1, len(a))])
+    while b:
+        r = a[:]
+        while len(r) >= len(b):
+            c, offset = r[-1] / b[-1], len(r) - len(b)
+            for i, y in enumerate(b):
+                r[offset + i] -= c * y
+            trimmed(r)
+        a, b = b, r
+    return len(a) == 1
+
+
+def test_squarefree_over_q_matches_exact_euclid():
+    rng = random.Random(41)
+    draw = lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+    answers = set()
+    for _ in range(150):
+        f = Poly(QQ, [draw() for _ in range(rng.randint(2, 6))])
+        if f.is_constant():
+            continue
+        if rng.random() < 0.4:  # a square factor
+            g = Poly(QQ, [draw() for _ in range(rng.randint(2, 3))])
+            if not g.is_constant():
+                f = f * g * g
+        answers.add(is_squarefree(f))
+        assert is_squarefree(f) == euclid_is_squarefree(f), f
+    assert answers == {True, False}
+
+
+def test_squarefree_over_q_falls_back_when_every_prime_fails():
+    q = prod(field.characteristic() for field in _GOOD_FIELDS)
+    # x^2 - q1 q2 q3 is squarefree over Q but x^2 modulo every good prime
+    f = Poly(QQ, (-q, 0, 1))
+    for field in _GOOD_FIELDS:
+        g = Poly(field, (-q, 0, 1))
+        assert poly_gcd(g, g.derivative()).degree == 1
+    assert is_squarefree(f) and euclid_is_squarefree(f)
+    # a leading numerator divisible by every good prime: no reduction keeps
+    # the degree, so only the exact Euclid answers
+    cases = [(Poly(QQ, (1, 1, 0, q)), True),
+             (Poly(QQ, (-1, 0, 0, 0, Fraction(q, 5))), True),
+             (Poly(QQ, (Fraction(1, 3), q)) ** 2 * Poly(QQ, (2, 1)), False)]
+    for f, squarefree in cases:
+        ints, _ = QQ.split(f.values)
+        assert all(Poly(field, ints).degree < f.degree for field in _GOOD_FIELDS)
+        assert is_squarefree(f) == euclid_is_squarefree(f) == squarefree, f
+
+
+def test_squarefree_over_q_large_coefficients_is_fast():
+    rng = random.Random(200)
+    big = lambda k: Poly(QQ, [rng.getrandbits(200) - 2 ** 199 for _ in range(k)])
+    f, g, h = big(11), big(4), big(5)
+    start = time.perf_counter()
+    answers = is_squarefree(f), is_squarefree(h * g * g)
+    assert time.perf_counter() - start < 0.5
+    assert answers == (euclid_is_squarefree(f), False)
