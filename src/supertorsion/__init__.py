@@ -54,6 +54,7 @@ from .poly import NEG_INF, Poly, TruncatedSeries, is_squarefree, poly_gcd, \
 from .twopacket import (
     AdmissibilityVerdict,
     PacketFamily,
+    bad_lambda_members,
     bad_lambda_set,
     build_H,
     build_two_packet_equal,

@@ -29,6 +29,7 @@ from .poly import Poly
 from .twopacket import (
     DegreeNotNormalized,
     NotSquarefree,
+    bad_lambda_members,
     bad_lambda_set,
     build_two_packet_equal,
     build_two_packet_general,
@@ -197,7 +198,9 @@ def _cmd_order(args) -> int:
     xs, ys = args.point.split(",")
     point = curve.point(serialize.elem_from_str(curve.field, xs.strip()),
                         serialize.elem_from_str(curve.field, ys.strip()))
-    max_k = args.max_k or 2 * curve.params.m0
+    max_k = 2 * curve.params.m0 if args.max_k is None else args.max_k
+    if max_k < 1:
+        raise UsageError("max_k must be >= 1")
     if args.backend == "rr":
         order = order_of_class(curve, point, max_k)
     elif args.backend == "elliptic":
@@ -273,9 +276,9 @@ def _cmd_two_packet(args) -> int:
     built = 0
     for C in cs:
         for I in combinations(mu, ell0):
-            bad = bad_lambda_set(field, args.n, I, C)
-            for lam in sorted(normalizing_lambdas(field, args.n, I, C),
-                              key=lambda lam: lam.value):
+            lams = sorted(normalizing_lambdas(field, args.n, I, C), key=lambda lam: lam.value)
+            bad = bad_lambda_members(field, args.n, I, C, lams)
+            for lam in lams:
                 try:
                     if C == field.one:
                         fam = build_two_packet_equal(field, args.n, I, lam)

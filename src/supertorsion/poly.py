@@ -4,7 +4,9 @@ series and their d-th roots, solved one coefficient at a time.
 Coefficients are stored as bare values (Fractions over Q, residues in [0, p)
 over F_p), ascending by degree with trailing zeros trimmed; every accessor
 hands out ``FieldElement``s.  The zero polynomial has an empty tuple of values
-and degree ``NEG_INF``.
+and degree ``NEG_INF``.  Division, Euclid, resultants, powers mod f and root
+splitting run in kernels on value lists (``_divmod_values`` and the like);
+``divmod`` and the public functions wrap them and build one result object.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ class Poly:
     @classmethod
     def _from_values(cls, field, values):
         """From bare values already in canonical form for ``field``."""
-        values = list(values)
-        while values and not values[-1]:
-            values.pop()
+        values = _trim(list(values))
         out = object.__new__(cls)
         object.__setattr__(out, "field", field)
         object.__setattr__(out, "values", tuple(values))
@@ -178,21 +178,8 @@ class Poly:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        field, red, b = self.field, self.field.reduce, o.values
-        rem = list(self.values)
-        dq = len(rem) - len(b)
-        if dq < 0:
-            return Poly.zero(field), self
-        quo = [field.zero.value] * (dq + 1)
-        inv_lead = field.inv(b[-1])
-        for shift in range(dq, -1, -1):
-            top = rem[shift + len(b) - 1]
-            if not top:
-                continue
-            c = quo[shift] = red(top * inv_lead)
-            for i, y in enumerate(b):
-                rem[shift + i] = red(rem[shift + i] - c * y)
-        return Poly._from_values(field, quo), Poly._from_values(field, rem)
+        q, r = _divmod_values(self.field, self.values, o.values)
+        return Poly._from_values(self.field, q), Poly._from_values(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -284,52 +271,96 @@ def _convolve(a, b, n):
     return out
 
 
+def _trim(values):
+    """values without trailing zeros (in place)."""
+    while values and not values[-1]:
+        values.pop()
+    return values
+
+
+def _divmod_values(field, a, b):
+    """(quotient, remainder) value lists of a by a trimmed nonzero b.  a may
+    be unreduced (a raw convolution, say): only each leading coefficient, as
+    it is divided out, and the final remainder are reduced."""
+    red, nb = field.reduce, len(b)
+    rem, quo = list(a), [0] * (len(a) - nb + 1)
+    inv_lead, low = field.inv(b[-1]), b[:-1]
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = red(rem[k + nb - 1] * inv_lead)
+        if c:
+            rem[k:k + nb - 1] = [r - c * y for r, y in zip(rem[k:k + nb - 1], low)]
+    return quo, _trim([red(r) for r in rem[:nb - 1]])
+
+
+def _euclid_values(field, rows):
+    """Euclid on two rows (r, c, ...) of value lists, the r's trimmed and not
+    both zero: (row0, row1) -> (row1, row0 - q*row1), q the quotient of the
+    r's, until r1 = 0; then row0 scaled to a monic r.  So ((f,), (g,)) gives
+    [gcd], and ((f, [1], []), (g, [], [1])) gives [h, s, t], h = s*f + t*g."""
+    red = field.reduce
+    while rows[1][0]:
+        q, r = _divmod_values(field, rows[0][0], rows[1][0])
+        rows = rows[1], (r, *(_trim([red(u - v) for u, v in zip_longest(
+            a, _convolve(q, b, len(q) + len(b) - 1), fillvalue=0)])
+            for a, b in zip(rows[0][1:], rows[1][1:])))
+    inv = field.inv(rows[0][0][-1])
+    return [[red(v * inv) for v in w] for w in rows[0]]
+
+
+def _resultant_values(field, f, g):
+    """Res(f, g) of trimmed nonzero value lists at their actual degrees, by
+    Euclid's algorithm: with r = f mod g,
+    Res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f - deg r) * Res(g, r),
+    down to Res(f, c) = c^(deg f) for a constant c, or to 0 when a remainder
+    vanishes while g is not constant."""
+    red, mod, res = field.reduce, field.characteristic() or None, 1
+    while len(g) > 1:
+        r = _divmod_values(field, f, g)[1]
+        if not r:
+            return 0
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            res = -res
+        res = red(res * pow(g[-1], len(f) - len(r), mod))
+        f, g = g, r
+    return red(res * pow(g[-1], len(f) - 1, mod))
+
+
+def _powmod_values(field, base, e, modulus):
+    """base^e mod modulus (trimmed, degree >= 1) by left-to-right squaring:
+    each product is a raw convolution, reduced once by the division."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _divmod_values(field, _convolve(out, out, 2 * len(out) - 1), modulus)[1]
+        if bit == "1":
+            out = _divmod_values(
+                field, _convolve(out, base, len(out) + len(base) - 1), modulus)[1]
+    return out
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd by Euclid's algorithm."""
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    field, g = f.field, f._coerce(g)
+    return Poly._from_values(field, _euclid_values(field, ((f.values,), (g.values,)))[0])
 
 
 def poly_xgcd(f: Poly, g: Poly):
     """(h, s, t) with h = s*f + t*g the monic gcd."""
-    field = f.field
-    r0, r1 = f, g
-    s0, s1 = Poly.one(field), Poly.zero(field)
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
+    if f.is_zero() and g.is_zero():
         raise BothZero("xgcd(0, 0) is undefined")
-    lead_inv = r0.leading.inverse()
-    return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
+    field, g = f.field, f._coerce(g)
+    rows = ((f.values, [1], []), (g.values, [], [1]))
+    return tuple(Poly._from_values(field, w) for w in _euclid_values(field, rows))
 
 
 def resultant(f: Poly, g: Poly) -> FieldElement:
     """Res(f, g) of nonzero f and g at their actual degrees, by Euclid's
-    algorithm: with r = f mod g,
-    Res(f, g) = (-1)^(deg f * deg g) * lc(g)^(deg f - deg r) * Res(g, r),
-    down to Res(f, c) = c^(deg f) for a constant c, or to 0 when a remainder
-    vanishes while g is not constant.  Zero iff f and g share a root in an
-    algebraic closure."""
+    algorithm: zero iff f and g share a root in an algebraic closure."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultant with the zero polynomial")
-    res = f.field.one
-    while g.degree > 0:
-        r = f % g
-        if r.is_zero():
-            return f.field.zero
-        if f.degree * g.degree % 2:
-            res = -res
-        res = res * g.leading ** (f.degree - r.degree)
-        f, g = g, r
-    return res * g.leading ** f.degree
+    field, g = f.field, f._coerce(g)
+    return field(_resultant_values(field, f.values, g.values))
 
 
 def interpolate(field: Field, points, values) -> Poly:
@@ -378,14 +409,15 @@ def is_squarefree(f: Poly) -> bool:
         ints, _ = f.field.split(f.values)
         for fq in _GOOD_FIELDS:
             g = Poly._from_values(fq, fq.join(ints, 1))
-            if g.degree == f.degree and poly_gcd(g, g.derivative()).degree == 0:
+            if g.degree == f.degree and \
+                    len(_euclid_values(fq, ((g.values,), (g.derivative().values,)))[0]) == 1:
                 return True
     fp = f.derivative()
     if fp.is_zero():
         warnings.warn("derivative vanished identically (inseparable direction)",
                       InseparableWarning, stacklevel=2)
         return False
-    return poly_gcd(f, fp).degree == 0
+    return len(_euclid_values(f.field, ((f.values,), (fp.values,)))[0]) == 1
 
 
 def roots_in_field(f: Poly):
@@ -404,41 +436,45 @@ def roots_in_field(f: Poly):
         return _rational_roots(f)
     if f.is_constant():
         return ()
-    x = Poly.x(field)
-    linear = poly_gcd(f, _powmod(x, field.p, f) - x)
-    return tuple(sorted(_split_linear(linear), key=lambda r: r.value))
+    xp = _powmod_values(field, [0, 1], field.p, f.values) + [0, 0]
+    xp[1] -= 1
+    linear = _euclid_values(field, ((f.values,), (_trim([field.reduce(v) for v in xp]),)))[0]
+    return tuple(field(r) for r in sorted(_split_linear(field, linear)))
 
 
-def _powmod(base: Poly, e: int, modulus: Poly) -> Poly:
-    """base^e mod modulus (deg modulus >= 1) by repeated squaring."""
-    result, base = Poly.one(base.field), base % modulus
-    while e:
-        if e & 1:
-            result = result * base % modulus
-        e >>= 1
-        if e:
-            base = base * base % modulus
-    return result
-
-
-def _split_linear(g: Poly):
-    """The roots of a monic product of distinct linear factors over F_p."""
-    field = g.field
-    if g.degree < 1:
-        return []
-    if g.degree == 1:
-        return [-g[0]]
-    if g[0].is_zero():
+def _split_linear(field, g):
+    """The roots, as residues, of a monic product g of distinct linear
+    factors over F_p, given as a value list."""
+    if len(g) <= 2:
+        return [field.reduce(-g[0])] if len(g) == 2 else []
+    if not g[0]:
         # split off x: over F_2 the quadratic character below is trivial
-        return [field.zero] + _split_linear(Poly._from_values(field, g.values[1:]))
+        return [0] + _split_linear(field, g[1:])
     p = field.p
+    if len(g) == 3:  # g = (x - r)(x - s): its discriminant is a nonzero square
+        return list(_quadratic_roots(1, g[1], g[0], field))
     for a in range(p):
-        h = poly_gcd(g, _powmod(Poly(field, (a, 1)), (p - 1) // 2, g) - 1)
-        if 0 < h.degree < g.degree:
-            return _split_linear(h) + _split_linear(g // h)
+        h = _powmod_values(field, [a, 1], (p - 1) // 2, g) or [0]
+        h = _euclid_values(field, ((g,), (_trim([(h[0] - 1) % p] + h[1:]),)))[0]
+        if 1 < len(h) < len(g):
+            return _split_linear(field, h) + _split_linear(field, _divmod_values(field, g, h)[0])
     # unreachable: for distinct roots r, s a character sum shows that
     # (r+a)(s+a) is a non-residue for some a, which puts exactly one in h
-    raise MathCheckError(f"no shift a < {p} splits {g!r}")
+    raise MathCheckError(f"no shift a < {p} splits {Poly._from_values(field, g)!r}")
+
+
+def _quadratic_roots(a: int, b: int, c: int, field):
+    """Roots in F_p, as residues, of a*x^2 + b*x + c for residues a, b, c
+    (degenerating gracefully)."""
+    p = field.p
+    if not a:
+        return (-c * pow(b, -1, p) % p,) if b else ()
+    s = field.nth_root(field(b * b - 4 * a * c), 2)
+    if s is None:
+        return ()
+    inv2a = pow(2 * a, -1, p)
+    r1, r2 = (s.value - b) * inv2a % p, (-s.value - b) * inv2a % p
+    return (r1,) if r1 == r2 else (r1, r2)
 
 
 def _rational_roots(f: Poly):

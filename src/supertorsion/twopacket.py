@@ -28,7 +28,8 @@ infinite point); ``normalizing_lambdas`` lists them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, zip_longest
+from operator import mul
 
 from .curves import AffinePoint, SuperellipticCurve, torsion_params
 from .errors import (
@@ -45,7 +46,8 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Field, FieldElement, PrimeField
-from .poly import Poly, interpolate, is_squarefree, resultant, roots_in_field
+from .poly import (Poly, _convolve, _quadratic_roots, _resultant_values, interpolate,
+                   is_squarefree, poly_gcd, roots_in_field)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +188,11 @@ def build_H(I, C: FieldElement) -> Poly:
     """prod_{eps in I} ((1 - C*eps) x + 1).  A factor with C*eps = 1 is the
     constant 1 and silently drops the degree; callers that need full degree
     must check the degree of the result."""
-    field = C.field
-    h = Poly.one(field)
-    for eps in I:
-        h = h * Poly(field, (field.one, field.one - C * eps))
-    return h
+    field, h = C.field, [C.field.one.value]
+    for eps in I:  # h <- h * ((1 - C*eps) x + 1)
+        c = (1 - C * eps).value
+        h = [field.reduce(u + c * v) for u, v in zip(h + [0], [0] + h)]
+    return Poly._from_values(field, h)
 
 
 def _mu_and_complement(field: Field, n: int, I):
@@ -265,31 +267,14 @@ def normalizing_lambdas(field: Field, n: int, I, C):
     """The lam with leading(ut) = +-1, i.e. the only lam for which
     x^(n+1) - ut^2 has degree n.  At most four values."""
     ell0, _, C, _, hi, hc = _packet_inputs(field, n, I, 1, C)
-    a = hi[ell0]  # 0 when the H_I factor for eps with C*eps = 1 dropped degree
-    b = hc[ell0]
-    out = []
-    two_cl = 2 * C ** ell0
-    for target in (two_cl, -two_cl):
+    # a is 0 when the H_I factor for eps with C*eps = 1 dropped degree
+    a, b, two_cl, out = hi[ell0].value, hc[ell0].value, (2 * C ** ell0).value, []
+    for target in (two_cl, field.p - two_cl):
         # lam*a - (1/lam)*b = target  <=>  a*lam^2 - target*lam - b = 0
-        for lam in _quadratic_roots(a, -target, -b, field):
-            if not lam.is_zero() and lam not in out:
-                out.append(lam)
+        for lam in _quadratic_roots(a, field.p - target, -b % field.p, field):
+            if lam and field(lam) not in out:
+                out.append(field(lam))
     return tuple(out)
-
-
-def _quadratic_roots(a: FieldElement, b: FieldElement, c: FieldElement, field):
-    """Roots in the base field of a*x^2 + b*x + c (degenerating gracefully)."""
-    if a.is_zero():
-        if b.is_zero():
-            return ()
-        return (-c / b,)
-    disc = b * b - 4 * a * c
-    s = field.nth_root(disc, 2)
-    if s is None:
-        return ()
-    inv2a = (2 * a).inverse()
-    r1, r2 = (-b + s) * inv2a, (-b - s) * inv2a
-    return (r1,) if r1 == r2 else (r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +465,9 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
 
     * a common root of the two factors forces x0 = 0 and lam = +-1;
     * a multiple root x0 of the first factor satisfies
-      H_I(x0) lam^2 - 2 C^ell0 x0^ell0 lam - H_comp(x0) = 0 together with
-      lam^2 (ell0 H_I - x H_I')(x0) = (ell0 H_comp - x H_comp')(x0), which
-      eliminates lam into a fixed polynomial in x0;
+      Q(x0, lam) := H_I(x0) lam^2 - 2 C^ell0 x0^ell0 lam - H_comp(x0) = 0
+      together with lam^2 (ell0 H_I - x H_I')(x0) = (ell0 H_comp - x H_comp')(x0),
+      which eliminates lam into a fixed polynomial in x0;
     * the second factor is the first with lam negated, so the set is closed
       under negation.
 
@@ -491,30 +476,46 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
     analysis localizes nothing and every abscissa is scanned.
     """
     field = _as_prime_field(field)
+    ell0, cl, hi, hc, sieve = _bad_lambda_analysis(field, n, I, C)
+    p, bad = field.p, {1, field.p - 1}
+    for x0 in range(p) if sieve is None else (r.value for r in roots_in_field(sieve)):
+        powers = [pow(x0, i, p) for i in range(ell0 + 1)]  # deg H_I, deg H_comp <= ell0
+        bad.update(lam for lam in _quadratic_roots(
+            sum(map(mul, hi.values, powers)) % p, -2 * cl * powers[ell0] % p,
+            -sum(map(mul, hc.values, powers)) % p, field) if lam)
+    return frozenset(field(lam) for lam in bad | {p - lam for lam in bad})
+
+
+def bad_lambda_members(field, n: int, I, C, lams) -> frozenset:
+    """The lams in ``bad_lambda_set(field, n, I, C)``, found in polylog(p)
+    without building that set.  Apart from +-1, a lam != 0 is in it iff
+    R = Q(x, lam) Q(x, -lam) = (lam^2 H_I - H_comp)^2 - 4 C^(2 ell0) lam^2 x^(n+1),
+    nonzero at x = 0, has a root in F_p that the analysis draws lambdas from."""
+    field = _as_prime_field(field)
+    ell0, cl, hi, hc, sieve = _bad_lambda_analysis(field, n, I, C)
+    out = set()
+    for lam in map(field, lams):
+        w = hi * (lam * lam) - hc
+        r = w * w - Poly.monomial(field, n + 1, 4 * (cl * lam) ** 2)
+        if lam == 1 or lam == -1 or (lam and roots_in_field(
+                r if sieve is None else poly_gcd(r, sieve))):
+            out.add(lam)
+    return frozenset(out)
+
+
+def _bad_lambda_analysis(field, n: int, I, C):
+    """(ell0, C^ell0 as a residue, H_I, H_comp, S) for the bad lambda
+    analysis: the roots of S are the abscissas it draws lambdas from, or S
+    is None when the eliminant vanishes identically and every abscissa is."""
     ell0, _, C, _, hi, hc = _packet_inputs(field, n, I, 1, C)
     bi, bc = nonvanishing_bracket(hi, ell0), nonvanishing_bracket(hc, ell0)
     if bi.is_zero() or bc.is_zero():
         raise NonvanishingViolation("ell0*H - x*H' vanished identically")
     wh = hi.derivative() * hc - hc.derivative() * hi
     # eliminant: 4 C^(n+1) * bc * bi * x^(n+1) - x^2 * wh^2, with x^2 removed
-    cl = C ** ell0
     eliminant = (4 * C ** (n + 1)) * bc * bi * Poly.monomial(field, n - 1) - wh * wh
-    if eliminant.is_zero():
-        candidates_x = tuple(field.elements())
-    else:
-        # the elimination divides by the brackets; cover their zeros too
-        candidates_x = (set(roots_in_field(eliminant)) | set(roots_in_field(bi))
-                        | set(roots_in_field(bc)))
-    bad = {field.one, -field.one}
-    for x0 in candidates_x:
-        a = hi(x0)
-        b = -2 * cl * x0 ** ell0
-        c = -hc(x0)
-        for lam in _quadratic_roots(a, b, c, field):
-            if not lam.is_zero():
-                bad.add(lam)
-    bad |= {-lam for lam in bad}
-    return frozenset(bad)
+    # the elimination divides by the brackets; cover their zeros too
+    return ell0, (C ** ell0).value, hi, hc, None if eliminant.is_zero() else eliminant * bi * bc
 
 
 def confirmed_bad_lambdas(field, n: int, I, C, sign: str = "plus") -> frozenset:
@@ -567,9 +568,10 @@ def _candidate_lambdas(field, n: int, I, C, hi: Poly, hc: Poly):
     if len(mus) == count:
         values = []
         for mu in mus:
-            w = hi * mu - hc
-            g = Poly.monomial(field, n + 1, four_c * mu) - w * w
-            values.append(resultant(g, g.derivative()))
+            w = [mu * u - v for u, v in zip_longest(hi.values, hc.values, fillvalue=0)]
+            g = [red(-c) for c in _convolve(w, w, n + 2)]
+            g[n + 1] = red(g[n + 1] + four_c * mu)
+            values.append(_resultant_values(field, g, [red(i * c) for i, c in enumerate(g)][1:]))
         disc = interpolate(field, mus, values)
         if not disc.is_zero():
             out = set(normalizing_lambdas(field, n, I, C))

@@ -64,6 +64,19 @@ def test_order_exceeding_max(capsys):
     assert docs[0]["order"] is None
 
 
+@pytest.mark.parametrize("max_k", ["0", "-3"])
+@pytest.mark.parametrize("backend", ["rr", "cantor", "elliptic"])
+def test_order_max_k_below_one_is_usage_error(capsys, backend, max_k):
+    # y^2 = x^3 + 1 over F_1009: (0, 1) has order 3, so a silent fallback to
+    # the default bound would print {"order": 3}
+    curve = json.dumps({"d": 2, "field": {"kind": "Fp", "p": 1009},
+                        "f": ["1", "0", "0", "1"]})
+    code, docs, err = run(capsys, "order", "--curve", curve, "--point", "0,1",
+                          "--backend", backend, "--max-k", max_k)
+    assert code == EXIT_USAGE and docs == []
+    assert err == "error: max_k must be >= 1\n"
+
+
 def test_engine_failure_is_a_math_failure(capsys, monkeypatch):
     # PrecisionExhausted is a SupertorsionError outside MathCheckError
     def exhausted(curve, point, max_k):

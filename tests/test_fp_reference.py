@@ -1,21 +1,34 @@
-"""The F_p primitives against brute-force reference scans, and known answers
-at a prime near 10^6.
+"""The F_p primitives against brute-force reference scans, the polynomial
+kernels against the Poly-level loops they replaced, and known answers at a
+prime near 10^6.
 
-The references are field-wide scans: the smallest element of order m, the
+The scan references are field-wide: the smallest element of order m, the
 smallest r with r^k = x, evaluation at every residue, and a scan over every
-y.  Everything is exact, so each comparison is an equality in the library's
-documented order.
+y.  The loop references are long division with one reduction per update,
+Euclid's algorithm on ``Poly`` remainders, Euclid's resultant and
+right-to-left repeated squaring.  Everything is exact, so each comparison is
+an equality in the library's documented order.
 """
 
+import os
 import random
+import subprocess
+import sys
+import warnings
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from supertorsion import GF, Poly, SuperellipticCurve, is_squarefree, roots_in_field
+from supertorsion import (GF, QQ, Poly, SuperellipticCurve, is_squarefree, poly_gcd, poly_xgcd,
+                          roots_in_field)
 from supertorsion.cli import EXIT_OK, dispatch
+from supertorsion.errors import BothZero, ZeroPolynomial
 from supertorsion.fields import is_prime
+from supertorsion.poly import resultant
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 PRIMES = [p for p in range(2, 500) if is_prime(p)]
 
 
@@ -55,6 +68,189 @@ def reference_ys_above(curve, x):
 
 def linear(F, r):
     return Poly(F, (-r, 1))
+
+
+def reference_divmod(f, g):
+    """Long division of Polys, one reduction per coefficient update."""
+    field, red, b = f.field, f.field.reduce, g.values
+    rem = list(f.values)
+    dq = len(rem) - len(b)
+    if dq < 0:
+        return Poly.zero(field), f
+    quo = [field.zero.value] * (dq + 1)
+    inv_lead = field.inv(b[-1])
+    for shift in range(dq, -1, -1):
+        top = rem[shift + len(b) - 1]
+        if not top:
+            continue
+        c = quo[shift] = red(top * inv_lead)
+        for i, y in enumerate(b):
+            rem[shift + i] = red(rem[shift + i] - c * y)
+    return Poly(field, quo), Poly(field, rem)
+
+
+def reference_gcd(f, g):
+    """Monic gcd by Euclid on Poly remainders."""
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, reference_divmod(a, b)[1]
+    return a.monic()
+
+
+def reference_xgcd(f, g):
+    field = f.field
+    r0, r1 = f, g
+    s0, s1 = Poly.one(field), Poly.zero(field)
+    t0, t1 = Poly.zero(field), Poly.one(field)
+    while not r1.is_zero():
+        q, r = reference_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    lead_inv = r0.leading.inverse()
+    return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
+
+
+def reference_resultant(f, g):
+    """Euclid's resultant: Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r)."""
+    res = f.field.one
+    while g.degree > 0:
+        r = reference_divmod(f, g)[1]
+        if r.is_zero():
+            return f.field.zero
+        if f.degree * g.degree % 2:
+            res = -res
+        res = res * g.leading ** (f.degree - r.degree)
+        f, g = g, r
+    return res * g.leading ** f.degree
+
+
+def reference_powmod(base, e, modulus):
+    """base^e mod modulus by right-to-left repeated squaring."""
+    result, base = Poly.one(base.field), reference_divmod(base, modulus)[1]
+    while e:
+        if e & 1:
+            result = reference_divmod(result * base, modulus)[1]
+        e >>= 1
+        if e:
+            base = reference_divmod(base * base, modulus)[1]
+    return result
+
+
+def reference_is_squarefree(f):
+    fp = f.derivative()
+    return not fp.is_zero() and reference_gcd(f, fp).degree == 0
+
+
+def reference_split_linear(g):
+    """Roots of a monic product of distinct linear factors over F_p: split by
+    gcd((x+a)^((p-1)/2) - 1, g) for a = 0, 1, ..."""
+    field, p = g.field, g.field.p
+    if g.degree < 1:
+        return []
+    if g.degree == 1:
+        return [(-g[0]).value]
+    if g[0].is_zero():
+        return [0] + reference_split_linear(Poly(field, g.coeffs[1:]))
+    for a in range(p):
+        h = reference_gcd(g, reference_powmod(Poly(field, (a, 1)), (p - 1) // 2, g) - 1)
+        if 0 < h.degree < g.degree:
+            return reference_split_linear(h) + reference_split_linear(reference_divmod(g, h)[0])
+    raise AssertionError(f"no shift splits {g!r}")
+
+
+def reference_roots_in_field(f):
+    """Residues of the roots over F_p, ascending: gcd(f, x^p - x), then split."""
+    x = Poly.x(f.field)
+    if f.is_constant():
+        return ()
+    return tuple(sorted(reference_split_linear(
+        reference_gcd(f, reference_powmod(x, f.field.p, f) - x))))
+
+
+KERNEL_FIELDS = [GF(2), GF(3), GF(7), GF(1009), GF(2147483647), QQ]
+
+
+def random_poly(rng, field, degree):
+    """A seeded polynomial of exactly this degree (-1: zero), rarely monic."""
+    if degree < 0:
+        return Poly.zero(field)
+    if field == QQ:
+        draw = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4))  # noqa: E731
+    else:
+        draw = lambda: rng.randrange(field.p)  # noqa: E731
+    coeffs = [draw() for _ in range(degree)] + [draw()]
+    while not field(coeffs[-1]):
+        coeffs[-1] = draw()
+    return Poly(field, coeffs)
+
+
+def kernel_pairs(rng, field, count=40):
+    """(f, g) pairs: zero and constant operands, unrelated pairs, and pairs
+    sharing a planted factor."""
+    pairs = [(Poly.zero(field), Poly.zero(field)),
+             (Poly.zero(field), random_poly(rng, field, 3)),
+             (random_poly(rng, field, 2), Poly.zero(field)),
+             (random_poly(rng, field, 0), random_poly(rng, field, 4)),
+             (random_poly(rng, field, 5), random_poly(rng, field, 0))]
+    for _ in range(count):
+        common = random_poly(rng, field, rng.randint(0, 3))
+        pairs.append((common * random_poly(rng, field, rng.randint(0, 4)),
+                      common * random_poly(rng, field, rng.randint(0, 4))))
+    return pairs
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_gcd_xgcd_resultant_divmod_match_references(field):
+    rng = random.Random(f"kernels:{field!r}")
+    for f, g in kernel_pairs(rng, field):
+        if not g.is_zero():
+            assert divmod(f, g) == reference_divmod(f, g), (f, g)
+        if f.is_zero() and g.is_zero():
+            with pytest.raises(BothZero):
+                poly_gcd(f, g)
+            with pytest.raises(BothZero):
+                poly_xgcd(f, g)
+            continue
+        assert poly_gcd(f, g) == reference_gcd(f, g), (f, g)
+        h, s, t = poly_xgcd(f, g)
+        assert (h, s, t) == reference_xgcd(f, g), (f, g)
+        # Bezout: s f + t g = h, with h monic and dividing both f and g
+        assert s * f + t * g == h and h.leading == field.one, (f, g)
+        assert reference_divmod(f, h)[1].is_zero() and reference_divmod(g, h)[1].is_zero()
+        if f.is_zero() or g.is_zero():
+            with pytest.raises(ZeroPolynomial):
+                resultant(f, g)
+        else:
+            assert resultant(f, g) == reference_resultant(f, g), (f, g)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_is_squarefree_and_roots_match_references(field):
+    rng = random.Random(f"roots:{field!r}")
+    polys = [random_poly(rng, field, 0)]
+    for _ in range(30):
+        # planted roots in half the draws, a repeated factor in a third
+        f = random_poly(rng, field, rng.randint(1, 6))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            f = f * random_poly(rng, field, 1)
+        if rng.random() < 0.35:
+            f = f * random_poly(rng, field, rng.randint(1, 2)) ** 2
+        polys.append(f)
+    for f in polys:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an inseparable f over F_p warns
+            assert is_squarefree(f) == (f.is_constant() or reference_is_squarefree(f)), f
+        if field != QQ:
+            assert tuple(r.value for r in roots_in_field(f)) == reference_roots_in_field(f), f
+    if field == QQ:
+        # planted rational roots times x^2 + 2, which has none
+        for _ in range(10):
+            roots = {Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)}
+            f = Poly(QQ, (2, 0, 1)) * random_poly(rng, QQ, 0)
+            for r in roots:
+                f = f * linear(QQ, r)
+            assert set(roots_in_field(f)) == {QQ(r) for r in roots}, f
 
 
 def test_roots_of_unity_matches_order_scan():
@@ -173,3 +369,15 @@ def test_large_prime_bad_lambdas_cli(capsys, p, n, subset):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert '"contained": true' in out
+
+
+def test_large_prime_sweep_cli():
+    # alternate-root subsets such as {0, 2} have an eliminant that vanishes
+    # identically; deciding candidate_bad still takes no field scan
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-m", "supertorsion", "two-packet", "sweep",
+                          "--p", "1000000009", "--n", "3"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    lines = run.stdout.splitlines()
+    assert run.returncode == EXIT_OK and lines
+    assert run.stderr.strip() == f"built {len(lines)} families"

@@ -1,14 +1,16 @@
 """The library's invariants are raised checks, never ``assert``s, which
-``python -O`` removes; and the library imports nothing outside the standard
-library."""
+``python -O`` removes; the library imports nothing outside the standard
+library; and every name the traced benchmark wraps still exists."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 GUARDS = """
 from supertorsion import QQ, Poly, build_certificate, build_family, torsion_params
@@ -68,3 +70,22 @@ def test_input_guards_raise_under_python_O():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout.strip() == "ok"
+
+
+def test_bench_spans_wrap_and_restore_src(capsys):
+    # a renamed or removed function or method would make ``bench/run.py
+    # --trace 1`` fail with an AttributeError or KeyError on entering
+    import supertorsion.cli
+    from supertorsion import fields, poly
+
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__)
+    with spans.LayerTrace() as trace, spans.ElemOpCounter() as counter:
+        code = supertorsion.cli.dispatch(["two-packet", "sweep", "--p", "13", "--n", "3"])
+    capsys.readouterr()
+    assert code == 0
+    assert trace.calls["cli.dispatch"] == 1 and trace.calls["twopacket.build"] > 0
+    assert counter.count > 0
+    assert (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__) == originals

@@ -9,6 +9,7 @@ from supertorsion import (
     QQ,
     Poly,
     SuperellipticCurve,
+    bad_lambda_members,
     bad_lambda_set,
     build_H,
     build_two_packet_equal,
@@ -259,6 +260,19 @@ def test_bad_lambda_set_closed_under_negation():
     mu4 = F.roots_of_unity(4)
     bad = bad_lambda_set(F, 3, (mu4[0], mu4[2]), F(1))
     assert {-x for x in bad} == set(bad)
+
+
+# every subset, C in {1, 2, p-1} and every unit: 8,856 memberships, the
+# alternate-root subsets (eliminant identically zero) included
+@pytest.mark.parametrize("n,primes", [(3, (13, 17, 29, 37, 41)), (5, (13, 37, 61))])
+def test_bad_lambda_members_matches_bad_lambda_set(n, primes):
+    for p in primes:
+        F = GF(p)
+        for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
+            for C in sorted({1, 2, p - 1}):
+                assert bad_lambda_members(F, n, I, F(C), F.units()) == \
+                    bad_lambda_set(F, n, I, F(C)), (p, I, C)
+    assert bad_lambda_members(GF(13), 3, GF(13).roots_of_unity(4)[:2], 1, [0]) == frozenset()
 
 
 def test_nonvanishing_bracket():
