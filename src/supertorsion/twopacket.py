@@ -271,9 +271,9 @@ def normalizing_lambdas(field: Field, n: int, I, C):
     a, b, two_cl, out = hi[ell0].value, hc[ell0].value, (2 * C ** ell0).value, []
     for target in (two_cl, field.p - two_cl):
         # lam*a - (1/lam)*b = target  <=>  a*lam^2 - target*lam - b = 0
-        for lam in _quadratic_roots(a, field.p - target, -b % field.p, field):
-            if lam and field(lam) not in out:
-                out.append(field(lam))
+        for lam in map(field, _quadratic_roots(a, field.p - target, -b % field.p, field)):
+            if lam and lam not in out:
+                out.append(lam)
     return tuple(out)
 
 

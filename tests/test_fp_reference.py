@@ -173,13 +173,14 @@ KERNEL_FIELDS = [GF(2), GF(3), GF(7), GF(1009), GF(2147483647), QQ]
 
 def random_poly(rng, field, degree):
     """A seeded polynomial of exactly this degree (-1: zero), rarely monic."""
+    def draw():
+        if field == QQ:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return rng.randrange(field.p)
+
     if degree < 0:
         return Poly.zero(field)
-    if field == QQ:
-        draw = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4))  # noqa: E731
-    else:
-        draw = lambda: rng.randrange(field.p)  # noqa: E731
-    coeffs = [draw() for _ in range(degree)] + [draw()]
+    coeffs = [draw() for _ in range(degree + 1)]
     while not field(coeffs[-1]):
         coeffs[-1] = draw()
     return Poly(field, coeffs)
