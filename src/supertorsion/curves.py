@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import BadParameters, NotOnCurve, RamifiedPoint, UnsupportedField
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, is_prime
 from .poly import Poly, is_squarefree
 
 
@@ -68,8 +68,13 @@ class ReachabilityReport:
 
 
 def reachability_status(n: int, d: int, m: int, char: int = 0) -> ReachabilityReport:
-    """Classify a candidate torsion order m for curves y^d = f(x), deg f = n."""
+    """Classify a candidate torsion order m for curves y^d = f(x), deg f = n,
+    over a base field of characteristic char (0 or a prime not dividing d)."""
     params = torsion_params(n, d)
+    if char != 0 and not is_prime(char):
+        raise BadParameters(f"characteristic must be 0 or a prime, got {char}")
+    if char != 0 and d % char == 0:
+        raise BadParameters(f"characteristic {char} divides d = {d}")
     if m <= 1:
         raise BadParameters("torsion order m must be > 1")
     if m in (d, n):

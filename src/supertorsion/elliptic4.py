@@ -149,12 +149,10 @@ def reduced_cubic_from_family(B: FieldElement, B1: FieldElement) -> Poly:
 def reduced_cubic_from_kubert(b: FieldElement, c: FieldElement) -> Poly:
     """The Kubert model first becomes y^2 = 4x^3 + (1-4b)x^2 - 2bx + b^2;
     scaling x -> 4c^2 x, y -> 8c^3 y then lands on the same target cubic."""
-    field = b.field
-    e1 = Poly(field, (b * b, -2 * b, 1 - 4 * b, field(4)))
+    e1 = kubert_model_cubic(b)
     # substitute x = X/(4c^2), multiply through by 64 c^6
     c2 = 4 * c * c
-    scaled = Poly(field, [e1[i] * c2 ** (3 - i) for i in range(4)])
-    return scaled
+    return Poly(b.field, [e1[i] * c2 ** (3 - i) for i in range(4)])
 
 
 def kubert_model_cubic(b: FieldElement) -> Poly:

@@ -319,7 +319,7 @@ class MumfordDivisor:
         return self.u.degree == 0
 
 
-def _cantor_compose(f: Poly, g: int, D1: MumfordDivisor, D2: MumfordDivisor):
+def _cantor_compose(f: Poly, D1: MumfordDivisor, D2: MumfordDivisor):
     u1, v1 = D1.u, D1.v
     u2, v2 = D2.u, D2.v
     d1, e1, e2 = poly_xgcd(u1, u2)
@@ -341,32 +341,16 @@ def _cantor_reduce(f: Poly, g: int, u: Poly, v: Poly):
 
 def cantor_add(f: Poly, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
     g = (f.degree - 1) // 2
-    u, v = _cantor_compose(f, g, D1, D2)
+    u, v = _cantor_compose(f, D1, D2)
     u, v = _cantor_reduce(f, g, u, v)
     return MumfordDivisor(u=u, v=v)
 
 
-def _monicize(f: Poly, divisor: MumfordDivisor):
-    """Transform y^2 = f to a monic model via (x, y) -> (c*x, c^g * y)."""
-    field = f.field
-    c = f.leading
-    n = f.degree
-    g = (n - 1) // 2
-    F = Poly(field, [f[i] * c ** (n - 1 - i) for i in range(n + 1)])
-    if F.leading != field.one:
-        raise MathCheckError("the monic model's leading coefficient is not 1")
-    cg = c ** g
-    # u(x) monic deg r  ->  c^r * u(X/c) monic in X; v(x) -> c^g * v(X/c)
-    r = divisor.u.degree
-    U = Poly(field, [divisor.u[i] * c ** (r - i) for i in range(r + 1)])
-    V = Poly(field, [divisor.v[i] * cg / c ** i
-                     for i in range(divisor.v.degree + 1)]) \
-        if not divisor.v.is_zero() else Poly.zero(field)
-    return F, MumfordDivisor.validated(F, U, V)
-
-
 def cantor_order(f: Poly, divisor, max_m: int):
-    """Least m <= max_m with m*[D] = 0 on Jac(y^2 = f), deg f odd; else None."""
+    """Least m <= max_m with m*[D] = 0 on Jac(y^2 = f), deg f odd; else None.
+
+    f need not be monic: with deg f = 2g + 1 the reduced divisor of a class
+    is still unique, and neither composition nor reduction uses lc(f)."""
     if f.degree % 2 != 1 or f.degree < 3:
         raise BadParameters("need odd deg f >= 3")
     if f.field.characteristic() == 2:
@@ -379,8 +363,6 @@ def cantor_order(f: Poly, divisor, max_m: int):
         divisor = MumfordDivisor.validated(f, divisor.u, divisor.v)
     if divisor.is_identity():
         return 1
-    if f.leading != f.field.one:
-        f, divisor = _monicize(f, divisor)
     acc = divisor
     for m in range(1, max_m + 1):
         if acc.is_identity():

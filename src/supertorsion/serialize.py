@@ -8,6 +8,7 @@ arrays ascending by degree, field specs as {"kind": "Q"} or
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .certificates import TorsionCertificate, VerificationReport, build_certificate
@@ -31,8 +32,8 @@ def field_from_json(doc) -> Field:
         return QQ
     if doc["kind"] == "Fp":
         try:
-            return PrimeField(int(doc["p"]))
-        except (KeyError, ValueError, TypeError, SupertorsionError) as e:
+            return PrimeField(_int_from_json(doc, "p"))
+        except (KeyError, SupertorsionError) as e:
             raise SchemaViolation(f"bad prime field spec: {doc!r}") from e
     raise SchemaViolation(f"unknown field kind {doc['kind']!r}")
 
@@ -42,7 +43,7 @@ def elem_to_str(x: FieldElement) -> str:
 
 
 def elem_from_str(field: Field, s) -> FieldElement:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return field(s)
     if not isinstance(s, str):
         raise SchemaViolation(f"scalar must be a string: {s!r}")
@@ -74,10 +75,10 @@ def curve_from_json(doc) -> SuperellipticCurve:
     field = field_from_json(doc["field"])
     f = poly_from_json(field, doc["f"])
     try:
-        curve = SuperellipticCurve(field, int(doc["d"]), f)
+        curve = SuperellipticCurve(field, _int_from_json(doc, "d"), f)
     except SupertorsionError as e:
         raise SchemaViolation(f"invalid curve: {e}") from e
-    if "n" in doc and int(doc["n"]) != curve.n:
+    if "n" in doc and _int_from_json(doc, "n") != curve.n:
         raise SchemaViolation(f"declared n = {doc['n']} but deg f = {curve.n}")
     return curve
 
@@ -104,9 +105,9 @@ def certificate_to_json(cert: TorsionCertificate) -> dict:
 def certificate_from_json(doc) -> TorsionCertificate:
     _need_keys(doc, ("n", "d", "field", "a", "B", "q"), "certificate")
     field = field_from_json(doc["field"])
+    n, d = _int_from_json(doc, "n"), _int_from_json(doc, "d")
     try:
-        cert = build_certificate(int(doc["n"]), int(doc["d"]),
-                                 elem_from_str(field, doc["a"]),
+        cert = build_certificate(n, d, elem_from_str(field, doc["a"]),
                                  elem_from_str(field, doc["B"]),
                                  poly_from_json(field, doc["q"]))
     except SupertorsionError as e:
@@ -114,7 +115,7 @@ def certificate_from_json(doc) -> TorsionCertificate:
     for key, poly in (("v", cert.v), ("f", cert.f)):
         if key in doc and poly_from_json(field, doc[key]) != poly:
             raise SchemaViolation(f"declared {key} disagrees with (a, B, q)")
-    if "m0" in doc and int(doc["m0"]) != cert.m0:
+    if "m0" in doc and _int_from_json(doc, "m0") != cert.m0:
         raise SchemaViolation(f"declared m0 = {doc['m0']} but m0 = {cert.m0}")
     return cert
 
@@ -148,6 +149,17 @@ def admissibility_to_json(verdict: AdmissibilityVerdict) -> dict:
         "reasons": list(verdict.reasons),
         "char0_only": "necessary conditions proved for characteristic 0",
     }
+
+
+def _int_from_json(doc, key) -> int:
+    """doc[key] read from a JSON integer or a decimal string; a float, a
+    boolean or anything else is a schema violation."""
+    value = doc[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise SchemaViolation(f"{key} must be an integer: {value!r}")
 
 
 def _need_keys(doc, keys, what):

@@ -143,18 +143,6 @@ def wronskian_pair_form(f1: Poly, f2: Poly, d: int, constant: FieldElement) -> P
     return (a1 * b2 - b1 * a2) * constant
 
 
-def wronskian_divisibility(f1: Poly, f2: Poly, f3: Poly, d: int) -> bool:
-    """W(f1^d, f2^d, f3^d) is divisible by (f1 f2 f3)^(d-2): every entry of
-    the i-th column carries f_i^(d-2)."""
-    w = wronskian3(f1 ** d, f2 ** d, f3 ** d)
-    if d <= 2:
-        return True
-    divisor = (f1 * f2 * f3) ** (d - 2)
-    if divisor.is_zero():
-        return w.is_zero()
-    return (w % divisor).is_zero()
-
-
 @dataclass(frozen=True)
 class WronskianAudit:
     degree: int
@@ -173,11 +161,13 @@ def wronskian_degree_audit(f1: Poly, f2: Poly, f3: Poly, d: int,
     if w.is_zero():
         raise LinearlyDependent("f1^d, f2^d, f3^d are linearly dependent")
     lower, upper = 3 * ell0 * (d - 2), 2 * ell0 * d - 3
+    # every entry of the i-th column of W carries f_i^(d-2); W != 0 makes the
+    # product nonzero
     return WronskianAudit(
         degree=w.degree, lower=lower, upper=upper,
         degree_ok=lower <= w.degree <= upper,
         slope_bound_ok=ell0 * (d - 6) <= -3,
-        divisibility_ok=wronskian_divisibility(f1, f2, f3, d))
+        divisibility_ok=d <= 2 or (w % (f1 * f2 * f3) ** (d - 2)).is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +185,56 @@ def build_H(I, C: FieldElement) -> Poly:
     return Poly._from_values(field, h)
 
 
-def _mu_and_complement(field: Field, n: int, I):
+@dataclass(frozen=True)
+class _Packet:
+    """A validated (F_p, n, I, C) with ell0 = (n+1)/2, H_I, H_comp and
+    C^ell0: everything about the packet shapes that does not depend on lam."""
+
+    field: PrimeField
+    n: int
+    ell0: int
+    I: tuple
+    C: FieldElement
+    hi: Poly
+    hc: Poly
+    cl: FieldElement  # C^ell0
+
+    def shapes(self, lam, sign: str = "plus"):
+        """(ut, vt) for a nonzero lam; ut is negated for the "minus" sign."""
+        lam = self.field(lam)
+        if lam.is_zero():
+            raise ZeroParameter("lambda must be nonzero")
+        half = self.field(2).inverse()
+        a, b = lam * half, lam.inverse() * half
+        ut = (a * self.hi - b * self.hc) * self.cl.inverse()
+        return (-ut if sign == "minus" else ut), a * self.hi + b * self.hc
+
+    def normalizing_lambdas(self):
+        """The lam with leading(ut) = +-1, i.e. the only lam for which
+        x^(n+1) - ut^2 has degree n.  At most four values."""
+        p, ell0, out = self.field.p, self.ell0, []
+        # a is 0 when the H_I factor for eps with C*eps = 1 dropped degree
+        a, b, two_cl = self.hi[ell0].value, self.hc[ell0].value, (2 * self.cl).value
+        for target in (two_cl, p - two_cl):
+            # lam*a - (1/lam)*b = target  <=>  a*lam^2 - target*lam - b = 0
+            for lam in map(self.field, _quadratic_roots(a, p - target, -b % p, self.field)):
+                if lam and lam not in out:
+                    out.append(lam)
+        return tuple(out)
+
+
+def _packet(field, n: int, I, C) -> _Packet:
+    """Check (field, n, I, C) and build their packet; field may be given as
+    a prime p."""
+    field = _as_prime_field(field)
+    if n % 2 != 1 or n < 3:
+        raise BadParameters("d = 2 needs odd n >= 3")
+    if field.p == 2 or (n + 1) % field.p == 0:
+        raise BadParameters(f"need p odd with p not dividing n+1 = {n + 1}")
+    ell0 = (n + 1) // 2
+    C = field(C)
+    if C.is_zero():
+        raise ZeroParameter("C must be nonzero")
     mu = field.roots_of_unity(n + 1)
     I = tuple(I)
     for eps in I:
@@ -203,41 +242,18 @@ def _mu_and_complement(field: Field, n: int, I):
             raise BadParameters(f"{eps!r} is not an (n+1)-th root of unity")
     if len(set(I)) != len(I):
         raise BadParameters("I has repeated elements")
-    comp = tuple(e for e in mu if e not in I)
-    return mu, I, comp
-
-
-def _packet_inputs(field: Field, n: int, I, lam, C):
-    if field.kind != "Fp":
-        raise UnsupportedField("packet constructions live over prime fields")
-    if n % 2 != 1 or n < 3:
-        raise BadParameters("d = 2 needs odd n >= 3")
-    p = field.p
-    if p == 2 or (n + 1) % p == 0:
-        raise BadParameters(f"need p odd with p not dividing n+1 = {n + 1}")
-    ell0 = (n + 1) // 2
-    lam = field(lam)
-    if lam.is_zero():
-        raise ZeroParameter("lambda must be nonzero")
-    C = field(C)
-    if C.is_zero():
-        raise ZeroParameter("C must be nonzero")
-    mu, I, comp = _mu_and_complement(field, n, I)
     if len(I) != ell0:
         raise BadParameters(f"|I| = {len(I)}, expected ell0 = {ell0}")
-    return ell0, lam, C, I, build_H(I, C), build_H(comp, C)
+    comp = tuple(e for e in mu if e not in I)
+    return _Packet(field, n, ell0, I, C, build_H(I, C), build_H(comp, C), C ** ell0)
 
 
-def packet_parts(field: Field, n: int, I, lam, C, sign: str = "plus"):
-    """(ut, vt) for the given subset and lambda.
-
-    vt = (lam*H_I + (1/lam)*H_comp)/2 always;
-    ut = +-(lam*H_I - (1/lam)*H_comp)/(2 C^ell0) with the sign chosen by
-    ``sign`` in {"plus", "minus"}.
-    """
-    _check_sign(sign)
-    ell0, lam, C, _, hi, hc = _packet_inputs(field, n, I, lam, C)
-    return _packet_shapes(hi, hc, lam, (C ** ell0).inverse(), sign)
+def _as_prime_field(field):
+    if isinstance(field, int):
+        return PrimeField(field)
+    if isinstance(field, PrimeField):
+        return field
+    raise UnsupportedField("packet constructions live over prime fields")
 
 
 def _check_sign(sign):
@@ -245,36 +261,29 @@ def _check_sign(sign):
         raise BadParameters("sign must be 'plus' or 'minus'")
 
 
-def _packet_shapes(hi: Poly, hc: Poly, lam: FieldElement, cl_inv: FieldElement,
-                   sign: str = "plus"):
-    """ut and vt from H_I, H_comp, lam and cl_inv = 1/C^ell0; ut is negated
-    for the "minus" sign."""
-    half = lam.field(2).inverse()
-    a, b = lam * half, lam.inverse() * half
-    ut = (a * hi - b * hc) * cl_inv
-    return (-ut if sign == "minus" else ut), a * hi + b * hc
+def packet_parts(field, n: int, I, lam, C, sign: str = "plus"):
+    """(ut, vt) for the given subset and lambda.
+
+    vt = (lam*H_I + (1/lam)*H_comp)/2 always;
+    ut = +-(lam*H_I - (1/lam)*H_comp)/(2 C^ell0) with the sign chosen by
+    ``sign`` in {"plus", "minus"}.
+    """
+    _check_sign(sign)
+    return _packet(field, n, I, C).shapes(lam, sign)
 
 
-def packet_polynomial(field: Field, n: int, I, lam, C, sign: str = "plus") -> Poly:
+def packet_polynomial(field, n: int, I, lam, C, sign: str = "plus") -> Poly:
     """x^(n+1) - ut^2: degree n exactly when lam normalizes the leading term,
     degree n+1 otherwise.  Squarefreeness of this polynomial is what the bad
     lambda analysis controls."""
     ut, _ = packet_parts(field, n, I, lam, C, sign)
-    return Poly.monomial(field, n + 1) - ut * ut
+    return Poly.monomial(ut.field, n + 1) - ut * ut
 
 
-def normalizing_lambdas(field: Field, n: int, I, C):
+def normalizing_lambdas(field, n: int, I, C):
     """The lam with leading(ut) = +-1, i.e. the only lam for which
     x^(n+1) - ut^2 has degree n.  At most four values."""
-    ell0, _, C, _, hi, hc = _packet_inputs(field, n, I, 1, C)
-    # a is 0 when the H_I factor for eps with C*eps = 1 dropped degree
-    a, b, two_cl, out = hi[ell0].value, hc[ell0].value, (2 * C ** ell0).value, []
-    for target in (two_cl, field.p - two_cl):
-        # lam*a - (1/lam)*b = target  <=>  a*lam^2 - target*lam - b = 0
-        for lam in map(field, _quadratic_roots(a, field.p - target, -b % field.p, field)):
-            if lam and lam not in out:
-                out.append(lam)
-    return tuple(out)
+    return _packet(field, n, I, C).normalizing_lambdas()
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +325,35 @@ class PacketFamily:
         return tuple(pts)
 
 
-def _finish_family(field, n, I, lam, C, A1, A2, B1, B2, ut, vt, sign, twisted):
-    ell0 = (n + 1) // 2
+def _build(pk: _Packet, lam, A1, A2, sign: str, allow_twist: bool) -> PacketFamily:
+    """The family u = B1*ut, v = B2*vt of one packet and lam, for square
+    roots B1, B2 of A1, A2 (all four are 1 in the equal case).  When a root
+    is missing, ``allow_twist`` falls back to the normalized model
+    f = x^(n+1) - ut^2 (A1 = 1, A2 = C^-(n+1)), whose roots always exist."""
+    field, n, one = pk.field, pk.n, pk.field.one
+    lam = field(lam)
+    ut, vt = pk.shapes(lam, sign)
+    B1, B2, twisted = one, one, False
+    if (A1, A2) != (one, one):
+        B1, B2 = field.nth_root(A1, 2), field.nth_root(A2, 2)
+        if B1 is None or B2 is None:
+            if not allow_twist:
+                raise NoSquareRoot(f"A1 or A2 has no square root in F_{field.p}")
+            cl_inv = pk.cl.inverse()
+            A1, A2, B1, B2, twisted = one, cl_inv * cl_inv, one, cl_inv, True
     u, v = B1 * ut, B2 * vt
     f = A1 * Poly.monomial(field, n + 1) - u * u
-    second = A2 * Poly(field, (field.one, field.one)) ** (n + 1) - v * v
-    if f != second:
+    if f != A2 * Poly(field, (one, one)) ** (n + 1) - v * v:
         raise BadParameters("double representation failed: inconsistent inputs")
     if f.degree != n:
         raise DegreeNotNormalized(
             f"lambda = {lam!r} leaves deg f = {f.degree}, not n = {n}; "
-            f"normalizing lambdas: {normalizing_lambdas(field, n, I, C)!r}",
+            f"normalizing lambdas: {pk.normalizing_lambdas()!r}",
             lam=lam, polynomial=f)
     if not is_squarefree(f):
         raise NotSquarefree(f"bad lambda = {lam!r}: f has a repeated root")
-    return PacketFamily(field=field, p=field.p, n=n, ell0=ell0, m0=n + 1, I=I,
-                        lam=lam, C=C, A1=A1, A2=A2, B1=B1, B2=B2, u=u, v=v, f=f,
+    return PacketFamily(field=field, p=field.p, n=n, ell0=pk.ell0, m0=n + 1, I=pk.I,
+                        lam=lam, C=pk.C, A1=A1, A2=A2, B1=B1, B2=B2, u=u, v=v, f=f,
                         sign=sign, twisted=twisted)
 
 
@@ -363,18 +385,7 @@ def build_two_packet_general(field, n: int, I, lam, A1, A2, C=None,
         if C ** (n + 1) != ratio:
             raise BadParameters("C^(n+1) != A1/A2")
     _check_sign(sign)
-    ell0, lam, C, I, hi, hc = _packet_inputs(field, n, I, lam, C)
-    cl_inv = (C ** ell0).inverse()
-    ut, vt = _packet_shapes(hi, hc, lam, cl_inv, sign)
-    B1, B2 = field.nth_root(A1, 2), field.nth_root(A2, 2)
-    if B1 is None or B2 is None:
-        if not allow_twist:
-            raise NoSquareRoot(f"A1 or A2 has no square root in F_{field.p}")
-        return _finish_family(field, n, I, lam, C,
-                              field.one, cl_inv * cl_inv, field.one, cl_inv,
-                              ut, vt, sign, twisted=True)
-    return _finish_family(field, n, I, lam, C, A1, A2, B1, B2, ut, vt, sign,
-                          twisted=False)
+    return _build(_packet(field, n, I, C), lam, A1, A2, sign, allow_twist)
 
 
 def build_two_packet_equal(field, n: int, I, lam, sign: str = "plus"):
@@ -385,23 +396,9 @@ def build_two_packet_equal(field, n: int, I, lam, sign: str = "plus"):
     lam = field(lam)
     if lam == field.one or lam == -field.one:
         raise BadParameters("lambda = +-1 is excluded in the equal case")
-    one = field.one
     _check_sign(sign)
-    ell0, lam, _, I, hi, hc = _packet_inputs(field, n, I, lam, one)
-    # the split degrees must be {ell0, ell0 - 1}
-    if {hi.degree, hc.degree} != {ell0, ell0 - 1}:
-        raise BadParameters("unexpected H degree split")
-    ut, vt = _packet_shapes(hi, hc, lam, one, sign)
-    return _finish_family(field, n, I, lam, one, one, one, one, one,
-                          ut, vt, sign, twisted=False)
-
-
-def _as_prime_field(field):
-    if isinstance(field, int):
-        return PrimeField(field)
-    if isinstance(field, PrimeField):
-        return field
-    raise UnsupportedField("packet constructions live over prime fields")
+    one = field.one
+    return _build(_packet(field, n, I, one), lam, one, one, sign, allow_twist=False)
 
 
 @dataclass(frozen=True)
@@ -475,14 +472,14 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
     ``confirmed_bad_lambdas``.  When the eliminant vanishes identically the
     analysis localizes nothing and every abscissa is scanned.
     """
-    field = _as_prime_field(field)
-    ell0, cl, hi, hc, sieve = _bad_lambda_analysis(field, n, I, C)
-    p, bad = field.p, {1, field.p - 1}
+    pk = _packet(field, n, I, C)
+    sieve, field, ell0 = _sieve(pk), pk.field, pk.ell0
+    p, cl, bad = field.p, pk.cl.value, {1, field.p - 1}
     for x0 in range(p) if sieve is None else (r.value for r in roots_in_field(sieve)):
         powers = [pow(x0, i, p) for i in range(ell0 + 1)]  # deg H_I, deg H_comp <= ell0
         bad.update(lam for lam in _quadratic_roots(
-            sum(map(mul, hi.values, powers)) % p, -2 * cl * powers[ell0] % p,
-            -sum(map(mul, hc.values, powers)) % p, field) if lam)
+            sum(map(mul, pk.hi.values, powers)) % p, -2 * cl * powers[ell0] % p,
+            -sum(map(mul, pk.hc.values, powers)) % p, field) if lam)
     return frozenset(field(lam) for lam in bad | {p - lam for lam in bad})
 
 
@@ -491,31 +488,30 @@ def bad_lambda_members(field, n: int, I, C, lams) -> frozenset:
     without building that set.  Apart from +-1, a lam != 0 is in it iff
     R = Q(x, lam) Q(x, -lam) = (lam^2 H_I - H_comp)^2 - 4 C^(2 ell0) lam^2 x^(n+1),
     nonzero at x = 0, has a root in F_p that the analysis draws lambdas from."""
-    field = _as_prime_field(field)
-    ell0, cl, hi, hc, sieve = _bad_lambda_analysis(field, n, I, C)
-    out = set()
+    pk = _packet(field, n, I, C)
+    sieve, field, out = _sieve(pk), pk.field, set()
     for lam in map(field, lams):
-        w = hi * (lam * lam) - hc
-        r = w * w - Poly.monomial(field, n + 1, 4 * (cl * lam) ** 2)
+        w = pk.hi * (lam * lam) - pk.hc
+        r = w * w - Poly.monomial(field, n + 1, 4 * (pk.cl * lam) ** 2)
         if lam == 1 or lam == -1 or (lam and roots_in_field(
                 r if sieve is None else poly_gcd(r, sieve))):
             out.add(lam)
     return frozenset(out)
 
 
-def _bad_lambda_analysis(field, n: int, I, C):
-    """(ell0, C^ell0 as a residue, H_I, H_comp, S) for the bad lambda
-    analysis: the roots of S are the abscissas it draws lambdas from, or S
-    is None when the eliminant vanishes identically and every abscissa is."""
-    ell0, _, C, _, hi, hc = _packet_inputs(field, n, I, 1, C)
-    bi, bc = nonvanishing_bracket(hi, ell0), nonvanishing_bracket(hc, ell0)
+def _sieve(pk: _Packet):
+    """S whose roots are the abscissas the bad lambda analysis draws lambdas
+    from, or None when the eliminant vanishes identically and every abscissa
+    is."""
+    field, n, hi, hc = pk.field, pk.n, pk.hi, pk.hc
+    bi, bc = nonvanishing_bracket(hi, pk.ell0), nonvanishing_bracket(hc, pk.ell0)
     if bi.is_zero() or bc.is_zero():
         raise NonvanishingViolation("ell0*H - x*H' vanished identically")
     wh = hi.derivative() * hc - hc.derivative() * hi
     # eliminant: 4 C^(n+1) * bc * bi * x^(n+1) - x^2 * wh^2, with x^2 removed
-    eliminant = (4 * C ** (n + 1)) * bc * bi * Poly.monomial(field, n - 1) - wh * wh
+    eliminant = (4 * pk.C ** (n + 1)) * bc * bi * Poly.monomial(field, n - 1) - wh * wh
     # the elimination divides by the brackets; cover their zeros too
-    return ell0, (C ** ell0).value, hi, hc, None if eliminant.is_zero() else eliminant * bi * bc
+    return None if eliminant.is_zero() else eliminant * bi * bc
 
 
 def confirmed_bad_lambdas(field, n: int, I, C, sign: str = "plus") -> frozenset:
@@ -542,27 +538,25 @@ def confirmed_bad_lambdas(field, n: int, I, C, sign: str = "plus") -> frozenset:
 
     H_I and H_comp are built once, and ``sign`` is only validated, since ut
     and -ut give the same polynomial."""
-    field = _as_prime_field(field)
     _check_sign(sign)
-    ell0, _, C, _, hi, hc = _packet_inputs(field, n, I, 1, C)
-    cl_inv = (C ** ell0).inverse()
-    top = Poly.monomial(field, n + 1)
+    pk = _packet(field, n, I, C)
+    top = Poly.monomial(pk.field, n + 1)
     out = set()
-    for lam in _candidate_lambdas(field, n, I, C, hi, hc):
-        ut, _ = _packet_shapes(hi, hc, lam, cl_inv)
+    for lam in _candidate_lambdas(pk):
+        ut, _ = pk.shapes(lam)
         f = top - ut * ut
         if f.is_zero() or not is_squarefree(f):
             out.add(lam)
     return frozenset(out)
 
 
-def _candidate_lambdas(field, n: int, I, C, hi: Poly, hc: Poly):
+def _candidate_lambdas(pk: _Packet):
     """The units ``confirmed_bad_lambdas`` tests: the roots in lam of
     D(lam^2) and the normalizing lambdas, or every unit as the fallback."""
-    ell0 = (n + 1) // 2
+    field, n, hi, hc = pk.field, pk.n, pk.hi, pk.hc
     red, count = field.reduce, 4 * n + 3
-    four_c = (4 * C ** (n + 1)).value
-    a, b = hi[ell0].value, hc[ell0].value
+    four_c = (4 * pk.C ** (n + 1)).value
+    a, b = hi[pk.ell0].value, hc[pk.ell0].value
     mus = list(islice((mu for mu in range(1, field.p)
                        if red(four_c * mu - (mu * a - b) ** 2)), count))
     if len(mus) == count:
@@ -574,7 +568,7 @@ def _candidate_lambdas(field, n: int, I, C, hi: Poly, hc: Poly):
             values.append(_resultant_values(field, g, [red(i * c) for i, c in enumerate(g)][1:]))
         disc = interpolate(field, mus, values)
         if not disc.is_zero():
-            out = set(normalizing_lambdas(field, n, I, C))
+            out = set(pk.normalizing_lambdas())
             for mu in roots_in_field(disc):
                 lam = field.nth_root(mu, 2)
                 if lam is not None and not lam.is_zero():

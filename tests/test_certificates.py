@@ -8,17 +8,22 @@ from supertorsion import (
     GF,
     QQ,
     Poly,
+    TorsionCertificate,
     build_certificate,
     family_slack0,
     family_slack1,
     is_squarefree,
     normalize_certificate,
     order_of_class,
+    series_dth_root,
     slack0_reduce,
     torsion_params,
     verify_certificate,
 )
 from supertorsion.errors import (
+    BadInitialValue,
+    BadParameters,
+    CharDividesD,
     CharDividesEll0,
     NotNormalized,
     NotSquarefree,
@@ -243,3 +248,81 @@ def test_oracle_order_is_exactly_m0(n, d, field):
         cert, _ = family_slack1(n, d, field(1), field(1))
     order = order_of_class(cert.curve(), cert.point(), 2 * params.m0)
     assert order == params.m0
+
+
+def reference_vanishing_detail(cert):
+    """The vanishing_at_P detail by the series route: compare v(a + t) with
+    the d-th-root series of y at P = (a, v(a)) to m0 + 2 terms."""
+    y0 = cert.v(cert.a)
+    if y0.is_zero():
+        return "v(a) = 0: not a valid certificate point"
+    try:
+        s = series_dth_root(cert.f, cert.d, cert.a, y0, cert.m0 + 2)
+    except BadInitialValue:
+        return "v(a)^d != f(a): P is not on y^d = f"
+    vpoly = cert.v.shift(cert.a)
+    order = next((i for i in range(cert.m0 + 2) if vpoly[i] != s[i]), None)
+    return f"ord_P(v - y) = {order}, expected {cert.m0}"
+
+
+def _vanishing_detail(cert):
+    return next(c.detail for c in verify_certificate(cert) if c.name == "vanishing_at_P")
+
+
+def _tampered(cert, rng):
+    """Certificates whose f or v was changed so that ord_P(v - y) takes every
+    value 0..m0 + 3, R = v^d - f vanishes, or P leaves the curve."""
+    field, a, m0 = cert.field, cert.a, cert.m0
+    x_minus_a = Poly(field, (-a, field.one))
+    unit = field(rng.randrange(1, 50))
+    out = [replace(cert, f=cert.v ** cert.d)]  # R = 0
+    for k in range(m0 + 4):  # R = unit (x-a)^k
+        out.append(replace(cert, f=cert.v ** cert.d - unit * x_minus_a ** k))
+        out.append(replace(cert, f=cert.f + unit * x_minus_a ** k))
+    out.append(replace(cert, v=cert.v - cert.v(a)))  # v(a) = 0
+    out.append(replace(cert, v=cert.v + unit))
+    out.append(replace(cert, f=cert.f + Poly(field, [rng.randrange(-5, 6) for _ in range(3)])))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(13), GF(1009)],
+                         ids=["Q", "F3", "F7", "F13", "F1009"])
+def test_vanishing_at_P_matches_the_series_route(field):
+    rng = random.Random(field.characteristic() + 11)
+    char, certs = field.characteristic(), []
+    for n, d in ((3, 2), (4, 3), (5, 2), (7, 4), (7, 2), (7, 3), (8, 5), (11, 4)):
+        if char and d % char == 0:
+            continue
+        for _ in range(20):
+            slack = torsion_params(n, d).slack
+            q = Poly(field, [rng.randrange(-4, 5) for _ in range(slack)] + [rng.randrange(1, 3)])
+            try:
+                certs.append(build_certificate(n, d, field(rng.randrange(-3, 4)),
+                                               field(rng.randrange(1, 3)), q))
+            except (NotSquarefree, QVanishesAtA, ZeroParameter, BadParameters):
+                continue
+            break
+    assert len(certs) >= 6
+    orders = set()
+    for cert in certs:
+        for case in [cert] + _tampered(cert, rng):
+            detail = _vanishing_detail(case)
+            assert detail == reference_vanishing_detail(case), (case, detail)
+            orders.add(detail.split(",")[0])
+    m0s = {cert.m0 for cert in certs}
+    assert "ord_P(v - y) = None" in orders
+    assert any(f"ord_P(v - y) = {m0 + 1}" in orders for m0 in m0s)
+    assert "v(a) = 0: not a valid certificate point" in orders
+    assert "v(a)^d != f(a): P is not on y^d = f" in orders
+
+
+def test_vanishing_at_P_raises_when_char_divides_d():
+    F = GF(3)
+    x = Poly.x(F)
+    v = x ** 2 + 1
+    cert = TorsionCertificate(field=F, n=4, d=3, a=F(0), B=F(1), q=Poly.one(F), v=v,
+                              f=v ** 3 - x ** 6 + x, params=torsion_params(4, 3))
+    with pytest.raises(CharDividesD):
+        verify_certificate(cert)
+    with pytest.raises(CharDividesD):
+        reference_vanishing_detail(cert)

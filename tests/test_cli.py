@@ -98,6 +98,27 @@ def test_reachability(capsys):
     assert docs[0]["status"] == "impossible"
 
 
+@pytest.mark.parametrize("char", ["4", "-3", "1", "3"])
+def test_reachability_characteristic_is_0_or_a_prime_not_dividing_d(capsys, char):
+    code, docs, err = run(capsys, "reachability", "--n", "4", "--d", "3", "--m", "6",
+                          "--char", char)
+    assert code == EXIT_USAGE and docs == [] and err.startswith("error: characteristic")
+    code, docs, _ = run(capsys, "reachability", "--n", "4", "--d", "3", "--m", "6",
+                        "--char", "5")
+    assert code == EXIT_OK and docs[0]["status"] == "requires_m0_conditions"
+
+
+@pytest.mark.parametrize("change", [
+    ('"n": 3', '"n": 3.5'), ('"d": 2', '"d": 2.9'), ('"p": 13', '"p": 13.7'),
+    ('"a": "0"', '"a": true')])
+def test_verify_rejects_loose_json_scalars(capsys, change):
+    cert = ('{"n": 3, "d": 2, "m0": 4, "field": {"kind": "Fp", "p": 13}, '
+            '"a": "0", "B": "1", "q": ["1", "1"]}')
+    assert run(capsys, "verify", "--cert", cert)[0] == EXIT_OK
+    code, docs, err = run(capsys, "verify", "--cert", cert.replace(*change))
+    assert code == EXIT_USAGE and docs == [] and err.startswith("error: ")
+
+
 def test_elliptic4_build_and_kubert(capsys):
     code, docs, _ = run(capsys, "elliptic4", "build", "--B", "1", "--B1", "1")
     assert code == EXIT_OK

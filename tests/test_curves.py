@@ -64,6 +64,18 @@ def test_reachability_m0_conditions_attached():
     assert rep3.m0_condition_met
 
 
+@pytest.mark.parametrize("char", [4, 6, 9, 1, -3, -2])
+def test_reachability_rejects_a_characteristic_that_is_not_prime(char):
+    with pytest.raises(BadParameters):
+        reachability_status(4, 3, 6, char=char)
+
+
+@pytest.mark.parametrize("n,d,char", [(4, 3, 3), (5, 2, 2), (7, 4, 2), (7, 5, 5)])
+def test_reachability_rejects_a_characteristic_dividing_d(n, d, char):
+    with pytest.raises(BadParameters):
+        reachability_status(n, d, n, char=char)
+
+
 def test_reachability_above_m0():
     assert reachability_status(5, 2, 7).status is ReachabilityStatus.ABOVE_M0
 

@@ -174,3 +174,58 @@ def test_cantor_nonmonic_agrees_with_rr():
     assert cantor_order(curve.f, pt, 8) == 4
     assert order_of_class(curve, pt, 8) == 4
     assert elliptic_order(curve.f, pt, 8) == 4
+
+
+def _monic_model(f, divisor):
+    """y^2 = f and D carried to the monic model by (x, y) -> (c x, c^g y),
+    c = lc(f): the route by which Cantor's algorithm can insist on monic f."""
+    field, c, n = f.field, f.leading, f.degree
+    cg, r = c ** ((n - 1) // 2), divisor.u.degree
+    F = Poly(field, [f[i] * c ** (n - 1 - i) for i in range(n + 1)])
+    U = Poly(field, [divisor.u[i] * c ** (r - i) for i in range(r + 1)])
+    V = Poly(field, [divisor.v[i] * cg / c ** i for i in range(divisor.v.degree + 1)]) \
+        if not divisor.v.is_zero() else Poly.zero(field)
+    return F, MumfordDivisor.validated(F, U, V)
+
+
+def reference_cantor_order(f, divisor, max_m):
+    """cantor_order computed on the monic model of y^2 = f."""
+    F, D = _monic_model(f, divisor)
+    acc = D
+    for m in range(1, max_m + 1):
+        if acc.is_identity():
+            return m
+        acc = cantor_add(F, acc, D)
+    return None
+
+
+def test_cantor_on_nonmonic_f_matches_the_monic_model_and_rr():
+    # seeded non-monic f of genus 1..4: every point above a few abscissas,
+    # and sums of two points, against the monic-model route; unramified
+    # points against order_of_class as well
+    from supertorsion import is_squarefree
+    rng = random.Random(1987)
+    seen, checked = set(), 0
+    while checked < 25:
+        p, g = rng.choice([5, 7, 11, 13, 17, 19, 23]), rng.randrange(1, 5)
+        F = GF(p)
+        f = Poly(F, [rng.randrange(p) for _ in range(2 * g + 1)] + [rng.randrange(2, p)])
+        if not is_squarefree(f):
+            continue
+        curve = SuperellipticCurve(F, 2, f)
+        points = [pt for x0 in rng.sample(range(p), 3) for pt in curve.points_above(F(x0))]
+        if not points:
+            continue
+        max_m = 24
+        for pt in points:
+            D = MumfordDivisor.from_point(f, pt)
+            order = cantor_order(f, pt, max_m)
+            assert order == reference_cantor_order(f, D, max_m), (f, pt)
+            if not pt.y.is_zero():
+                assert order == order_of_class(curve, pt, max_m), (f, pt)
+            seen.add(order)
+        E = cantor_add(f, MumfordDivisor.from_point(f, points[0]),
+                       MumfordDivisor.from_point(f, points[-1]))
+        assert cantor_order(f, E, max_m) == reference_cantor_order(f, E, max_m)
+        checked += 1
+    assert None in seen and 2 in seen and len(seen) > 6, seen

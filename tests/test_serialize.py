@@ -77,3 +77,40 @@ def test_point_round_trip():
     from supertorsion import AffinePoint
     pt = AffinePoint(QQ("-1/2"), QQ(0))
     assert ser.point_from_json(QQ, ser.point_to_json(pt)) == pt
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", 3.5), ("d", 2.9), ("m0", 4.0), ("n", True), ("d", "2.0"), ("n", " 3"),
+    ("n", None), ("d", [2])])
+def test_certificate_integers_are_json_integers_or_decimal_strings(key, value):
+    cert = build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (1, 1)))
+    doc = ser.certificate_to_json(cert)
+    assert ser.certificate_from_json({**doc, "n": "3", "d": "2", "m0": "4"}) == cert
+    with pytest.raises(SchemaViolation):
+        ser.certificate_from_json({**doc, key: value})
+
+
+@pytest.mark.parametrize("p", [13.7, 13.0, True, "13.0", "0x0d", None])
+def test_prime_field_p_is_an_integer(p):
+    assert ser.field_from_json({"kind": "Fp", "p": "13"}) == GF(13)
+    with pytest.raises(SchemaViolation):
+        ser.field_from_json({"kind": "Fp", "p": p})
+
+
+def test_curve_integers_are_json_integers():
+    from supertorsion import SuperellipticCurve
+    doc = ser.curve_to_json(SuperellipticCurve(GF(13), 2, Poly(GF(13), (10, 6, 5, 5))))
+    for key, value in (("d", 2.5), ("d", True), ("n", 3.0)):
+        with pytest.raises(SchemaViolation):
+            ser.curve_from_json({**doc, key: value})
+
+
+def test_scalars_reject_booleans():
+    assert ser.elem_from_str(GF(13), 1) == GF(13)(1)
+    for field in (QQ, GF(13)):
+        for value in (True, False, 1.0):
+            with pytest.raises(SchemaViolation):
+                ser.elem_from_str(field, value)
+    cert = build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (1, 1)))
+    with pytest.raises(SchemaViolation):
+        ser.certificate_from_json({**ser.certificate_to_json(cert), "a": True})

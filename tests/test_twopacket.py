@@ -37,6 +37,7 @@ from supertorsion.errors import (
     NoRootOfUnityStructure,
     NotSquarefree,
     SameAbscissa,
+    UnsupportedField,
 )
 from supertorsion.twopacket import (
     nonvanishing_bracket,
@@ -180,6 +181,37 @@ def test_equal_case_degree_split():
     fam = build_two_packet_equal(F, 3, (mu4[0], mu4[1]), F(6))
     vt, ut = fam.v, fam.u  # B1 = B2 = 1 here
     assert {(vt - ut).degree, (vt + ut).degree} == {2, 1}
+
+
+@pytest.mark.parametrize("n,p", [(3, 13), (3, 29), (5, 13), (5, 31), (7, 17)])
+def test_equal_case_H_degree_split(n, p):
+    # at C = 1 the factor (1 - eps) x + 1 is constant exactly for eps = 1,
+    # so whichever of I and its complement holds 1 loses one degree
+    F = GF(p)
+    mu, ell0 = F.roots_of_unity(n + 1), (n + 1) // 2
+    for I in combinations(mu, ell0):
+        comp = [e for e in mu if e not in I]
+        assert {build_H(I, F.one).degree, build_H(comp, F.one).degree} == {ell0, ell0 - 1}
+
+
+def test_entry_points_take_a_prime_or_its_field():
+    F = GF(13)
+    mu = F.roots_of_unity(4)
+    I = (mu[0], mu[1])
+    calls = (
+        lambda field: normalizing_lambdas(field, 3, I, 2),
+        lambda field: packet_parts(field, 3, I, 6, 2),
+        lambda field: packet_polynomial(field, 3, I, 6, 2, "minus"),
+        lambda field: bad_lambda_set(field, 3, I, 2),
+        lambda field: bad_lambda_members(field, 3, I, 2, range(13)),
+        lambda field: confirmed_bad_lambdas(field, 3, I, 2),
+        lambda field: build_two_packet_equal(field, 3, I, 6),
+        lambda field: build_two_packet_general(field, 3, I, 2, 3, 1, C=2),
+    )
+    for call in calls:
+        assert call(13) == call(F)
+        with pytest.raises(UnsupportedField):
+            call(QQ)
 
 
 def test_general_case_build_and_twist():
