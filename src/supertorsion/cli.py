@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 from . import serialize
@@ -195,18 +196,17 @@ def _cmd_elliptic4(args) -> int:
 
 def _cmd_order(args) -> int:
     curve = serialize.curve_from_json(_load_json_arg(args.curve))
-    xs, ys = args.point.split(",")
-    point = curve.point(serialize.elem_from_str(curve.field, xs.strip()),
-                        serialize.elem_from_str(curve.field, ys.strip()))
+    coords = args.point.split(",")
+    if len(coords) != 2:
+        raise UsageError("point must be x,y")
+    point = curve.point(*(serialize.elem_from_str(curve.field, c.strip()) for c in coords))
     max_k = 2 * curve.params.m0 if args.max_k is None else args.max_k
     if max_k < 1:
         raise UsageError("max_k must be >= 1")
-    if args.backend == "rr":
-        order = order_of_class(curve, point, max_k)
-    elif args.backend == "elliptic":
-        order = elliptic_order(curve.f, point, max_k)
-    else:
-        order = cantor_order(curve.f, point, max_k)
+    # built per call, so a rebound module-level name (as in a layer trace) is used
+    oracle = {"rr": order_of_class, "cantor": cantor_order,
+              "elliptic": elliptic_order}[args.backend]
+    order = oracle(curve, point, max_k)
     if order is None:
         _emit({"order": None, "note": f"exceeds max {max_k}"})
         return EXIT_MATH_FAIL
@@ -399,7 +399,10 @@ def dispatch(argv) -> int:
         parameters={k: v for k, v in sorted(vars(args).items())
                     if k not in ("func", "manifest") and v is not None})
     try:
-        code = args.func(args)
+        with warnings.catch_warnings():
+            # a warning's cause reaches stderr as the error it leads to
+            warnings.simplefilter("ignore")
+            code = args.func(args)
     except (UsageError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_USAGE

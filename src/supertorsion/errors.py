@@ -65,10 +65,6 @@ class NotRamified(UsageError):
     pass
 
 
-class SingularCurve(MathCheckError):
-    pass
-
-
 class PrecisionExhausted(SupertorsionError):
     pass
 

@@ -1,6 +1,8 @@
 """Independent computation of the exact order of [P - O] in the Jacobian.
 
-Three backends:
+Three backends, each called as ``backend(curve, point, max_k)`` on a
+``SuperellipticCurve``, whose constructor is the only validity gate (for
+d = 2 it leaves odd n >= 3, char != 2 and a squarefree f):
 
 * ``order_of_class`` -- works for any d: find the least k such that some
   function with pole divisor <= k*O vanishes at P to order >= k.  Such a
@@ -9,12 +11,13 @@ Three backends:
   expansions at P of a basis of these functions, one function per pole
   order, on bare residues or integers (``_principal_orders``, shared with
   ``principality_profile``).
-* ``elliptic_order`` -- chord/tangent group law on y^2 = cubic.
-* ``cantor_order``  -- Mumford representation plus composition/reduction for
-  hyperelliptic y^2 = f with odd deg f (genus >= 1), char != 2.
+* ``elliptic_order`` -- chord/tangent group law; needs d = 2, deg f = 3.
+* ``cantor_order``  -- Mumford representation plus composition/reduction
+  (Cantor, Math. Comp. 48, 1987); needs d = 2.
 
-All backends are pure and deterministic; they are meant to cross-check each
-other and the certificate constructions.
+The group-law primitives ``elliptic_add``, ``cantor_add`` and
+``MumfordDivisor`` take f itself.  All backends are pure and deterministic;
+they are meant to cross-check each other and the certificate constructions.
 """
 
 from __future__ import annotations
@@ -23,15 +26,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .curves import AffinePoint, SuperellipticCurve
-from .errors import (
-    BadParameters,
-    MathCheckError,
-    NotRamified,
-    PrecisionExhausted,
-    RamifiedPoint,
-    SingularCurve,
-)
-from .poly import Poly, _series_root_powers, is_squarefree, poly_xgcd
+from .errors import BadParameters, NotRamified, PrecisionExhausted, RamifiedPoint
+from .poly import Poly, _series_root_powers, poly_xgcd
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +218,12 @@ def order_of_ramified(curve: SuperellipticCurve, point: AffinePoint) -> int:
         raise NotRamified("point has y != 0")
     if not curve.f(point.x).is_zero():
         raise NotRamified("x(P) is not a root of f")
-    # squarefreeness of f makes x(P) a simple root, so ord_P(x - x(P)) = d
-    cofactor = curve.f // Poly(curve.field, (-point.x, curve.field.one))
-    if cofactor(point.x).is_zero():
-        raise MathCheckError("x(P) is a repeated root of f")
     return curve.d
 
 
 # ---------------------------------------------------------------------------
 # elliptic backend (y^2 = general cubic, one point at infinity)
 # ---------------------------------------------------------------------------
-
-def _check_cubic(f: Poly):
-    if f.degree != 3:
-        raise BadParameters("elliptic backend needs deg f = 3")
-    if f.field.characteristic() == 2:
-        raise BadParameters("char 2 not supported")
-    if not is_squarefree(f):
-        raise SingularCurve("cubic has repeated roots")
-
 
 def elliptic_add(f: Poly, P, Q):
     """Chord/tangent addition on y^2 = f(x) (deg 3); None encodes O."""
@@ -263,19 +246,19 @@ def elliptic_add(f: Poly, P, Q):
     return (x3, y3)
 
 
-def elliptic_order(f: Poly, point, max_m: int):
-    """Least m <= max_m with m*P = O under the chord/tangent law; else None."""
-    _check_cubic(f)
-    if isinstance(point, AffinePoint):
-        point = (point.x, point.y)
-    x, y = point
-    if y * y != f(x):
-        raise BadParameters("point does not lie on y^2 = f(x)")
+def elliptic_order(curve: SuperellipticCurve, point, max_m: int):
+    """Least m <= max_m with m*P = O under the chord/tangent law on
+    y^2 = f, deg f = 3; else None."""
+    if (curve.d, curve.n) != (2, 3):
+        raise BadParameters("elliptic backend needs d = 2 and deg f = 3")
+    point = tuple(point)
+    if not curve.contains(*point):
+        raise BadParameters("point does not lie on the curve")
     acc = point
     for m in range(1, max_m + 1):
         if acc is None:
             return m
-        acc = elliptic_add(f, acc, point)
+        acc = elliptic_add(curve.f, acc, point)
     return None
 
 
@@ -346,23 +329,19 @@ def cantor_add(f: Poly, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDiviso
     return MumfordDivisor(u=u, v=v)
 
 
-def cantor_order(f: Poly, divisor, max_m: int):
-    """Least m <= max_m with m*[D] = 0 on Jac(y^2 = f), deg f odd; else None.
+def cantor_order(curve: SuperellipticCurve, divisor, max_m: int):
+    """Least m <= max_m with m*[D] = 0 on Jac(y^2 = f); else None.  D is a
+    point or a ``MumfordDivisor``.
 
     f need not be monic: with deg f = 2g + 1 the reduced divisor of a class
     is still unique, and neither composition nor reduction uses lc(f)."""
-    if f.degree % 2 != 1 or f.degree < 3:
-        raise BadParameters("need odd deg f >= 3")
-    if f.field.characteristic() == 2:
-        raise BadParameters("char 2 not supported")
-    if not is_squarefree(f):
-        raise SingularCurve("f has repeated roots")
+    if curve.d != 2:
+        raise BadParameters("Cantor backend needs d = 2")
+    f = curve.f
     if isinstance(divisor, (AffinePoint, tuple)):
         divisor = MumfordDivisor.from_point(f, divisor)
     else:
         divisor = MumfordDivisor.validated(f, divisor.u, divisor.v)
-    if divisor.is_identity():
-        return 1
     acc = divisor
     for m in range(1, max_m + 1):
         if acc.is_identity():

@@ -514,7 +514,7 @@ def _sieve(pk: _Packet):
     return None if eliminant.is_zero() else eliminant * bi * bc
 
 
-def confirmed_bad_lambdas(field, n: int, I, C, sign: str = "plus") -> frozenset:
+def confirmed_bad_lambdas(field, n: int, I, C) -> frozenset:
     """The lambda for which x^(n+1) - ut^2 actually fails squarefreeness
     (the zero polynomial counts as failing), as the independent check of
     ``bad_lambda_set``.
@@ -536,9 +536,8 @@ def confirmed_bad_lambdas(field, n: int, I, C, sign: str = "plus") -> frozenset:
     2(4n+2) + 4.  When p leaves fewer than 4n+3 such mu (p below about
     4n+6), or D vanishes identically, every unit is tested.
 
-    H_I and H_comp are built once, and ``sign`` is only validated, since ut
+    H_I and H_comp are built once; the sign of ut does not matter, since ut
     and -ut give the same polynomial."""
-    _check_sign(sign)
     pk = _packet(field, n, I, C)
     top = Poly.monomial(pk.field, n + 1)
     out = set()
@@ -584,16 +583,12 @@ def _candidate_lambdas(pk: _Packet):
 @dataclass(frozen=True)
 class ShiftMap:
     """x -> scale*x + offset on the base line, y -> y/y_scale on the cover;
-    y_scale is a d-th root of scale^n and may be missing over the base
-    field (flagged), in which case only the x-side is available."""
+    y_scale is a d-th root of scale^n, None when the base field has none, in
+    which case only the x-side is available."""
 
     scale: FieldElement
     offset: FieldElement
     y_scale: FieldElement | None
-
-    @property
-    def extension_required(self) -> bool:
-        return self.y_scale is None
 
 
 def shift_points_to_0_minus1(curve: SuperellipticCurve, P: AffinePoint,

@@ -86,12 +86,13 @@ def test_criterion_2_slack1_equals_elliptic_family():
         cert, point_d = family_slack1(3, 2, B, B1)
         factored = Poly(QQ, (1, B1, 2 * B)) * Poly(QQ, (1, B1))
         assert cert.f == factored
+        curve = cert.curve()
         q0 = (QQ(0), QQ(1))
-        assert elliptic_order(cert.f, q0, 8) == 4
+        assert elliptic_order(curve, q0, 8) == 4
         q2 = (-B1.inverse(), QQ(0))
         assert elliptic_add(cert.f, q0, q0) == q2
-        assert elliptic_order(cert.f, q2, 8) == 2
-        assert order_of_ramified(cert.curve(), cert.curve().point(*q2)) == 2
+        assert elliptic_order(curve, q2, 8) == 2
+        assert order_of_ramified(curve, curve.point(*q2)) == 2
         checked += 1
     _report("criterion 2: slack-1 family = marked 4-torsion cubic", True,
             f"{checked} random parameter pairs, all exact")
@@ -113,7 +114,7 @@ def test_criterion_3_kubert_correspondence():
         assert to_kubert(fam) == b
         image = pmap(QQ(0), QQ(0))
         assert image == (QQ(0), QQ(1))
-        assert elliptic_order(fam.f, image, 8) == 4
+        assert elliptic_order(fam.curve(), image, 8) == 4
         done_b += 1
     done_params = 0
     while done_params < 25:
@@ -214,9 +215,10 @@ def _sweep_two_packet(field, n, C_values):
                     continue
                 pts = fam.packet_points()
                 assert len(pts) == 2 * 2
+                curve = fam.curve()
                 for pt in pts:
-                    eo = elliptic_order(fam.f, pt, 2 * m0) if n == 3 else None
-                    co = cantor_order(fam.f, pt, 2 * m0)
+                    eo = elliptic_order(curve, pt, 2 * m0) if n == 3 else None
+                    co = cantor_order(curve, pt, 2 * m0)
                     assert co == m0
                     if n == 3:
                         assert eo == m0, (eo, m0)
@@ -235,8 +237,8 @@ def test_criterion_5_two_packet_construction_and_oracles(swept_families):
     assert [c.value for c in ex.curve.f.coeffs] == [1, 4, 6, 4]
     assert {(p.x.value, p.y.value) for p in ex.points} == {(0, 1), (0, -1)}
     for p in ex.points:
-        assert elliptic_order(ex.curve.f, p, 8) == 4
-        assert cantor_order(ex.curve.f, p, 8) == 4
+        assert elliptic_order(ex.curve, p, 8) == 4
+        assert cantor_order(ex.curve, p, 8) == 4
         assert order_of_class(ex.curve, p, 8) == 4
     _report("criterion 5: two-packet sweep + rational instance", True,
             f"{len(fams)} curves fully verified (4 points x 2 oracles each), "
@@ -333,8 +335,8 @@ def test_criterion_8_oracle_self_consistency():
         curve = SuperellipticCurve(F, 2, f)
         max_k = 2 * curve.params.m0
         rr = order_of_class(curve, curve.point(*pt), max_k)
-        eo = elliptic_order(f, pt, max_k)
-        co = cantor_order(f, pt, max_k)
+        eo = elliptic_order(curve, pt, max_k)
+        co = cantor_order(curve, pt, max_k)
         assert rr == eo == co
         if rr is not None:
             nontrivial += 1
@@ -344,7 +346,7 @@ def test_criterion_8_oracle_self_consistency():
         curve = SuperellipticCurve(F, 2, f)
         max_k = 2 * curve.params.m0
         rr = order_of_class(curve, curve.point(*pt), max_k)
-        co = cantor_order(f, pt, max_k)
+        co = cantor_order(curve, pt, max_k)
         assert rr == co
         if rr is not None:
             nontrivial2 += 1

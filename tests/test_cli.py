@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -75,6 +76,61 @@ def test_order_max_k_below_one_is_usage_error(capsys, backend, max_k):
                           "--backend", backend, "--max-k", max_k)
     assert code == EXIT_USAGE and docs == []
     assert err == "error: max_k must be >= 1\n"
+
+
+@pytest.mark.parametrize("point,max_k", [("0,1", "8"), ("0,12", "8"), ("2,3", "8"),
+                                         ("6,10", "8"), ("2,3", "5")])
+def test_order_backends_agree_through_dispatch(capsys, point, max_k):
+    # y^2 = x^3 + 1 over F_13: (0, +-1) have order 3, the others here 6
+    curve = json.dumps({"d": 2, "field": {"kind": "Fp", "p": 13},
+                        "f": ["1", "0", "0", "1"]})
+    results = []
+    for backend in ("rr", "cantor", "elliptic"):
+        code, docs, err = run(capsys, "order", "--curve", curve, "--point", point,
+                              "--max-k", max_k, "--backend", backend)
+        assert err == ""
+        results.append((code, docs))
+    assert results[0] == results[1] == results[2]
+    assert results[0][0] == (EXIT_OK if max_k == "8" else EXIT_MATH_FAIL)
+
+
+@pytest.mark.parametrize("d,backend,message", [
+    (3, "cantor", "Cantor backend needs d = 2"),
+    (3, "elliptic", "elliptic backend needs d = 2 and deg f = 3"),
+    (2, "elliptic", "elliptic backend needs d = 2 and deg f = 3"),
+])
+def test_order_backend_out_of_scope_is_usage_error(capsys, d, backend, message):
+    # f = x^5 + x^3 + 1 over F_11: (0, 1) has order 10 on y^2 = f (Cantor),
+    # which is no answer for y^3 = f, where rr finds no order up to 12
+    curve = json.dumps({"d": d, "field": {"kind": "Fp", "p": 11},
+                        "f": ["1", "0", "0", "1", "0", "1"]})
+    code, docs, err = run(capsys, "order", "--curve", curve, "--point", "0,1",
+                          "--backend", backend)
+    assert (code, docs, err) == (EXIT_USAGE, [], f"error: {message}\n")
+    in_scope = "cantor" if d == 2 else "rr"
+    code, docs, _ = run(capsys, "order", "--curve", curve, "--point", "0,1",
+                        "--backend", in_scope)
+    assert docs[0]["order"] == (10 if d == 2 else None)
+
+
+@pytest.mark.parametrize("point", ["0", "0,1,2", ""])
+def test_order_point_needs_two_coordinates(capsys, point):
+    curve = json.dumps({"d": 2, "field": {"kind": "Q"}, "f": ["1", "2", "3", "2"]})
+    code, docs, err = run(capsys, "order", "--curve", curve, "--point", point)
+    assert (code, docs, err) == (EXIT_USAGE, [], "error: point must be x,y\n")
+
+
+def test_inseparable_curve_reports_only_the_error_line(capsys):
+    # f = x^7 + 1 over F_7 has f' = 0: the squarefree test warns, and the
+    # warning leaves dispatch neither as a warning nor on stderr
+    curve = json.dumps({"d": 3, "field": {"kind": "Fp", "p": 7},
+                        "f": ["1", "0", "0", "0", "0", "0", "0", "1"]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, docs, err = run(capsys, "order", "--curve", curve, "--point", "0,1")
+    assert caught == []
+    assert (code, docs) == (EXIT_USAGE, [])
+    assert err == "error: invalid curve: f has repeated roots\n"
 
 
 def test_engine_failure_is_a_math_failure(capsys, monkeypatch):
@@ -215,7 +271,7 @@ def test_sweep_families_reverify(capsys):
         curve = SuperellipticCurve(F, 2, f)
         for x0 in (F(0), -F(1)):
             for pt in curve.points_above(x0):
-                assert elliptic_order(f, pt, 8) == 4
+                assert elliptic_order(curve, pt, 8) == 4
 
 
 def reference_sweep_lines(p, n, cs):

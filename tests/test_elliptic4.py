@@ -100,7 +100,7 @@ def test_from_kubert_example():
     fam, pmap = from_kubert(QQ(-2))
     assert fam.B == QQ(1) and fam.B1 == QQ("1/2")
     assert pmap(QQ(0), QQ(0)) == (QQ(0), QQ(1))
-    assert elliptic_order(fam.f, pmap(QQ(0), QQ(0)), 8) == 4
+    assert elliptic_order(fam.curve(), pmap(QQ(0), QQ(0)), 8) == 4
 
 
 class _KubertAlgebra:
