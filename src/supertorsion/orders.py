@@ -251,7 +251,6 @@ def elliptic_order(curve: SuperellipticCurve, point, max_m: int):
     y^2 = f, deg f = 3; else None."""
     if (curve.d, curve.n) != (2, 3):
         raise BadParameters("elliptic backend needs d = 2 and deg f = 3")
-    point = tuple(point)
     if not curve.contains(*point):
         raise BadParameters("point does not lie on the curve")
     acc = point
