@@ -11,7 +11,7 @@ that curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import AffinePoint, SuperellipticCurve, TorsionParams, torsion_params
 from .errors import (
@@ -32,8 +32,7 @@ from .orders import order_of_class
 from .poly import Poly, is_squarefree
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
+class TorsionCertificate(NamedTuple):
     """Witness data for an order-m0 point on y^d = f(x)."""
 
     field: Field
@@ -91,17 +90,35 @@ def build_certificate(n: int, d: int, a, B, q: Poly) -> TorsionCertificate:
                               params=params)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    checks: tuple
-    oracle_order: int | None = None
+    """The ``CheckResult``s of one verification, in order, and the oracle's
+    answer.  Immutable; iterating yields the checks."""
+
+    __slots__ = ("checks", "oracle_order")
+
+    def __init__(self, checks: tuple, oracle_order: int | None = None):
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "oracle_order", oracle_order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VerificationReport is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return (self.checks, self.oracle_order) == (other.checks, other.oracle_order)
+
+    def __hash__(self):
+        return hash((self.checks, self.oracle_order))
+
+    def __repr__(self):
+        return f"VerificationReport(checks={self.checks!r}, oracle_order={self.oracle_order!r})"
 
     @property
     def passed(self) -> bool:
@@ -177,8 +194,7 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
     return VerificationReport(checks=tuple(checks), oracle_order=oracle_order)
 
 
-@dataclass(frozen=True)
-class NormalizedCertificate:
+class NormalizedCertificate(NamedTuple):
     """Shifted/scaled form with the marked point at (0, 1)."""
 
     h: Poly

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field as dc_field
 
 from . import serialize
 from .certificates import (
@@ -44,16 +43,15 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
 class RunManifest:
     """Deterministic record of one CLI run: re-running with the same
     parameters reproduces byte-identical result documents."""
 
-    command: str
-    parameters: dict
-    results: list = dc_field(default_factory=list)
-    checks_passed: int = 0
-    checks_failed: int = 0
+    __slots__ = ("command", "parameters", "results", "checks_passed", "checks_failed")
+
+    def __init__(self, command: str, parameters: dict):
+        self.command, self.parameters, self.results = command, parameters, []
+        self.checks_passed = self.checks_failed = 0
 
     def record(self, doc):
         self.results.append(doc)

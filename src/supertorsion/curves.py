@@ -10,16 +10,15 @@ v_O(y) = -n; classes [P - O] live in the Jacobian.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import BadParameters, NotOnCurve, RamifiedPoint, UnsupportedField
 from .fields import Field, FieldElement, is_prime
 from .poly import Poly, is_squarefree
 
 
-@dataclass(frozen=True)
-class TorsionParams:
+class TorsionParams(NamedTuple):
     """Derived constants for a given (n, d)."""
 
     n: int
@@ -52,8 +51,7 @@ class ReachabilityStatus(enum.Enum):
     ABOVE_M0 = "above_m0"
 
 
-@dataclass(frozen=True)
-class ReachabilityReport:
+class ReachabilityReport(NamedTuple):
     status: ReachabilityStatus
     n: int
     d: int
@@ -111,13 +109,9 @@ def _m0_char_conditions(params: TorsionParams, char: int):
     return tuple(conds)
 
 
-@dataclass(frozen=True)
-class AffinePoint:
+class AffinePoint(NamedTuple):
     x: FieldElement
     y: FieldElement
-
-    def __iter__(self):
-        return iter((self.x, self.y))
 
     def __repr__(self):
         return f"({self.x!r}, {self.y!r})"

@@ -12,7 +12,7 @@ against the common cubic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import AffinePoint, SuperellipticCurve
 from .errors import (
@@ -27,8 +27,7 @@ from .orders import elliptic_add, elliptic_order
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class EllipticFourFamily:
+class EllipticFourFamily(NamedTuple):
     field: Field
     B: FieldElement
     B1: FieldElement
@@ -64,8 +63,7 @@ def build_family(B, B1) -> EllipticFourFamily:
     return EllipticFourFamily(field=field, B=B, B1=B1, f=quadratic * linear)
 
 
-@dataclass(frozen=True)
-class OrderStructureReport:
+class OrderStructureReport(NamedTuple):
     order_q0: int | None
     order_q2: int | None
     doubling_ok: bool
@@ -80,9 +78,7 @@ class OrderStructureReport:
 def check_order_structure(fam: EllipticFourFamily) -> OrderStructureReport:
     """order(Q0) = 4, order(Q2) = 2, 2*Q0 = Q2, and the tangent at Q0 is the
     line y = B1*x + 1 through Q2."""
-    curve = fam.curve()
-    q0 = (fam.q0.x, fam.q0.y)
-    q2 = (fam.q2.x, fam.q2.y)
+    curve, q0, q2 = fam.curve(), fam.q0, fam.q2
     order_q0 = elliptic_order(curve, q0, 8)
     order_q2 = elliptic_order(curve, q2, 8)
     doubled = elliptic_add(fam.f, q0, q0)
@@ -94,8 +90,7 @@ def check_order_structure(fam: EllipticFourFamily) -> OrderStructureReport:
                                 doubling_ok=doubling_ok, tangent_ok=tangent_ok)
 
 
-@dataclass(frozen=True)
-class KubertCurve:
+class KubertCurve(NamedTuple):
     """y^2 + xy - by = x^3 - bx^2 with marked point (0, 0); b^4(1+16b) != 0."""
 
     field: Field
@@ -110,8 +105,7 @@ def kubert_curve(b) -> KubertCurve:
     return KubertCurve(field=b.field, b=b)
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(NamedTuple):
     """(x, y) -> (x, c0(x) + c1*y): the explicit isomorphism from the Kubert
     model onto y^2 = f_{B,B1}."""
 

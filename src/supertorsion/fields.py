@@ -113,7 +113,7 @@ class Rationals(Field):
             return FieldElement(self, value.value)
         if isinstance(value, (int, Fraction, str)):
             return FieldElement(self, Fraction(value))
-        if isinstance(value, tuple) and len(value) == 2:
+        if type(value) is tuple and len(value) == 2:  # (num, den); not a record
             return FieldElement(self, Fraction(value[0], value[1]))
         raise BadParameters(f"cannot build a rational from {value!r}")
 

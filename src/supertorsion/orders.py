@@ -22,11 +22,11 @@ they are meant to cross-check each other and the certificate constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .curves import AffinePoint, SuperellipticCurve
-from .errors import BadParameters, NotRamified, PrecisionExhausted, RamifiedPoint
+from .errors import BadParameters, NotRamified, PrecisionExhausted
 from .poly import Poly, _series_root_powers, poly_xgcd
 
 
@@ -34,8 +34,7 @@ from .poly import Poly, _series_root_powers, poly_xgcd
 # Riemann-Roch style basis of functions with poles only at O
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RiemannRochBasis:
+class RiemannRochBasis(NamedTuple):
     """Monomials x^i y^j (0 <= j < d) with pole order d*i + n*j <= k at O.
 
     gcd(n, d) = 1 makes the pole orders pairwise distinct, so these monomials
@@ -146,14 +145,16 @@ def _principal_orders(curve: SuperellipticCurve, point: AffinePoint, max_k: int)
     lead is k.  Rows hold bare values over max_k + 2 columns: residues mod
     p, kept with lead 1, or over Q integer rows divided by their content, in
     the variable t/C of ``_series_root_powers``.  Scaling a row, or column
-    t^c by C^c, moves no lead.
+    t^c by C^c, moves no lead.  A ramified point (y = 0) has order d
+    (``order_of_ramified``), so its principal k are the multiples of d.
     """
-    if point.y.is_zero():
-        raise RamifiedPoint("use order_of_ramified for points with y = 0")
     if max_k < 1:
         raise BadParameters("max_k must be >= 1")
     if not curve.contains(point.x, point.y):
         raise BadParameters("point does not lie on the curve")
+    if point.y.is_zero():
+        yield from range(order_of_ramified(curve, point), max_k + 1, curve.d)
+        return
     n, d, ncols = curve.n, curve.d, max_k + 2
     p = curve.field.characteristic()
     powers, _ = _series_root_powers(curve.f, d, point.x, point.y, ncols)
@@ -204,8 +205,8 @@ def principality_profile(curve: SuperellipticCurve, point: AffinePoint, max_k: i
 
 def order_of_class(curve: SuperellipticCurve, point: AffinePoint,
                    max_k: int | None = None):
-    """Least k with k(P) - k(O) principal, i.e. the order of [P - O]; None if
-    it exceeds max_k (default 2*m0)."""
+    """Least k with k(P) - k(O) principal, i.e. the order of [P - O] (d when
+    y(P) = 0); None if it exceeds max_k (default 2*m0)."""
     if max_k is None:
         max_k = 2 * curve.params.m0
     return next(_principal_orders(curve, point, max_k), None)
@@ -265,8 +266,7 @@ def elliptic_order(curve: SuperellipticCurve, point, max_m: int):
 # Cantor backend (hyperelliptic y^2 = f, odd degree)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MumfordDivisor:
+class MumfordDivisor(NamedTuple):
     """Reduced divisor (u, v): u monic, deg v < deg u <= genus, u | v^2 - f."""
 
     u: Poly
@@ -288,8 +288,6 @@ class MumfordDivisor:
 
     @classmethod
     def from_point(cls, f: Poly, point):
-        if isinstance(point, AffinePoint):
-            point = (point.x, point.y)
         x0, y0 = point
         if y0 * y0 != f(x0):
             raise BadParameters("point does not lie on y^2 = f(x)")
@@ -337,10 +335,11 @@ def cantor_order(curve: SuperellipticCurve, divisor, max_m: int):
     if curve.d != 2:
         raise BadParameters("Cantor backend needs d = 2")
     f = curve.f
-    if isinstance(divisor, (AffinePoint, tuple)):
-        divisor = MumfordDivisor.from_point(f, divisor)
+    # a MumfordDivisor is a tuple too, so it is told apart first
+    if isinstance(divisor, MumfordDivisor):
+        divisor = MumfordDivisor.validated(f, *divisor)
     else:
-        divisor = MumfordDivisor.validated(f, divisor.u, divisor.v)
+        divisor = MumfordDivisor.from_point(f, divisor)
     acc = divisor
     for m in range(1, max_m + 1):
         if acc.is_identity():

@@ -12,7 +12,6 @@ splitting run in kernels on value lists (``_divmod_values`` and the like);
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from itertools import zip_longest
 from operator import add, mul, sub
 
@@ -24,6 +23,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     MathCheckError,
+    UnsupportedField,
     ZeroPolynomial,
 )
 from .fields import GF, Field, FieldElement
@@ -427,13 +427,14 @@ def roots_in_field(f: Poly):
     with x^p mod f taken by repeated squaring; that product is split by
     gcd((x+a)^((p-1)/2) - 1, .) for a = 0, 1, 2, ... in turn, so the result
     needs no randomness.  The roots come back in ascending order of residue.
-    Over Q: rational-root search.
+    Over Q it raises ``UnsupportedField``: a rational-root search by divisors
+    is exponential in bit size.
     """
     if f.is_zero():
         raise ZeroPolynomial("every point is a root of the zero polynomial")
     field = f.field
     if field.kind != "Fp":
-        return _rational_roots(f)
+        raise UnsupportedField("roots_in_field needs a prime field")
     if f.is_constant():
         return ()
     xp = _powmod_values(field, [0, 1], field.p, f.values) + [0, 0]
@@ -475,41 +476,6 @@ def _quadratic_roots(a: int, b: int, c: int, field):
     inv2a = pow(2 * a, -1, p)
     r1, r2 = (s.value - b) * inv2a % p, (-s.value - b) * inv2a % p
     return (r1,) if r1 == r2 else (r1, r2)
-
-
-def _rational_roots(f: Poly):
-    field = f.field
-    roots = []
-    # strip x^k to make the constant term nonzero
-    k = 0
-    while not f.values[k]:
-        k += 1
-    if k > 0:
-        roots.append(field.zero)
-        f = Poly._from_values(field, f.values[k:])
-    if f.is_constant():
-        return tuple(roots)
-    ints, _ = field.split(f.values)
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                x = field(cand)
-                if f(x).is_zero() and x not in roots:
-                    roots.append(x)
-    return tuple(roots)
-
-
-def _divisors(n: int):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 class TruncatedSeries:

@@ -27,9 +27,9 @@ infinite point); ``normalizing_lambdas`` lists them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, zip_longest
 from operator import mul
+from typing import NamedTuple
 
 from .curves import AffinePoint, SuperellipticCurve, torsion_params
 from .errors import (
@@ -54,8 +54,7 @@ from .poly import (Poly, _convolve, _quadratic_roots, _resultant_values, interpo
 # admissibility of (n, d) for two packets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(NamedTuple):
     """Necessary conditions for >= 2 packets of order-m0 points, valid over
     characteristic-0 base fields with slack >= 0 and m0 != n+1.  The case
     m0 = n+1 is exempt: it always carries two packets (see
@@ -143,8 +142,7 @@ def wronskian_pair_form(f1: Poly, f2: Poly, d: int, constant: FieldElement) -> P
     return (a1 * b2 - b1 * a2) * constant
 
 
-@dataclass(frozen=True)
-class WronskianAudit:
+class WronskianAudit(NamedTuple):
     degree: int
     lower: int
     upper: int
@@ -185,8 +183,7 @@ def build_H(I, C: FieldElement) -> Poly:
     return Poly._from_values(field, h)
 
 
-@dataclass(frozen=True)
-class _Packet:
+class _Packet(NamedTuple):
     """A validated (F_p, n, I, C) with ell0 = (n+1)/2, H_I, H_comp and
     C^ell0: everything about the packet shapes that does not depend on lam."""
 
@@ -290,8 +287,7 @@ def normalizing_lambdas(field, n: int, I, C):
 # the families themselves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PacketFamily:
+class PacketFamily(NamedTuple):
     """A verified two-packet hyperelliptic curve y^2 = f with
     f = A1 x^(n+1) - u^2 = A2 (x+1)^(n+1) - v^2."""
 
@@ -401,8 +397,7 @@ def build_two_packet_equal(field, n: int, I, lam, sign: str = "plus"):
     return _build(_packet(field, n, I, one), lam, one, one, sign, allow_twist=False)
 
 
-@dataclass(frozen=True)
-class PacketExample:
+class PacketExample(NamedTuple):
     """(x+1)^m0 - x^m0 with its two packet abscissas and the double
     representation data."""
 
@@ -580,8 +575,7 @@ def _candidate_lambdas(pk: _Packet):
 # moving two packet abscissas to 0 and -1
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShiftMap:
+class ShiftMap(NamedTuple):
     """x -> scale*x + offset on the base line, y -> y/y_scale on the cover;
     y_scale is a d-th root of scale^n, None when the base field has none, in
     which case only the x-side is available."""

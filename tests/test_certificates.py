@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -60,18 +59,18 @@ def test_verify_passes_and_tamper_fails():
     assert report.passed
     assert report.oracle_order == 4
     bad_f = cert.f + Poly.monomial(QQ, 1)
-    tampered = replace(cert, f=bad_f)
+    tampered = cert._replace(f=bad_f)
     bad_report = verify_certificate(tampered)
     assert not bad_report.passed
     names = {c.name: c.passed for c in bad_report.checks}
     assert not names["identity"]
     # P = (0, 1) is not on y^2 = f + 1, and f*(x + 1) has even degree 4, so
     # it defines no curve with d = 2: both fail entries, neither raises
-    off_curve = verify_certificate(replace(cert, f=cert.f + 1), run_oracle=True)
+    off_curve = verify_certificate(cert._replace(f=cert.f + 1), run_oracle=True)
     names = {c.name: c.passed for c in off_curve.checks}
     assert not names["vanishing_at_P"] and not names["oracle_order"]
     assert off_curve.oracle_order is None
-    no_curve = verify_certificate(replace(cert, f=cert.f * Poly(QQ, (1, 1))),
+    no_curve = verify_certificate(cert._replace(f=cert.f * Poly(QQ, (1, 1))),
                                   run_oracle=True)
     names = {c.name: c.passed for c in no_curve.checks}
     assert not names["squarefree"] and not names["oracle_order"]
@@ -275,13 +274,13 @@ def _tampered(cert, rng):
     field, a, m0 = cert.field, cert.a, cert.m0
     x_minus_a = Poly(field, (-a, field.one))
     unit = field(rng.randrange(1, 50))
-    out = [replace(cert, f=cert.v ** cert.d)]  # R = 0
+    out = [cert._replace(f=cert.v ** cert.d)]  # R = 0
     for k in range(m0 + 4):  # R = unit (x-a)^k
-        out.append(replace(cert, f=cert.v ** cert.d - unit * x_minus_a ** k))
-        out.append(replace(cert, f=cert.f + unit * x_minus_a ** k))
-    out.append(replace(cert, v=cert.v - cert.v(a)))  # v(a) = 0
-    out.append(replace(cert, v=cert.v + unit))
-    out.append(replace(cert, f=cert.f + Poly(field, [rng.randrange(-5, 6) for _ in range(3)])))
+        out.append(cert._replace(f=cert.v ** cert.d - unit * x_minus_a ** k))
+        out.append(cert._replace(f=cert.f + unit * x_minus_a ** k))
+    out.append(cert._replace(v=cert.v - cert.v(a)))  # v(a) = 0
+    out.append(cert._replace(v=cert.v + unit))
+    out.append(cert._replace(f=cert.f + Poly(field, [rng.randrange(-5, 6) for _ in range(3)])))
     return out
 
 

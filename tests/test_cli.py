@@ -94,6 +94,17 @@ def test_order_backends_agree_through_dispatch(capsys, point, max_k):
     assert results[0][0] == (EXIT_OK if max_k == "8" else EXIT_MATH_FAIL)
 
 
+@pytest.mark.parametrize("backend", ["rr", "cantor", "elliptic"])
+def test_order_of_a_ramified_point_is_2_on_every_backend(capsys, backend):
+    # y^2 = x^3 + 1 over F_13 has the 2-torsion points (4, 0), (10, 0), (12, 0)
+    curve = json.dumps({"d": 2, "field": {"kind": "Fp", "p": 13},
+                        "f": ["1", "0", "0", "1"]})
+    for x in ("4", "10", "12"):
+        code = dispatch(["order", "--curve", curve, "--point", f"{x},0",
+                         "--backend", backend])
+        assert (code, capsys.readouterr()) == (EXIT_OK, ('{"order": 2}\n', ""))
+
+
 @pytest.mark.parametrize("d,backend,message", [
     (3, "cantor", "Cantor backend needs d = 2"),
     (3, "elliptic", "elliptic backend needs d = 2 and deg f = 3"),

@@ -89,3 +89,16 @@ def test_bench_spans_wrap_and_restore_src(capsys):
     assert trace.calls["cli.dispatch"] == 1 and trace.calls["twopacket.build"] > 0
     assert counter.count > 0
     assert (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__) == originals
+
+
+def test_cli_import_generates_no_dataclass_code():
+    # dataclasses generates each record's methods at import and pulls in
+    # inspect; together they were about a quarter of the CLI's cold start.
+    # -S keeps site hooks from loading either module first.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, supertorsion.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -19,7 +19,7 @@ from supertorsion import (
     principality_profile,
     rr_basis,
 )
-from supertorsion.errors import BadParameters, NotRamified, RamifiedPoint
+from supertorsion.errors import BadParameters, NotRamified
 from supertorsion.orders import left_kernel_vector
 
 
@@ -75,11 +75,14 @@ def test_order_of_class_cross_characteristic():
         assert order_of_class(cubic, cubic.point(0, 1), 12) == 6
 
 
-def test_order_of_class_rejects_ramified():
+def test_order_of_class_answers_d_on_ramified():
     curve = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 2, 3, 2)))
     ram = curve.point(-1, 0)
-    with pytest.raises(RamifiedPoint):
-        order_of_class(curve, ram, 8)
+    assert order_of_class(curve, ram, 8) == order_of_ramified(curve, ram) == 2
+    assert order_of_class(curve, ram, 1) is None
+    assert principality_profile(curve, ram, 7) == [2, 4, 6]
+    cubic = SuperellipticCurve(GF(13), 3, Poly(GF(13), (-1, 0, 0, 0, 1)))  # x^4 - 1
+    assert order_of_class(cubic, cubic.point(1, 0)) == 3
 
 
 def test_order_of_ramified():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as strat
 from supertorsion import GF, QQ, Poly, TruncatedSeries, is_squarefree, poly_gcd, \
     roots_in_field, series_dth_root
 from supertorsion.errors import BadInitialValue, BadParameters, BothZero, \
-    DivisionByZero, ZeroPolynomial
+    DivisionByZero, UnsupportedField, ZeroPolynomial
 from supertorsion.poly import NEG_INF, _GOOD_FIELDS, InseparableWarning, interpolate, \
     resultant
 
@@ -120,16 +120,23 @@ def test_roots_examples():
     F5 = GF(5)
     roots = roots_in_field(Poly(F5, (-4, 0, 1)))
     assert {r.value for r in roots} == {2, 3}
-    f = Poly(QQ, (1, 4, 6, 4))
-    roots = roots_in_field(f)
-    assert [r.value for r in roots] == [QQ("-1/2").value]
-    assert f(QQ("-1/2")).is_zero()
-    assert roots_in_field(Poly(QQ, (1, 0, 1))) == ()
+    F7 = GF(7)
+    f = Poly(F7, (1, 4, 6, 4))  # (2x + 1)(2x^2 + 2x + 1), discriminant -4 a non-square
+    assert [r.value for r in roots_in_field(f)] == [3]
+    assert roots_in_field(Poly(F5, (2, 0, 1))) == ()
 
 
 def test_roots_with_zero_root_and_scaling():
-    f = Poly(QQ, (0, 0, -1, 2))  # x^2 (2x - 1)
-    assert {r.value for r in roots_in_field(f)} == {0, QQ("1/2").value}
+    F7 = GF(7)
+    f = Poly(F7, (0, 0, -1, 2))  # x^2 (2x - 1)
+    assert [r.value for r in roots_in_field(f)] == [0, 4]
+
+
+def test_roots_in_field_over_q_is_unsupported():
+    # a rational-root search by divisors is exponential in bit size
+    for f in (Poly(QQ, (1, 4, 6, 4)), Poly(QQ, (0, 0, -1, 2)), Poly(QQ, (1, 0, 1))):
+        with pytest.raises(UnsupportedField):
+            roots_in_field(f)
 
 
 def test_reverse():
