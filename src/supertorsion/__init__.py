@@ -54,6 +54,7 @@ from .poly import NEG_INF, Poly, TruncatedSeries, is_squarefree, poly_gcd, \
 from .twopacket import (
     AdmissibilityVerdict,
     PacketFamily,
+    TwoPacket,
     bad_lambda_members,
     bad_lambda_set,
     build_H,
@@ -62,10 +63,10 @@ from .twopacket import (
     confirmed_bad_lambdas,
     example_m0_equals_nplus1,
     fermat_identity_check,
-    normalizing_lambdas,
     packet_polynomial,
     packet_wronskian_triple,
     shift_points_to_0_minus1,
+    two_packet,
     two_packet_admissible,
     wronskian3,
     wronskian_degree_audit,

@@ -34,7 +34,8 @@ from .twopacket import (
     build_two_packet_equal,
     build_two_packet_general,
     confirmed_bad_lambdas,
-    normalizing_lambdas,
+    ratio_root,
+    two_packet,
     two_packet_admissible,
 )
 
@@ -197,11 +198,10 @@ def _cmd_order(args) -> int:
     coords = args.point.split(",")
     if len(coords) != 2:
         raise UsageError("point must be x,y")
-    point = curve.point(*(serialize.elem_from_str(curve.field, c.strip()) for c in coords))
+    point = [serialize.elem_from_str(curve.field, c.strip()) for c in coords]
     max_k = 2 * curve.params.m0 if args.max_k is None else args.max_k
-    if max_k < 1:
-        raise UsageError("max_k must be >= 1")
-    # built per call, so a rebound module-level name (as in a layer trace) is used
+    # the oracle checks the point, then max_k, then that it applies; the dict
+    # is built per call, so a rebound module-level name (as in a layer trace) is used
     oracle = {"rr": order_of_class, "cantor": cantor_order,
               "elliptic": elliptic_order}[args.backend]
     order = oracle(curve, point, max_k)
@@ -235,9 +235,9 @@ def _cmd_two_packet(args) -> int:
         raise UsageError(f"two-packet {args.action} needs --I")
     if args.action == "bad-lambdas":
         I = _parse_subset(field, args.n, args.I)
-        C = serialize.elem_from_str(field, args.C if args.C is not None else "1")
-        bad = bad_lambda_set(field, args.n, I, C)
-        confirmed = confirmed_bad_lambdas(field, args.n, I, C)
+        pk = two_packet(field, args.n, I,
+                        serialize.elem_from_str(field, args.C if args.C is not None else "1"))
+        bad, confirmed = bad_lambda_set(pk), confirmed_bad_lambdas(pk)
         _emit({"candidate_bad": sorted(x.value for x in bad),
                "confirmed_bad": sorted(x.value for x in confirmed),
                "contained": confirmed <= bad})
@@ -249,23 +249,24 @@ def _cmd_two_packet(args) -> int:
         lam = serialize.elem_from_str(field, getattr(args, "lambda"))
         try:
             if args.equal:
-                fam = build_two_packet_equal(field, args.n, I, lam, sign=args.sign)
+                fam = build_two_packet_equal(two_packet(field, args.n, I, field.one), lam,
+                                             sign=args.sign)
             else:
                 if args.A1 is None or args.A2 is None:
                     raise UsageError("two-packet build needs --A1/--A2 or --equal")
                 C = None if args.C is None else serialize.elem_from_str(field, args.C)
-                fam = build_two_packet_general(
-                    field, args.n, I, lam,
-                    serialize.elem_from_str(field, args.A1),
-                    serialize.elem_from_str(field, args.A2), C=C, sign=args.sign)
+                A1 = serialize.elem_from_str(field, args.A1)
+                A2 = serialize.elem_from_str(field, args.A2)
+                pk = two_packet(field, args.n, I, ratio_root(args.n, A1, A2) if C is None else C)
+                fam = build_two_packet_general(pk, lam, A1, A2, sign=args.sign)
         except (NotSquarefree, DegreeNotNormalized) as e:
             _emit({"error": type(e).__name__, "detail": str(e)})
             return EXIT_MATH_FAIL
         _emit(serialize.packet_family_to_json(fam))
         return EXIT_OK
-    # sweep: every subset over the requested C values.  Any lambda outside
-    # normalizing_lambdas leaves deg f = n + 1 and raises DegreeNotNormalized,
-    # so only those (at most four, ascending) are tried.
+    # sweep: one packet per subset and requested C.  A lambda that does not
+    # normalize it leaves deg f = n + 1 and raises DegreeNotNormalized, so
+    # only the normalizing ones (at most four, ascending) are tried.
     from itertools import combinations
     mu = field.roots_of_unity(args.n + 1)
     ell0 = (args.n + 1) // 2
@@ -274,15 +275,15 @@ def _cmd_two_packet(args) -> int:
     built = 0
     for C in cs:
         for I in combinations(mu, ell0):
-            lams = sorted(normalizing_lambdas(field, args.n, I, C), key=lambda lam: lam.value)
-            bad = bad_lambda_members(field, args.n, I, C, lams)
+            pk = two_packet(field, args.n, I, C)
+            lams = sorted(pk.normalizing_lambdas(), key=lambda lam: lam.value)
+            bad = bad_lambda_members(pk, lams)
             for lam in lams:
                 try:
                     if C == field.one:
-                        fam = build_two_packet_equal(field, args.n, I, lam)
+                        fam = build_two_packet_equal(pk, lam)
                     else:
-                        fam = build_two_packet_general(
-                            field, args.n, I, lam, C ** (args.n + 1), field.one, C=C)
+                        fam = build_two_packet_general(pk, lam, C ** (args.n + 1), field.one)
                 except SupertorsionError:
                     continue
                 doc = serialize.packet_family_to_json(fam)

@@ -81,7 +81,7 @@ def check_order_structure(fam: EllipticFourFamily) -> OrderStructureReport:
     curve, q0, q2 = fam.curve(), fam.q0, fam.q2
     order_q0 = elliptic_order(curve, q0, 8)
     order_q2 = elliptic_order(curve, q2, 8)
-    doubled = elliptic_add(fam.f, q0, q0)
+    doubled = elliptic_add(curve, q0, q0)
     doubling_ok = doubled == q2
     # tangent slope at Q0 is f'(0)/2 = B1, and Q2 lies on y = B1 x + 1
     slope = fam.f.derivative()(fam.field.zero) / fam.field(2)

@@ -131,10 +131,6 @@ class NoRootOfUnityStructure(UsageError):
     pass
 
 
-class NoSquareRoot(UsageError):
-    pass
-
-
 class DegreeNotNormalized(MathCheckError):
     """The chosen lambda does not normalize the leading term, so the packet
     polynomial has degree n+1 and defines no curve in this framework."""

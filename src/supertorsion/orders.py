@@ -2,7 +2,8 @@
 
 Three backends, each called as ``backend(curve, point, max_k)`` on a
 ``SuperellipticCurve``, whose constructor is the only validity gate (for
-d = 2 it leaves odd n >= 3, char != 2 and a squarefree f):
+d = 2 it leaves odd n >= 3, char != 2 and a squarefree f).  Each checks the
+point once, by ``curve.point``, then max_k >= 1, then that it applies:
 
 * ``order_of_class`` -- works for any d: find the least k such that some
   function with pole divisor <= k*O vanishes at P to order >= k.  Such a
@@ -15,9 +16,10 @@ d = 2 it leaves odd n >= 3, char != 2 and a squarefree f):
 * ``cantor_order``  -- Mumford representation plus composition/reduction
   (Cantor, Math. Comp. 48, 1987); needs d = 2.
 
-The group-law primitives ``elliptic_add``, ``cantor_add`` and
-``MumfordDivisor`` take f itself.  All backends are pure and deterministic;
-they are meant to cross-check each other and the certificate constructions.
+The group-law primitives ``elliptic_add`` and ``cantor_add`` take the curve
+too, and trust the points and divisors they are given.  All backends are
+pure and deterministic; they are meant to cross-check each other and the
+certificate constructions.
 """
 
 from __future__ import annotations
@@ -148,12 +150,8 @@ def _principal_orders(curve: SuperellipticCurve, point: AffinePoint, max_k: int)
     t^c by C^c, moves no lead.  A ramified point (y = 0) has order d
     (``order_of_ramified``), so its principal k are the multiples of d.
     """
-    if max_k < 1:
-        raise BadParameters("max_k must be >= 1")
-    if not curve.contains(point.x, point.y):
-        raise BadParameters("point does not lie on the curve")
     if point.y.is_zero():
-        yield from range(order_of_ramified(curve, point), max_k + 1, curve.d)
+        yield from range(curve.d, max_k + 1, curve.d)
         return
     n, d, ncols = curve.n, curve.d, max_k + 2
     p = curve.field.characteristic()
@@ -198,27 +196,40 @@ def _content_free(row):
     return [v // g for v in row] if g > 1 else row
 
 
-def principality_profile(curve: SuperellipticCurve, point: AffinePoint, max_k: int):
+def _check_max_k(max_k: int):
+    if max_k < 1:
+        raise BadParameters("max_k must be >= 1")
+
+
+def principality_profile(curve: SuperellipticCurve, point, max_k: int):
     """[k in 1..max_k for which k(P) - k(O) is a principal divisor]."""
+    point = curve.point(*point)
+    _check_max_k(max_k)
     return list(_principal_orders(curve, point, max_k))
 
 
-def order_of_class(curve: SuperellipticCurve, point: AffinePoint,
-                   max_k: int | None = None):
+def order_of_class(curve: SuperellipticCurve, point, max_k: int | None = None):
     """Least k with k(P) - k(O) principal, i.e. the order of [P - O] (d when
-    y(P) = 0); None if it exceeds max_k (default 2*m0)."""
+    y(P) = 0); None if it exceeds max_k (default 2*m0).  The engine runs to
+    min(max_k, 2*m0) first and doubles that bound up to max_k while it finds
+    no order, so a small order costs the same whatever max_k is."""
+    point = curve.point(*point)
     if max_k is None:
         max_k = 2 * curve.params.m0
-    return next(_principal_orders(curve, point, max_k), None)
+    _check_max_k(max_k)
+    bound = min(max_k, 2 * curve.params.m0)
+    while True:
+        order = next(_principal_orders(curve, point, bound), None)
+        if order is not None or bound == max_k:
+            return order
+        bound = min(2 * bound, max_k)
 
 
-def order_of_ramified(curve: SuperellipticCurve, point: AffinePoint) -> int:
+def order_of_ramified(curve: SuperellipticCurve, point) -> int:
     """Points with y = 0 have class order exactly d: x - x(P) has divisor
     d(P) - d(O) because f is squarefree at x(P)."""
-    if not point.y.is_zero():
+    if not curve.point(*point).y.is_zero():
         raise NotRamified("point has y != 0")
-    if not curve.f(point.x).is_zero():
-        raise NotRamified("x(P) is not a root of f")
     return curve.d
 
 
@@ -226,13 +237,13 @@ def order_of_ramified(curve: SuperellipticCurve, point: AffinePoint) -> int:
 # elliptic backend (y^2 = general cubic, one point at infinity)
 # ---------------------------------------------------------------------------
 
-def elliptic_add(f: Poly, P, Q):
+def elliptic_add(curve: SuperellipticCurve, P, Q):
     """Chord/tangent addition on y^2 = f(x) (deg 3); None encodes O."""
     if P is None:
         return Q
     if Q is None:
         return P
-    field = f.field
+    f, field = curve.f, curve.field
     x1, y1 = P
     x2, y2 = Q
     if x1 == x2 and (y1 + y2).is_zero():
@@ -247,18 +258,18 @@ def elliptic_add(f: Poly, P, Q):
     return (x3, y3)
 
 
-def elliptic_order(curve: SuperellipticCurve, point, max_m: int):
-    """Least m <= max_m with m*P = O under the chord/tangent law on
+def elliptic_order(curve: SuperellipticCurve, point, max_k: int):
+    """Least k <= max_k with k*P = O under the chord/tangent law on
     y^2 = f, deg f = 3; else None."""
+    point = curve.point(*point)
+    _check_max_k(max_k)
     if (curve.d, curve.n) != (2, 3):
         raise BadParameters("elliptic backend needs d = 2 and deg f = 3")
-    if not curve.contains(*point):
-        raise BadParameters("point does not lie on the curve")
     acc = point
-    for m in range(1, max_m + 1):
+    for k in range(1, max_k + 1):
         if acc is None:
-            return m
-        acc = elliptic_add(curve.f, acc, point)
+            return k
+        acc = elliptic_add(curve, acc, point)
     return None
 
 
@@ -273,12 +284,12 @@ class MumfordDivisor(NamedTuple):
     v: Poly
 
     @classmethod
-    def validated(cls, f: Poly, u: Poly, v: Poly):
-        if u.is_zero() or u.leading != f.field.one:
+    def validated(cls, curve: SuperellipticCurve, u: Poly, v: Poly):
+        if u.is_zero() or u.leading != curve.field.one:
             raise BadParameters("u must be monic")
         if not v.is_zero() and v.degree >= u.degree:
             raise BadParameters("need deg v < deg u")
-        if not ((v * v - f) % u).is_zero():
+        if not ((v * v - curve.f) % u).is_zero():
             raise BadParameters("v^2 != f mod u")
         return cls(u=u, v=v)
 
@@ -287,13 +298,9 @@ class MumfordDivisor(NamedTuple):
         return cls(u=Poly.one(field), v=Poly.zero(field))
 
     @classmethod
-    def from_point(cls, f: Poly, point):
-        x0, y0 = point
-        if y0 * y0 != f(x0):
-            raise BadParameters("point does not lie on y^2 = f(x)")
-        u = Poly(f.field, (-x0, f.field.one))
-        v = Poly(f.field, (y0,))
-        return cls(u=u, v=v)
+    def from_point(cls, curve: SuperellipticCurve, point):
+        x0, y0 = curve.point(*point)
+        return cls(u=Poly(curve.field, (-x0, curve.field.one)), v=Poly(curve.field, (y0,)))
 
     def is_identity(self):
         return self.u.degree == 0
@@ -319,30 +326,31 @@ def _cantor_reduce(f: Poly, g: int, u: Poly, v: Poly):
     return u, v % u if not u.is_constant() else Poly.zero(f.field)
 
 
-def cantor_add(f: Poly, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-    g = (f.degree - 1) // 2
+def cantor_add(curve: SuperellipticCurve, D1: MumfordDivisor,
+               D2: MumfordDivisor) -> MumfordDivisor:
+    f = curve.f
     u, v = _cantor_compose(f, D1, D2)
-    u, v = _cantor_reduce(f, g, u, v)
+    u, v = _cantor_reduce(f, (curve.n - 1) // 2, u, v)
     return MumfordDivisor(u=u, v=v)
 
 
-def cantor_order(curve: SuperellipticCurve, divisor, max_m: int):
-    """Least m <= max_m with m*[D] = 0 on Jac(y^2 = f); else None.  D is a
+def cantor_order(curve: SuperellipticCurve, divisor, max_k: int):
+    """Least k <= max_k with k*[D] = 0 on Jac(y^2 = f); else None.  D is a
     point or a ``MumfordDivisor``.
 
     f need not be monic: with deg f = 2g + 1 the reduced divisor of a class
     is still unique, and neither composition nor reduction uses lc(f)."""
-    if curve.d != 2:
-        raise BadParameters("Cantor backend needs d = 2")
-    f = curve.f
     # a MumfordDivisor is a tuple too, so it is told apart first
     if isinstance(divisor, MumfordDivisor):
-        divisor = MumfordDivisor.validated(f, *divisor)
+        divisor = MumfordDivisor.validated(curve, *divisor)
     else:
-        divisor = MumfordDivisor.from_point(f, divisor)
+        divisor = MumfordDivisor.from_point(curve, divisor)
+    _check_max_k(max_k)
+    if curve.d != 2:
+        raise BadParameters("Cantor backend needs d = 2")
     acc = divisor
-    for m in range(1, max_m + 1):
+    for k in range(1, max_k + 1):
         if acc.is_identity():
-            return m
-        acc = cantor_add(f, acc, divisor)
+            return k
+        acc = cantor_add(curve, acc, divisor)
     return None

@@ -15,6 +15,9 @@ which leads to the one-parameter shapes
     ut = (lam*H_I - (1/lam)*H_comp) / (2 C^ell0)        ("plus" sign; the
                                                          "minus" sign negates ut)
 
+``two_packet`` checks (F_p, n, I, C) once into a ``TwoPacket``, which every
+other two-packet entry point takes as its first argument.
+
 Only finitely many lam make x^(n+1) - ut^2 non-squarefree; ``bad_lambda_set``
 assembles that exclusion set from the multiple-root analysis, and
 ``confirmed_bad_lambdas`` recomputes it independently: an exact squarefree
@@ -22,7 +25,7 @@ test of each lam that a discriminant in lam^2 leaves as a candidate, or of
 every unit when p is too small for that discriminant.  Separately, only the
 lam for which ut has leading coefficient +-1 give the polynomial degree n
 (anything else leaves degree n+1, which defines no curve with a single
-infinite point); ``normalizing_lambdas`` lists them.
+infinite point); ``TwoPacket.normalizing_lambdas`` lists them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .errors import (
     LinearlyDependent,
     NonvanishingViolation,
     NoRootOfUnityStructure,
-    NoSquareRoot,
     NotSquarefree,
     SameAbscissa,
     UnsupportedField,
@@ -183,7 +185,7 @@ def build_H(I, C: FieldElement) -> Poly:
     return Poly._from_values(field, h)
 
 
-class _Packet(NamedTuple):
+class TwoPacket(NamedTuple):
     """A validated (F_p, n, I, C) with ell0 = (n+1)/2, H_I, H_comp and
     C^ell0: everything about the packet shapes that does not depend on lam."""
 
@@ -198,6 +200,8 @@ class _Packet(NamedTuple):
 
     def shapes(self, lam, sign: str = "plus"):
         """(ut, vt) for a nonzero lam; ut is negated for the "minus" sign."""
+        if sign not in ("plus", "minus"):
+            raise BadParameters("sign must be 'plus' or 'minus'")
         lam = self.field(lam)
         if lam.is_zero():
             raise ZeroParameter("lambda must be nonzero")
@@ -220,10 +224,13 @@ class _Packet(NamedTuple):
         return tuple(out)
 
 
-def _packet(field, n: int, I, C) -> _Packet:
+def two_packet(field, n: int, I, C) -> TwoPacket:
     """Check (field, n, I, C) and build their packet; field may be given as
     a prime p."""
-    field = _as_prime_field(field)
+    if isinstance(field, int):
+        field = PrimeField(field)
+    elif not isinstance(field, PrimeField):
+        raise UnsupportedField("packet constructions live over prime fields")
     if n % 2 != 1 or n < 3:
         raise BadParameters("d = 2 needs odd n >= 3")
     if field.p == 2 or (n + 1) % field.p == 0:
@@ -242,45 +249,15 @@ def _packet(field, n: int, I, C) -> _Packet:
     if len(I) != ell0:
         raise BadParameters(f"|I| = {len(I)}, expected ell0 = {ell0}")
     comp = tuple(e for e in mu if e not in I)
-    return _Packet(field, n, ell0, I, C, build_H(I, C), build_H(comp, C), C ** ell0)
+    return TwoPacket(field, n, ell0, I, C, build_H(I, C), build_H(comp, C), C ** ell0)
 
 
-def _as_prime_field(field):
-    if isinstance(field, int):
-        return PrimeField(field)
-    if isinstance(field, PrimeField):
-        return field
-    raise UnsupportedField("packet constructions live over prime fields")
-
-
-def _check_sign(sign):
-    if sign not in ("plus", "minus"):
-        raise BadParameters("sign must be 'plus' or 'minus'")
-
-
-def packet_parts(field, n: int, I, lam, C, sign: str = "plus"):
-    """(ut, vt) for the given subset and lambda.
-
-    vt = (lam*H_I + (1/lam)*H_comp)/2 always;
-    ut = +-(lam*H_I - (1/lam)*H_comp)/(2 C^ell0) with the sign chosen by
-    ``sign`` in {"plus", "minus"}.
-    """
-    _check_sign(sign)
-    return _packet(field, n, I, C).shapes(lam, sign)
-
-
-def packet_polynomial(field, n: int, I, lam, C, sign: str = "plus") -> Poly:
+def packet_polynomial(pk: TwoPacket, lam, sign: str = "plus") -> Poly:
     """x^(n+1) - ut^2: degree n exactly when lam normalizes the leading term,
     degree n+1 otherwise.  Squarefreeness of this polynomial is what the bad
     lambda analysis controls."""
-    ut, _ = packet_parts(field, n, I, lam, C, sign)
-    return Poly.monomial(ut.field, n + 1) - ut * ut
-
-
-def normalizing_lambdas(field, n: int, I, C):
-    """The lam with leading(ut) = +-1, i.e. the only lam for which
-    x^(n+1) - ut^2 has degree n.  At most four values."""
-    return _packet(field, n, I, C).normalizing_lambdas()
+    ut, _ = pk.shapes(lam, sign)
+    return Poly.monomial(pk.field, pk.n + 1) - ut * ut
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +298,11 @@ class PacketFamily(NamedTuple):
         return tuple(pts)
 
 
-def _build(pk: _Packet, lam, A1, A2, sign: str, allow_twist: bool) -> PacketFamily:
+def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
     """The family u = B1*ut, v = B2*vt of one packet and lam, for square
     roots B1, B2 of A1, A2 (all four are 1 in the equal case).  When a root
-    is missing, ``allow_twist`` falls back to the normalized model
-    f = x^(n+1) - ut^2 (A1 = 1, A2 = C^-(n+1)), whose roots always exist."""
+    is missing, it falls back to the normalized model f = x^(n+1) - ut^2
+    (A1 = 1, A2 = C^-(n+1)), whose roots always exist."""
     field, n, one = pk.field, pk.n, pk.field.one
     lam = field(lam)
     ut, vt = pk.shapes(lam, sign)
@@ -333,8 +310,6 @@ def _build(pk: _Packet, lam, A1, A2, sign: str, allow_twist: bool) -> PacketFami
     if (A1, A2) != (one, one):
         B1, B2 = field.nth_root(A1, 2), field.nth_root(A2, 2)
         if B1 is None or B2 is None:
-            if not allow_twist:
-                raise NoSquareRoot(f"A1 or A2 has no square root in F_{field.p}")
             cl_inv = pk.cl.inverse()
             A1, A2, B1, B2, twisted = one, cl_inv * cl_inv, one, cl_inv, True
     u, v = B1 * ut, B2 * vt
@@ -353,48 +328,46 @@ def _build(pk: _Packet, lam, A1, A2, sign: str, allow_twist: bool) -> PacketFami
                         sign=sign, twisted=twisted)
 
 
-def build_two_packet_general(field, n: int, I, lam, A1, A2, C=None,
-                             sign: str = "plus", allow_twist: bool = True):
-    """Unequal case A1 != A2: C is an (n+1)-th root of A1/A2 (passed in or
-    found deterministically), u = B1*ut and v = B2*vt for square roots
-    B1, B2 of A1, A2.
-
-    When a square root is missing, ``allow_twist`` falls back to the
-    normalized model f = x^(n+1) - ut^2 (A1 = 1, A2 = C^-(n+1)), whose roots
-    always exist; the result is flagged ``twisted``.
-    """
-    field = _as_prime_field(field)
-    A1, A2 = field(A1), field(A2)
+def _amplitude_ratio(A1: FieldElement, A2: FieldElement) -> FieldElement:
     if A1.is_zero() or A2.is_zero():
         raise ZeroParameter("A1 and A2 must be nonzero")
     if A1 == A2:
         raise BadParameters("equal A1 = A2 is the C = 1 case; use "
                             "build_two_packet_equal")
-    ratio = A1 / A2
+    return A1 / A2
+
+
+def ratio_root(n: int, A1: FieldElement, A2: FieldElement) -> FieldElement:
+    """A C for the unequal case A1 != A2: the (n+1)-th root of A1/A2 that
+    ``nth_root`` finds."""
+    ratio = _amplitude_ratio(A1, A2)
+    field = ratio.field
+    C = field.nth_root(ratio, n + 1)
     if C is None:
-        C = field.nth_root(ratio, n + 1)
-        if C is None:
-            raise NoRootOfUnityStructure(
-                f"A1/A2 = {ratio!r} has no (n+1)-th root in F_{field.p}")
-    else:
-        C = field(C)
-        if C ** (n + 1) != ratio:
-            raise BadParameters("C^(n+1) != A1/A2")
-    _check_sign(sign)
-    return _build(_packet(field, n, I, C), lam, A1, A2, sign, allow_twist)
+        raise NoRootOfUnityStructure(f"A1/A2 = {ratio!r} has no (n+1)-th root in F_{field.p}")
+    return C
 
 
-def build_two_packet_equal(field, n: int, I, lam, sign: str = "plus"):
-    """Equal case A1 = A2 = 1, C = 1: one of H_I, H_comp drops to degree
-    ell0 - 1 through the eps = 1 factor.  lam = +-1 is excluded up front
-    (those always give a degenerate polynomial)."""
-    field = _as_prime_field(field)
-    lam = field(lam)
-    if lam == field.one or lam == -field.one:
+def build_two_packet_general(pk: TwoPacket, lam, A1, A2, sign: str = "plus"):
+    """Unequal case A1 != A2 on a packet whose C is an (n+1)-th root of A1/A2
+    (``ratio_root`` finds one): u = B1*ut and v = B2*vt for square roots
+    B1, B2 of A1, A2.  When a root is missing, the result is the normalized
+    model, flagged ``twisted``."""
+    A1, A2 = pk.field(A1), pk.field(A2)
+    if pk.C ** (pk.n + 1) != _amplitude_ratio(A1, A2):
+        raise BadParameters("C^(n+1) != A1/A2")
+    return _build(pk, lam, A1, A2, sign)
+
+
+def build_two_packet_equal(pk: TwoPacket, lam, sign: str = "plus"):
+    """Equal case A1 = A2 = 1 on a packet with C = 1: one of H_I, H_comp
+    drops to degree ell0 - 1 through the eps = 1 factor.  lam = +-1 is
+    excluded up front (those always give a degenerate polynomial)."""
+    one = pk.field.one
+    lam = pk.field(lam)
+    if lam == one or lam == -one:
         raise BadParameters("lambda = +-1 is excluded in the equal case")
-    _check_sign(sign)
-    one = field.one
-    return _build(_packet(field, n, I, one), lam, one, one, sign, allow_twist=False)
+    return _build(pk, lam, one, one, sign)
 
 
 class PacketExample(NamedTuple):
@@ -448,7 +421,7 @@ def nonvanishing_bracket(h: Poly, ell0: int) -> Poly:
     return field(ell0) * h - Poly.x(field) * h.derivative()
 
 
-def bad_lambda_set(field, n: int, I, C) -> frozenset:
+def bad_lambda_set(pk: TwoPacket) -> frozenset:
     """Every lambda for which x^(n+1) - ut^2 may acquire a multiple root.
 
     Assembled from the multiple-root analysis of the factorization
@@ -467,7 +440,6 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
     ``confirmed_bad_lambdas``.  When the eliminant vanishes identically the
     analysis localizes nothing and every abscissa is scanned.
     """
-    pk = _packet(field, n, I, C)
     sieve, field, ell0 = _sieve(pk), pk.field, pk.ell0
     p, cl, bad = field.p, pk.cl.value, {1, field.p - 1}
     for x0 in range(p) if sieve is None else (r.value for r in roots_in_field(sieve)):
@@ -478,23 +450,22 @@ def bad_lambda_set(field, n: int, I, C) -> frozenset:
     return frozenset(field(lam) for lam in bad | {p - lam for lam in bad})
 
 
-def bad_lambda_members(field, n: int, I, C, lams) -> frozenset:
-    """The lams in ``bad_lambda_set(field, n, I, C)``, found in polylog(p)
-    without building that set.  Apart from +-1, a lam != 0 is in it iff
+def bad_lambda_members(pk: TwoPacket, lams) -> frozenset:
+    """The lams in ``bad_lambda_set(pk)``, found in polylog(p) without
+    building that set.  Apart from +-1, a lam != 0 is in it iff
     R = Q(x, lam) Q(x, -lam) = (lam^2 H_I - H_comp)^2 - 4 C^(2 ell0) lam^2 x^(n+1),
     nonzero at x = 0, has a root in F_p that the analysis draws lambdas from."""
-    pk = _packet(field, n, I, C)
     sieve, field, out = _sieve(pk), pk.field, set()
     for lam in map(field, lams):
         w = pk.hi * (lam * lam) - pk.hc
-        r = w * w - Poly.monomial(field, n + 1, 4 * (pk.cl * lam) ** 2)
+        r = w * w - Poly.monomial(field, pk.n + 1, 4 * (pk.cl * lam) ** 2)
         if lam == 1 or lam == -1 or (lam and roots_in_field(
                 r if sieve is None else poly_gcd(r, sieve))):
             out.add(lam)
     return frozenset(out)
 
 
-def _sieve(pk: _Packet):
+def _sieve(pk: TwoPacket):
     """S whose roots are the abscissas the bad lambda analysis draws lambdas
     from, or None when the eliminant vanishes identically and every abscissa
     is."""
@@ -509,7 +480,7 @@ def _sieve(pk: _Packet):
     return None if eliminant.is_zero() else eliminant * bi * bc
 
 
-def confirmed_bad_lambdas(field, n: int, I, C) -> frozenset:
+def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:
     """The lambda for which x^(n+1) - ut^2 actually fails squarefreeness
     (the zero polynomial counts as failing), as the independent check of
     ``bad_lambda_set``.
@@ -519,7 +490,7 @@ def confirmed_bad_lambdas(field, n: int, I, C) -> frozenset:
     G(mu, x) = 4 C^(n+1) mu x^(n+1) - (mu H_I - H_comp)^2 equals
     4 C^(n+1) lam^2 (x^(n+1) - ut^2).  Its x^(n+1) coefficient,
     4 C^(n+1) mu - (mu a - b)^2 with a, b the x^ell0 coefficients of H_I and
-    H_comp, vanishes at mu = lam^2 exactly for the ``normalizing_lambdas``.
+    H_comp, vanishes at mu = lam^2 exactly for the normalizing lambdas.
     For any other lam, G(lam^2, x) has degree n+1 and, as p does not divide
     n+1, its x-derivative has degree n, so it is squarefree iff
     D(lam^2) = Res_x(G, dG/dx) is nonzero.  The Sylvester matrix of D has
@@ -531,10 +502,9 @@ def confirmed_bad_lambdas(field, n: int, I, C) -> frozenset:
     2(4n+2) + 4.  When p leaves fewer than 4n+3 such mu (p below about
     4n+6), or D vanishes identically, every unit is tested.
 
-    H_I and H_comp are built once; the sign of ut does not matter, since ut
-    and -ut give the same polynomial."""
-    pk = _packet(field, n, I, C)
-    top = Poly.monomial(pk.field, n + 1)
+    The sign of ut does not matter, since ut and -ut give the same
+    polynomial."""
+    top = Poly.monomial(pk.field, pk.n + 1)
     out = set()
     for lam in _candidate_lambdas(pk):
         ut, _ = pk.shapes(lam)
@@ -544,7 +514,7 @@ def confirmed_bad_lambdas(field, n: int, I, C) -> frozenset:
     return frozenset(out)
 
 
-def _candidate_lambdas(pk: _Packet):
+def _candidate_lambdas(pk: TwoPacket):
     """The units ``confirmed_bad_lambdas`` tests: the roots in lam of
     D(lam^2) and the normalizing lambdas, or every unit as the fallback."""
     field, n, hi, hc = pk.field, pk.n, pk.hi, pk.hc

@@ -43,6 +43,7 @@ from supertorsion import (
     rr_basis,
     to_kubert,
     torsion_params,
+    two_packet,
     two_packet_admissible,
     wronskian3,
     wronskian_degree_audit,
@@ -90,7 +91,7 @@ def test_criterion_2_slack1_equals_elliptic_family():
         q0 = (QQ(0), QQ(1))
         assert elliptic_order(curve, q0, 8) == 4
         q2 = (-B1.inverse(), QQ(0))
-        assert elliptic_add(cert.f, q0, q0) == q2
+        assert elliptic_add(curve, q0, q0) == q2
         assert elliptic_order(curve, q2, 8) == 2
         assert order_of_ramified(curve, curve.point(*q2)) == 2
         checked += 1
@@ -192,9 +193,10 @@ def _sweep_two_packet(field, n, C_values):
     degree_skipped = 0
     for C in C_values:
         for I in combinations(mu, ell0):
-            bad = bad_lambda_set(field, n, I, C)
+            pk = two_packet(field, n, I, C)
+            bad = bad_lambda_set(pk)
             for lam in field.units():
-                fpoly = packet_polynomial(field, n, I, lam, C)
+                fpoly = packet_polynomial(pk, lam)
                 if lam not in bad:
                     outside_checked += 1
                     assert not fpoly.is_zero() and is_squarefree(fpoly), \
@@ -203,10 +205,9 @@ def _sweep_two_packet(field, n, C_values):
                     if C == field.one:
                         if lam == field.one or lam == -field.one:
                             continue
-                        fam = build_two_packet_equal(field, n, I, lam)
+                        fam = build_two_packet_equal(pk, lam)
                     else:
-                        fam = build_two_packet_general(
-                            field, n, I, lam, C ** (n + 1), field.one, C=C)
+                        fam = build_two_packet_general(pk, lam, C ** (n + 1), field.one)
                 except DegreeNotNormalized:
                     degree_skipped += 1
                     continue
@@ -257,8 +258,8 @@ def test_criterion_6_bad_lambda_completeness():
                              if F(c) ** 4 != F.one]
         for C in c_values:
             for I in combinations(mu, 2):
-                bad = bad_lambda_set(F, 3, I, C)
-                confirmed = confirmed_bad_lambdas(F, 3, I, C)
+                pk = two_packet(F, 3, I, C)
+                bad, confirmed = bad_lambda_set(pk), confirmed_bad_lambdas(pk)
                 total += len(confirmed)
                 contained += len(confirmed & bad)
     ratio = contained / total if total else 1.0

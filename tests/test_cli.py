@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from supertorsion import orders
+from supertorsion import SuperellipticCurve, cli, orders, twopacket
 from supertorsion.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, dispatch
 from supertorsion.errors import PrecisionExhausted
 
@@ -103,6 +103,62 @@ def test_order_of_a_ramified_point_is_2_on_every_backend(capsys, backend):
         code = dispatch(["order", "--curve", curve, "--point", f"{x},0",
                          "--backend", backend])
         assert (code, capsys.readouterr()) == (EXIT_OK, ('{"order": 2}\n', ""))
+
+
+@pytest.mark.parametrize("backend", ["rr", "cantor", "elliptic"])
+def test_order_checks_its_point_once(capsys, monkeypatch, backend):
+    calls = []
+    point = SuperellipticCurve.point
+
+    def counting(curve, x, y):
+        calls.append((x, y))
+        return point(curve, x, y)
+
+    monkeypatch.setattr(SuperellipticCurve, "point", counting)
+    f13 = json.dumps({"d": 2, "field": {"kind": "Fp", "p": 13}, "f": ["1", "0", "0", "1"]})
+    # on y^2 = x^3 + 7 over F_101, (6, 18) has order 17: rr runs three passes
+    f101 = json.dumps({"d": 2, "field": {"kind": "Fp", "p": 101}, "f": ["7", "0", "0", "1"]})
+    for curve, xy, max_k in ((f13, "0,1", "8"), (f13, "12,0", "8"), (f13, "2,3", "5"),
+                             (f13, "0,2", "8"), (f13, "0,1", "0"), (f101, "6,18", "100")):
+        calls.clear()
+        capsys.readouterr()
+        code = dispatch(["order", "--curve", curve, "--point", xy, "--max-k", max_k,
+                         "--backend", backend])
+        assert len(calls) == 1, (xy, max_k)
+    assert (code, capsys.readouterr().out) == (EXIT_OK, '{"order": 17}\n')
+
+
+def _count_packets(monkeypatch):
+    calls = []
+    build = twopacket.two_packet
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "two_packet", counting)
+    monkeypatch.setattr(twopacket, "two_packet", counting)
+    return calls
+
+
+def test_two_packet_commands_build_one_packet_per_subset_and_c(capsys, monkeypatch):
+    calls = _count_packets(monkeypatch)
+    for I in ("0,1", "0,2", "1,3"):
+        for C in ("1", "2"):
+            calls.clear()
+            assert dispatch(["two-packet", "bad-lambdas", "--p", "29", "--n", "3",
+                             "--I", I, "--C", C]) == EXIT_OK
+            assert len(calls) == 1
+    for extra in (["--equal"], ["--A1", "16", "--A2", "1"]):
+        calls.clear()
+        dispatch(["two-packet", "build", "--p", "13", "--n", "3", "--I", "0,1",
+                  "--lambda", "6"] + extra)
+        assert len(calls) == 1
+    calls.clear()
+    assert dispatch(["two-packet", "sweep", "--p", "13", "--n", "3", "--C", "1,2,3"]) == EXIT_OK
+    # one packet for each of the 6 subsets and 3 values of C
+    assert len(calls) == len({(tuple(I), C) for _, _, I, C in calls}) == 18
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("d,backend,message", [
@@ -290,20 +346,20 @@ def reference_sweep_lines(p, n, cs):
     from itertools import combinations
 
     from supertorsion import (GF, bad_lambda_set, build_two_packet_equal,
-                              build_two_packet_general, serialize)
+                              build_two_packet_general, serialize, two_packet)
     from supertorsion.errors import SupertorsionError
     field = GF(p)
     lines = []
     for C in map(field, cs):
         for I in combinations(field.roots_of_unity(n + 1), (n + 1) // 2):
-            bad = bad_lambda_set(field, n, I, C)
+            pk = two_packet(field, n, I, C)
+            bad = bad_lambda_set(pk)
             for lam in field.units():
                 try:
                     if C == field.one:
-                        fam = build_two_packet_equal(field, n, I, lam)
+                        fam = build_two_packet_equal(pk, lam)
                     else:
-                        fam = build_two_packet_general(
-                            field, n, I, lam, C ** (n + 1), field.one, C=C)
+                        fam = build_two_packet_general(pk, lam, C ** (n + 1), field.one)
                 except SupertorsionError:
                     continue
                 doc = serialize.packet_family_to_json(fam)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from supertorsion import orders
 from supertorsion import (
     GF,
     QQ,
@@ -19,7 +20,7 @@ from supertorsion import (
     principality_profile,
     rr_basis,
 )
-from supertorsion.errors import BadParameters, NotRamified
+from supertorsion.errors import BadParameters, NotOnCurve, NotRamified
 from supertorsion.orders import left_kernel_vector
 
 
@@ -102,11 +103,12 @@ def test_principality_profile_is_multiples_of_order():
 
 def test_elliptic_order_examples():
     f = Poly(QQ, (1, 1, 2)) * Poly(QQ, (1, 1))  # (2x^2 + x + 1)(x + 1)
-    assert elliptic_order(SuperellipticCurve(QQ, 2, f), (QQ(0), QQ(1)), 8) == 4
-    doubled = elliptic_add(f, (QQ(0), QQ(1)), (QQ(0), QQ(1)))
+    curve = SuperellipticCurve(QQ, 2, f)
+    assert elliptic_order(curve, (QQ(0), QQ(1)), 8) == 4
+    doubled = elliptic_add(curve, (QQ(0), QQ(1)), (QQ(0), QQ(1)))
     assert doubled == (QQ(-1), QQ(0))
     # the order-2 point doubles to infinity
-    assert elliptic_add(f, doubled, doubled) is None
+    assert elliptic_add(curve, doubled, doubled) is None
 
 
 def test_elliptic_order_f5_reduction():
@@ -124,7 +126,7 @@ def test_curve_rejects_singular_cubic():
 
 def test_elliptic_rejects_point_off_the_curve():
     curve = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 2, 3, 2)))
-    with pytest.raises(BadParameters, match="does not lie"):
+    with pytest.raises(NotOnCurve, match=r"y\^2 != f\(x\) at \(0, 2\)"):
         elliptic_order(curve, (QQ(0), QQ(2)), 8)
 
 
@@ -169,14 +171,14 @@ def test_cantor_on_genus_two_packet_instance():
 
 def test_cantor_add_group_laws():
     F = GF(13)
-    f = Poly(F, (10, 6, 4, 11, 5, 5))
-    D = MumfordDivisor.from_point(f, (F(0), F(6)))
-    E = MumfordDivisor.from_point(f, (F(12), F(6)))
-    left = cantor_add(f, cantor_add(f, D, E), D)
-    right = cantor_add(f, D, cantor_add(f, E, D))
+    curve = SuperellipticCurve(F, 2, Poly(F, (10, 6, 4, 11, 5, 5)))
+    D = MumfordDivisor.from_point(curve, (F(0), F(6)))
+    E = MumfordDivisor.from_point(curve, (F(12), F(6)))
+    left = cantor_add(curve, cantor_add(curve, D, E), D)
+    right = cantor_add(curve, D, cantor_add(curve, E, D))
     assert left == right
     ident = MumfordDivisor.identity(F)
-    assert cantor_add(f, D, ident) == D
+    assert cantor_add(curve, D, ident) == D
 
 
 def test_cantor_nonmonic_agrees_with_rr():
@@ -188,25 +190,27 @@ def test_cantor_nonmonic_agrees_with_rr():
 
 
 def _monic_model(f, divisor):
-    """y^2 = f and D carried to the monic model by (x, y) -> (c x, c^g y),
-    c = lc(f): the route by which Cantor's algorithm can insist on monic f."""
+    """The curve y^2 = f and D carried to the monic model by
+    (x, y) -> (c x, c^g y), c = lc(f): the route by which Cantor's algorithm
+    can insist on monic f."""
     field, c, n = f.field, f.leading, f.degree
     cg, r = c ** ((n - 1) // 2), divisor.u.degree
     F = Poly(field, [f[i] * c ** (n - 1 - i) for i in range(n + 1)])
     U = Poly(field, [divisor.u[i] * c ** (r - i) for i in range(r + 1)])
     V = Poly(field, [divisor.v[i] * cg / c ** i for i in range(divisor.v.degree + 1)]) \
         if not divisor.v.is_zero() else Poly.zero(field)
-    return F, MumfordDivisor.validated(F, U, V)
+    monic = SuperellipticCurve(field, 2, F)
+    return monic, MumfordDivisor.validated(monic, U, V)
 
 
-def reference_cantor_order(f, divisor, max_m):
+def reference_cantor_order(f, divisor, max_k):
     """cantor_order computed on the monic model of y^2 = f."""
-    F, D = _monic_model(f, divisor)
+    monic, D = _monic_model(f, divisor)
     acc = D
-    for m in range(1, max_m + 1):
+    for k in range(1, max_k + 1):
         if acc.is_identity():
-            return m
-        acc = cantor_add(F, acc, D)
+            return k
+        acc = cantor_add(monic, acc, D)
     return None
 
 
@@ -227,16 +231,90 @@ def test_cantor_on_nonmonic_f_matches_the_monic_model_and_rr():
         points = [pt for x0 in rng.sample(range(p), 3) for pt in curve.points_above(F(x0))]
         if not points:
             continue
-        max_m = 24
+        max_k = 24
         for pt in points:
-            D = MumfordDivisor.from_point(f, pt)
-            order = cantor_order(curve, pt, max_m)
-            assert order == reference_cantor_order(f, D, max_m), (f, pt)
+            D = MumfordDivisor.from_point(curve, pt)
+            order = cantor_order(curve, pt, max_k)
+            assert order == reference_cantor_order(f, D, max_k), (f, pt)
             if not pt.y.is_zero():
-                assert order == order_of_class(curve, pt, max_m), (f, pt)
+                assert order == order_of_class(curve, pt, max_k), (f, pt)
             seen.add(order)
-        E = cantor_add(f, MumfordDivisor.from_point(f, points[0]),
-                       MumfordDivisor.from_point(f, points[-1]))
-        assert cantor_order(curve, E, max_m) == reference_cantor_order(f, E, max_m)
+        E = cantor_add(curve, MumfordDivisor.from_point(curve, points[0]),
+                       MumfordDivisor.from_point(curve, points[-1]))
+        assert cantor_order(curve, E, max_k) == reference_cantor_order(f, E, max_k)
         checked += 1
     assert None in seen and 2 in seen and len(seen) > 6, seen
+
+
+def test_every_oracle_rejects_max_k_below_one():
+    curve = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 2, 3, 2)))
+    for oracle in (order_of_class, cantor_order, elliptic_order, principality_profile):
+        for max_k in (0, -3):
+            with pytest.raises(BadParameters, match=r"^max_k must be >= 1$"):
+                oracle(curve, (QQ(0), QQ(1)), max_k)
+    with pytest.raises(BadParameters, match="max_k"):
+        cantor_order(curve, MumfordDivisor.identity(QQ), 0)
+
+
+def test_oracles_check_point_then_max_k_then_applicability():
+    F = GF(13)
+    genus2 = SuperellipticCurve(F, 2, Poly(F, (10, 6, 4, 11, 5, 5)))
+    d3 = SuperellipticCurve(F, 3, Poly(F, (12, 0, 0, 0, 1)))
+    for curve, oracle, on, off in ((genus2, elliptic_order, (9, 2), (9, 3)),
+                                   (d3, elliptic_order, (4, 2), (4, 3)),
+                                   (d3, cantor_order, (4, 2), (4, 3))):
+        with pytest.raises(NotOnCurve):
+            oracle(curve, off, 0)
+        with pytest.raises(BadParameters, match="max_k"):
+            oracle(curve, on, 0)
+        with pytest.raises(BadParameters, match="backend needs"):
+            oracle(curve, on, 1)
+
+
+def test_point_entries_reject_points_off_the_curve():
+    curve = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 2, 3, 2)))
+    with pytest.raises(NotOnCurve):
+        order_of_ramified(curve, (QQ(1), QQ(0)))  # y = 0 but f(1) = 8
+    with pytest.raises(NotOnCurve):
+        MumfordDivisor.from_point(curve, (QQ(0), QQ(2)))
+    for oracle in (order_of_class, principality_profile, cantor_order):
+        with pytest.raises(NotOnCurve):
+            oracle(curve, (QQ(0), QQ(2)), 8)
+
+
+def _record_precisions(monkeypatch, limit=None):
+    precisions = []
+
+    def recording(f, d, a, b, precision):
+        precisions.append(precision)
+        assert limit is None or precision <= limit, precisions
+        return series_root_powers(f, d, a, b, precision)
+
+    series_root_powers = orders._series_root_powers
+    monkeypatch.setattr(orders, "_series_root_powers", recording)
+    return precisions
+
+
+def test_rr_precision_does_not_grow_with_max_k(monkeypatch):
+    # y^2 = x^3 + 1 over F_13, m0 = 4: (0, 1) has order 3
+    F = GF(13)
+    curve = SuperellipticCurve(F, 2, Poly(F, (1, 0, 0, 1)))
+    precisions = _record_precisions(monkeypatch, limit=2 * curve.params.m0 + 2)
+    assert order_of_class(curve, (F(0), F(1)), 10 ** 5) == 3
+    assert precisions
+
+
+def test_rr_doubles_its_bound_only_while_no_order_is_found(monkeypatch):
+    # y^2 = x^3 + 7 over F_101, m0 = 4: (6, 18) has order 17 > 2*m0
+    precisions = _record_precisions(monkeypatch)
+    F = GF(101)
+    curve = SuperellipticCurve(F, 2, Poly(F, (7, 0, 0, 1)))
+    assert order_of_class(curve, (F(6), F(18)), 100) == 17 == elliptic_order(
+        curve, (F(6), F(18)), 100)
+    assert precisions == [10, 18, 34]
+    precisions.clear()
+    assert order_of_class(curve, (F(6), F(18)), 12) is None
+    assert precisions == [10, 14]
+    precisions.clear()
+    assert order_of_class(curve, (F(6), F(18))) is None  # default max_k = 2*m0
+    assert precisions == [10]

@@ -22,18 +22,18 @@ from supertorsion import (
     rr_basis,
     shift_points_to_0_minus1,
     torsion_params,
+    two_packet,
     two_packet_admissible,
     verify_certificate,
     wronskian_degree_audit,
 )
-from supertorsion.twopacket import _packet
 
 F13 = GF(13)
 CURVE = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 2, 3, 2)))  # (0, 1) has order 4
 
 
 def _family():
-    return build_two_packet_equal(F13, 3, tuple(F13.roots_of_unity(4)[:2]), F13(6))
+    return build_two_packet_equal(two_packet(F13, 3, tuple(F13.roots_of_unity(4)[:2]), 1), F13(6))
 
 
 def _slack1():
@@ -60,11 +60,11 @@ BUILDERS = {
     "KubertCurve": lambda: kubert_curve(QQ(1)),
     "PointMap": lambda: from_kubert(QQ(1))[1],
     "RiemannRochBasis": lambda: rr_basis(3, 2, 8),
-    "MumfordDivisor": lambda: MumfordDivisor.from_point(CURVE.f, CURVE.point(0, 1)),
+    "MumfordDivisor": lambda: MumfordDivisor.from_point(CURVE, CURVE.point(0, 1)),
     "AdmissibilityVerdict": lambda: two_packet_admissible(4, 3),
     "WronskianAudit": lambda: wronskian_degree_audit(
         Poly(QQ, (1, 0, 1)), Poly(QQ, (0, 1, 1)), Poly(QQ, (1, 1, 1)), 3, 2),
-    "_Packet": lambda: _packet(13, 3, tuple(F13.roots_of_unity(4)[:2]), 1),
+    "TwoPacket": lambda: two_packet(13, 3, tuple(F13.roots_of_unity(4)[:2]), 1),
     "PacketFamily": _family,
     "PacketExample": lambda: example_m0_equals_nplus1(QQ, 3, 2),
     "ShiftMap": _shift_map,
@@ -106,7 +106,7 @@ def test_cantor_order_of_a_mumford_divisor_matches_its_point():
     for curve, x, y, order in ((CURVE, 0, 1, 4), (CURVE, -1, 0, 2),
                                (SuperellipticCurve(F13, 2, Poly(F13, (1, 0, 0, 1))), 2, 3, 6)):
         point = curve.point(x, y)
-        divisor = MumfordDivisor.from_point(curve.f, point)
+        divisor = MumfordDivisor.from_point(curve, point)
         assert cantor_order(curve, divisor, 8) == cantor_order(curve, point, 8) == order
         assert cantor_order(curve, tuple(point), 8) == order
 

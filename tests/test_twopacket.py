@@ -20,11 +20,11 @@ from supertorsion import (
     example_m0_equals_nplus1,
     fermat_identity_check,
     is_squarefree,
-    normalizing_lambdas,
     order_of_class,
     packet_polynomial,
     packet_wronskian_triple,
     shift_points_to_0_minus1,
+    two_packet,
     two_packet_admissible,
     wronskian3,
     wronskian_degree_audit,
@@ -38,10 +38,12 @@ from supertorsion.errors import (
     NotSquarefree,
     SameAbscissa,
     UnsupportedField,
+    UsageError,
+    ZeroParameter,
 )
 from supertorsion.twopacket import (
     nonvanishing_bracket,
-    packet_parts,
+    ratio_root,
     wronskian_pair_form,
 )
 
@@ -144,17 +146,16 @@ def test_cyclotomic_product_splits_into_packet_parts():
         assert full == binomial
         cl = C ** 2
         for lam in (3, 6, 7, 10):
-            ut, vt = packet_parts(F, 3, I, F(lam), C)
+            ut, vt = two_packet(F, 3, I, C).shapes(F(lam))
             assert (vt + cl * ut) * (vt - cl * ut) == full
 
 
 def test_equal_case_build_and_orders():
     F = GF(13)
     mu4 = F.roots_of_unity(4)
-    I = (mu4[0], mu4[1])
-    lams = normalizing_lambdas(F, 3, I, F(1))
-    assert sorted(l.value for l in lams) == [6, 7]
-    fam = build_two_packet_equal(F, 3, I, F(6))
+    pk = two_packet(F, 3, (mu4[0], mu4[1]), F(1))
+    assert sorted(l.value for l in pk.normalizing_lambdas()) == [6, 7]
+    fam = build_two_packet_equal(pk, F(6))
     assert fam.f.degree == 3
     # double representation holds by construction; recheck explicitly
     assert fam.f == fam.A1 * Poly.monomial(F, 4) - fam.u * fam.u
@@ -169,16 +170,17 @@ def test_equal_case_build_and_orders():
 def test_equal_case_rejects_unit_lambdas():
     F = GF(13)
     mu4 = F.roots_of_unity(4)
+    pk = two_packet(F, 3, (mu4[0], mu4[1]), 1)
     with pytest.raises(BadParameters):
-        build_two_packet_equal(F, 3, (mu4[0], mu4[1]), F(1))
+        build_two_packet_equal(pk, F(1))
     with pytest.raises(BadParameters):
-        build_two_packet_equal(F, 3, (mu4[0], mu4[1]), F(12))
+        build_two_packet_equal(pk, F(12))
 
 
 def test_equal_case_degree_split():
     F = GF(13)
     mu4 = F.roots_of_unity(4)
-    fam = build_two_packet_equal(F, 3, (mu4[0], mu4[1]), F(6))
+    fam = build_two_packet_equal(two_packet(F, 3, (mu4[0], mu4[1]), 1), F(6))
     vt, ut = fam.v, fam.u  # B1 = B2 = 1 here
     assert {(vt - ut).degree, (vt + ut).degree} == {2, 1}
 
@@ -195,30 +197,48 @@ def test_equal_case_H_degree_split(n, p):
 
 
 def test_entry_points_take_a_prime_or_its_field():
+    # two_packet is the one entry point that takes the field; the others take
+    # its packet and give the same answer whichever way the field was named
     F = GF(13)
     mu = F.roots_of_unity(4)
     I = (mu[0], mu[1])
+    with pytest.raises(UnsupportedField):
+        two_packet(QQ, 3, I, 2)
     calls = (
-        lambda field: normalizing_lambdas(field, 3, I, 2),
-        lambda field: packet_parts(field, 3, I, 6, 2),
-        lambda field: packet_polynomial(field, 3, I, 6, 2, "minus"),
-        lambda field: bad_lambda_set(field, 3, I, 2),
-        lambda field: bad_lambda_members(field, 3, I, 2, range(13)),
-        lambda field: confirmed_bad_lambdas(field, 3, I, 2),
-        lambda field: build_two_packet_equal(field, 3, I, 6),
-        lambda field: build_two_packet_general(field, 3, I, 2, 3, 1, C=2),
+        lambda pk: pk.normalizing_lambdas(),
+        lambda pk: pk.shapes(6),
+        lambda pk: packet_polynomial(pk, 6, "minus"),
+        lambda pk: bad_lambda_set(pk),
+        lambda pk: bad_lambda_members(pk, range(13)),
+        lambda pk: confirmed_bad_lambdas(pk),
+        lambda pk: build_two_packet_general(pk, 2, 3, 1),
     )
+    assert two_packet(13, 3, I, 2) == two_packet(F, 3, I, 2)
     for call in calls:
-        assert call(13) == call(F)
-        with pytest.raises(UnsupportedField):
-            call(QQ)
+        assert call(two_packet(13, 3, I, 2)) == call(two_packet(F, 3, I, 2))
+    assert build_two_packet_equal(two_packet(13, 3, I, 1), 6) == \
+        build_two_packet_equal(two_packet(F, 3, I, 1), 6)
+
+
+def test_two_packet_validates_its_inputs():
+    F = GF(13)
+    mu = F.roots_of_unity(4)
+    for n, I, C, error in ((4, mu[:2], 1, "odd n"), (3, mu[:2], 0, "C must be nonzero"),
+                           (3, (F(2), mu[1]), 1, r"not an \(n\+1\)-th root"),
+                           (3, (mu[0], mu[0]), 1, "repeated"), (3, mu[:1], 1, "expected ell0")):
+        with pytest.raises(UsageError, match=error):
+            two_packet(F, n, I, C)
+    with pytest.raises(BadParameters, match="need p odd"):
+        two_packet(GF(3), 5, (), 1)
+    with pytest.raises(BadParameters, match="sign"):
+        two_packet(F, 3, mu[:2], 1).shapes(6, "up")
 
 
 def test_general_case_build_and_twist():
     F = GF(13)
     mu4 = F.roots_of_unity(4)
     I = (mu4[0], mu4[1])
-    fam = build_two_packet_general(F, 3, I, F(2), F(3), F(1), C=F(2))
+    fam = build_two_packet_general(two_packet(F, 3, I, F(2)), F(2), F(3), F(1))
     assert not fam.twisted
     assert fam.B1 * fam.B1 == fam.A1 and fam.B2 * fam.B2 == fam.A2
     for pt in fam.packet_points():
@@ -233,9 +253,10 @@ def test_general_case_build_and_twist():
     assert F29.nth_root(A1, 2) is None and F29.nth_root(A2, 2) is None
     fam2 = None
     for J in combinations(mu, 2):
-        for lam in normalizing_lambdas(F29, 3, J, C29):
+        pk = two_packet(F29, 3, J, C29)
+        for lam in pk.normalizing_lambdas():
             try:
-                fam2 = build_two_packet_general(F29, 3, J, lam, A1, A2, C=C29)
+                fam2 = build_two_packet_general(pk, lam, A1, A2)
                 break
             except NotSquarefree:
                 continue
@@ -248,9 +269,21 @@ def test_general_case_build_and_twist():
 
 def test_general_case_requires_root_of_unity_structure():
     F = GF(5)
-    mu4 = F.roots_of_unity(4)
     with pytest.raises(NoRootOfUnityStructure):
-        build_two_packet_general(F, 3, (mu4[0], mu4[1]), F(2), F(4), F(1))
+        ratio_root(3, F(4), F(1))
+
+
+def test_general_case_checks_its_amplitudes():
+    F = GF(13)
+    pk = two_packet(F, 3, tuple(F.roots_of_unity(4)[:2]), 2)  # C^4 = 3
+    assert ratio_root(3, F(3), F(1)) ** 4 == F(3)
+    for A1, A2, error in ((0, 1, ZeroParameter), (1, 0, ZeroParameter), (5, 5, BadParameters)):
+        with pytest.raises(error):
+            ratio_root(3, F(A1), F(A2))
+        with pytest.raises(error):
+            build_two_packet_general(pk, 2, F(A1), F(A2))
+    with pytest.raises(BadParameters, match=r"C\^\(n\+1\) != A1/A2"):
+        build_two_packet_general(pk, 2, F(4), F(1))
 
 
 def test_degree_breaking_lambda_raises():
@@ -258,7 +291,7 @@ def test_degree_breaking_lambda_raises():
     mu4 = F.roots_of_unity(4)
     I = (mu4[0], mu4[1])
     with pytest.raises(DegreeNotNormalized) as err:
-        build_two_packet_equal(F, 3, I, F(3))
+        build_two_packet_equal(two_packet(F, 3, I, 1), F(3))
     assert err.value.polynomial.degree == 4
 
 
@@ -268,11 +301,11 @@ def test_confirmed_bad_lambda_raises_not_squarefree():
     F = GF(13)
     mu4 = F.roots_of_unity(4)
     I = (mu4[0], mu4[1])
-    f = packet_polynomial(F, 3, I, F(5), F(1))
-    from supertorsion import is_squarefree
+    pk = two_packet(F, 3, I, F(1))
+    f = packet_polynomial(pk, F(5))
     assert f.is_zero() or not is_squarefree(f)
     with pytest.raises((NotSquarefree, DegreeNotNormalized)):
-        build_two_packet_equal(F, 3, I, F(5))
+        build_two_packet_equal(pk, F(5))
 
 
 def test_bad_lambda_set_contains_units_and_confirmed():
@@ -280,17 +313,16 @@ def test_bad_lambda_set_contains_units_and_confirmed():
     mu4 = F.roots_of_unity(4)
     for I in combinations(mu4, 2):
         for c_val in (1, 2):
-            C = F(c_val)
-            bad = bad_lambda_set(F, 3, I, C)
+            pk = two_packet(F, 3, I, F(c_val))
+            bad = bad_lambda_set(pk)
             assert F(1) in bad and F(12) in bad
-            confirmed = confirmed_bad_lambdas(F, 3, I, C)
-            assert confirmed <= bad
+            assert confirmed_bad_lambdas(pk) <= bad
 
 
 def test_bad_lambda_set_closed_under_negation():
     F = GF(29)
     mu4 = F.roots_of_unity(4)
-    bad = bad_lambda_set(F, 3, (mu4[0], mu4[2]), F(1))
+    bad = bad_lambda_set(two_packet(F, 3, (mu4[0], mu4[2]), F(1)))
     assert {-x for x in bad} == set(bad)
 
 
@@ -302,9 +334,10 @@ def test_bad_lambda_members_matches_bad_lambda_set(n, primes):
         F = GF(p)
         for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
             for C in sorted({1, 2, p - 1}):
-                assert bad_lambda_members(F, n, I, F(C), F.units()) == \
-                    bad_lambda_set(F, n, I, F(C)), (p, I, C)
-    assert bad_lambda_members(GF(13), 3, GF(13).roots_of_unity(4)[:2], 1, [0]) == frozenset()
+                pk = two_packet(F, n, I, F(C))
+                assert bad_lambda_members(pk, F.units()) == bad_lambda_set(pk), (p, I, C)
+    assert bad_lambda_members(two_packet(13, 3, GF(13).roots_of_unity(4)[:2], 1), [0]) == \
+        frozenset()
 
 
 def test_nonvanishing_bracket():
@@ -323,7 +356,7 @@ def test_nonvanishing_bracket():
 def test_packet_wronskian_triple_identities():
     F = GF(13)
     mu4 = F.roots_of_unity(4)
-    fam = build_two_packet_equal(F, 3, (mu4[0], mu4[1]), F(6))
+    fam = build_two_packet_equal(two_packet(F, 3, (mu4[0], mu4[1]), 1), F(6))
     f1, f2, f3 = packet_wronskian_triple(fam)
     ok, val = fermat_identity_check(f1, f2, f3, 2)
     assert ok and val == fam.A1
@@ -388,7 +421,7 @@ def test_example_m0_nplus1_needs_m0_eq_nplus1():
 
 def test_shift_points_identity():
     F = GF(13)
-    fam = build_two_packet_equal(F, 3, tuple(F.roots_of_unity(4)[:2]), F(6))
+    fam = build_two_packet_equal(two_packet(F, 3, tuple(F.roots_of_unity(4)[:2]), 1), F(6))
     curve = fam.curve()
     pts = fam.packet_points()
     p0 = next(p for p in pts if p.x.is_zero())
@@ -422,11 +455,11 @@ def test_shift_points_same_abscissa():
         shift_points_to_0_minus1(curve, p, q)
 
 
-def reference_confirmed_bad_lambdas(F, n, I, C):
+def reference_confirmed_bad_lambdas(pk):
     """The exhaustive loop through packet_polynomial, one lambda at a time."""
     out = set()
-    for lam in F.units():
-        f = packet_polynomial(F, n, I, lam, C)
+    for lam in pk.field.units():
+        f = packet_polynomial(pk, lam)
         if f.is_zero() or not is_squarefree(f):
             out.add(lam)
     return frozenset(out)
@@ -445,16 +478,16 @@ def test_confirmed_bad_lambdas_matches_packet_polynomial_loop(n, max_p):
         F = GF(p)
         for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
             for C in sorted({1, 2, p - 1}):
-                assert confirmed_bad_lambdas(F, n, I, F(C)) == \
-                    reference_confirmed_bad_lambdas(F, n, I, F(C)), (p, I, C)
+                pk = two_packet(F, n, I, F(C))
+                assert confirmed_bad_lambdas(pk) == reference_confirmed_bad_lambdas(pk), \
+                    (p, I, C)
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_confirmed_bad_lambdas_matches_loop_at_2017(n):
     F = GF(2017)
-    I = tuple(F.roots_of_unity(n + 1)[:(n + 1) // 2])
-    assert confirmed_bad_lambdas(F, n, I, F(2)) == \
-        reference_confirmed_bad_lambdas(F, n, I, F(2))
+    pk = two_packet(F, n, F.roots_of_unity(n + 1)[:(n + 1) // 2], F(2))
+    assert confirmed_bad_lambdas(pk) == reference_confirmed_bad_lambdas(pk)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -469,7 +502,7 @@ def test_confirmed_bad_lambdas_tests_few_lambdas(n, monkeypatch):
 
     monkeypatch.setattr(twopacket, "is_squarefree", counting)
     F = GF(10009)
-    I = tuple(F.roots_of_unity(n + 1)[:(n + 1) // 2])
-    confirmed = confirmed_bad_lambdas(F, n, I, F(1))
+    pk = two_packet(F, n, F.roots_of_unity(n + 1)[:(n + 1) // 2], 1)
+    confirmed = confirmed_bad_lambdas(pk)
     assert len(calls) <= 2 * (4 * n + 2) + 4
     assert {F(1), F(-1)} <= confirmed
