@@ -8,6 +8,7 @@ check failed, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -386,17 +387,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first dispatch, not at import; parse_args keeps no state
+    return build_parser()
+
+
 def dispatch(argv) -> int:
     global _manifest
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     _manifest = RunManifest(
         command=args.command,
         parameters={k: v for k, v in sorted(vars(args).items())
-                    if k not in ("func", "manifest") and v is not None})
+                    if k not in ("func", "manifest") and v is not None}
+    ) if args.manifest else None
     try:
         with warnings.catch_warnings():
             # a warning's cause reaches stderr as the error it leads to

@@ -340,14 +340,16 @@ def cantor_order(curve: SuperellipticCurve, divisor, max_k: int):
 
     f need not be monic: with deg f = 2g + 1 the reduced divisor of a class
     is still unique, and neither composition nor reduction uses lc(f)."""
-    # a MumfordDivisor is a tuple too, so it is told apart first
-    if isinstance(divisor, MumfordDivisor):
-        divisor = MumfordDivisor.validated(curve, *divisor)
-    else:
+    # a MumfordDivisor is a tuple too, so it is told apart first; as a (u, v)
+    # for y^2 = f it is checked only once d = 2 is known
+    given = isinstance(divisor, MumfordDivisor)
+    if not given:
         divisor = MumfordDivisor.from_point(curve, divisor)
     _check_max_k(max_k)
     if curve.d != 2:
         raise BadParameters("Cantor backend needs d = 2")
+    if given:
+        divisor = MumfordDivisor.validated(curve, *divisor)
     acc = divisor
     for k in range(1, max_k + 1):
         if acc.is_identity():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +319,78 @@ def test_manifest_counts_verify_checks(tmp_path, capsys):
     assert code == EXIT_OK
     doc = json.loads(path.read_text())
     assert doc["checks_passed"] >= 5 and doc["checks_failed"] == 0
+
+
+def test_manifest_is_built_only_on_request(tmp_path, capsys, monkeypatch):
+    recorded = []
+    monkeypatch.setattr(cli.RunManifest, "record",
+                        lambda self, doc: recorded.append(doc))
+    for argv in (["family", "slack0", "--n", "4", "--d", "3"],
+                 ["reachability", "--n", "4", "--d", "3", "--m", "6"],
+                 ["two-packet", "sweep", "--p", "13", "--n", "3"]):
+        assert dispatch(argv) == EXIT_OK
+    assert recorded == []
+    path = tmp_path / "m.json"
+    assert dispatch(["--manifest", str(path), "family", "slack0",
+                     "--n", "4", "--d", "3"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(recorded) == 1 and path.exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# runs the JSON list of commands on stdin through one process's dispatch and
+# prints [exit code, stdout, stderr] for each
+IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from supertorsion.cli import dispatch
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_one_process_answers_like_fresh_processes(tmp_path):
+    # dispatch reuses one parser: no call may leave state for the next
+    from supertorsion import QQ, family_slack1, serialize
+    cert = json.dumps(serialize.certificate_to_json(
+        family_slack1(3, 2, QQ(1), QQ(1))[0]))
+    curve = json.dumps({"d": 2, "field": {"kind": "Q"}, "f": ["1", "2", "3", "2"]})
+    order = ["order", "--curve", curve]
+
+    def commands(manifest):
+        return [
+            ["--help"],
+            ["nonsense"],
+            ["reachability", "--d", "3", "--m", "6"],
+            order + ["--point", "0,1", "--backend", "bogus"],
+            order + ["--point", "0"],
+            order + ["--point", "0,1", "--max-k", "3"],
+            ["--manifest", str(manifest), "verify", "--oracle", "--cert", cert],
+            ["verify", "--oracle", "--cert", cert],
+            order + ["--point", "0,1", "--backend", "cantor"],
+            ["family", "slack0", "--n", "4", "--d", "3", "--field", "F13"],
+            ["reachability", "--n", "4", "--d", "3", "--m", "6"],
+            ["two-packet", "sweep", "--p", "13", "--n", "3"],
+            ["order", "--help"],
+        ]
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    fresh = []
+    for argv in commands(tmp_path / "fresh.json"):
+        run = subprocess.run([sys.executable, "-m", "supertorsion", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        fresh.append([run.returncode, run.stdout, run.stderr])
+    one = subprocess.run([sys.executable, "-c", IN_ONE_PROCESS], env=env,
+                         input=json.dumps(commands(tmp_path / "one.json")),
+                         capture_output=True, text=True, timeout=120)
+    assert one.returncode == 0, one.stderr
+    assert json.loads(one.stdout) == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
 def test_determinism_byte_identical(capsys):

@@ -4,6 +4,7 @@ library; and every name the traced benchmark wraps still exists."""
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -102,3 +103,41 @@ def test_cli_import_generates_no_dataclass_code():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+PARSER_COUNT = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+import supertorsion.cli as cli
+counts = [len(built)]
+for argv in (["reachability", "--n", "4", "--d", "3", "--m", "6"], ["nonsense"],
+             ["family", "slack0", "--n", "4", "--d", "3"], ["--help"],
+             ["reachability", "--n", "4", "--d", "3", "--m", "6"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.dispatch(argv)
+    counts.append(len(built))
+fresh = cli.build_parser() is not cli.build_parser()
+print(json.dumps([counts + [len(built)], built.count("supertorsion"), fresh]))
+"""
+
+
+def test_cli_builds_its_parser_once_per_process():
+    # the benchmark's setup_s times the import plus one build_parser(): the
+    # import builds nothing, and dispatch builds the tree on its first call only
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-S", "-c", PARSER_COUNT], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    counts, tops, fresh = json.loads(run.stdout)
+    tree = counts[1]  # the top parser and one per subcommand
+    assert counts[0] == 0 and tree > 1
+    assert counts[1:6] == [tree] * 5
+    # build_parser() still builds a new tree on each call
+    assert counts[6] == 3 * tree and tops == 3 and fresh

@@ -269,6 +269,12 @@ def test_oracles_check_point_then_max_k_then_applicability():
             oracle(curve, on, 0)
         with pytest.raises(BadParameters, match="backend needs"):
             oracle(curve, on, 1)
+    # a given divisor is a (u, v) for y^2 = f, checked only once d = 2 holds:
+    # (x - 4, 2) on y^3 = x^4 - 1 fails on the backend, as the point (4, 2) does
+    with pytest.raises(BadParameters, match=r"^Cantor backend needs d = 2$"):
+        cantor_order(d3, MumfordDivisor(Poly(F, (-4, 1)), Poly(F, (2,))), 8)
+    with pytest.raises(BadParameters, match=r"^v\^2 != f mod u$"):
+        cantor_order(genus2, MumfordDivisor(Poly(F, (-9, 1)), Poly(F, (3,))), 8)
 
 
 def test_point_entries_reject_points_off_the_curve():
