@@ -14,19 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .curves import AffinePoint, SuperellipticCurve, TorsionParams, torsion_params
-from .errors import (
-    BadParameters,
-    CharDividesD,
-    CharDividesEll0,
-    NegativeSlack,
-    NotNormalized,
-    NotSquarefree,
-    QVanishesAtA,
-    SlackNotOne,
-    SlackNotZero,
-    ZeroParameter,
-    WrongQDegree,
-)
+from .errors import BadParameters, NotSquarefree
 from .fields import Field, FieldElement
 from .orders import order_of_class
 from .poly import Poly, is_squarefree
@@ -69,13 +57,13 @@ def build_certificate(n: int, d: int, a, B, q: Poly) -> TorsionCertificate:
     field = q.field
     a, B = field(a), field(B)
     if params.slack < 0:
-        raise NegativeSlack(f"slack = {params.slack} < 0: no order-m0 points exist")
+        raise BadParameters(f"slack = {params.slack} < 0: no order-m0 points exist")
     if B.is_zero():
-        raise ZeroParameter("B must be nonzero")
+        raise BadParameters("B must be nonzero")
     if q.degree != params.slack:
-        raise WrongQDegree(f"deg q = {q.degree}, expected slack = {params.slack}")
+        raise BadParameters(f"deg q = {q.degree}, expected slack = {params.slack}")
     if q(a).is_zero():
-        raise QVanishesAtA("q(a) = 0 would make a a repeated root of f")
+        raise BadParameters("q(a) = 0 would make a a repeated root of f")
     char = field.characteristic()
     if char != 0 and d % char == 0:
         raise BadParameters(f"characteristic {char} divides d = {d}")
@@ -171,7 +159,7 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
     if pt.y.is_zero():
         detail = "v(a) = 0: not a valid certificate point"
     elif char != 0 and cert.d % char == 0:
-        raise CharDividesD(f"characteristic {char} divides {cert.d}")
+        raise BadParameters(f"characteristic {char} divides {cert.d}")
     else:
         at_a = R.shift(cert.a)  # R(a + t)
         on_curve = at_a[0].is_zero()
@@ -194,26 +182,13 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
     return VerificationReport(checks=tuple(checks), oracle_order=oracle_order)
 
 
-class NormalizedCertificate(NamedTuple):
-    """Shifted/scaled form with the marked point at (0, 1)."""
-
-    h: Poly
-    w: Poly
-    r: Poly
-    b_tilde: FieldElement
-    certificate: TorsionCertificate  # the same data repackaged with a = 0
-
-
-def normalize_certificate(cert: TorsionCertificate) -> NormalizedCertificate:
-    """h = v(a)^-d f(x+a), w = v(a)^-1 v(x+a), r = v(a)^-1 q(x+a); then
-    h = -Btilde^d x^m0 + w^d with w = Btilde x^ell0 + r and w(0) = 1, so
-    h, w and r are the f, v and q of the certificate built from a = 0,
-    Btilde = B/v(a) and r."""
+def normalize_certificate(cert: TorsionCertificate) -> TorsionCertificate:
+    """The certificate with the marked point moved to (0, 1): the one built
+    from a = 0, B/v(a) and q(x+a)/v(a), whose f is v(a)^-d f(x+a) and whose
+    v is v(a)^-1 v(x+a), so v(0) = 1."""
     va_inv = cert.v(cert.a).inverse()
-    shifted = build_certificate(cert.n, cert.d, cert.field.zero, cert.B * va_inv,
-                                cert.q.shift(cert.a) * va_inv)
-    return NormalizedCertificate(h=shifted.f, w=shifted.v, r=shifted.q,
-                                 b_tilde=shifted.B, certificate=shifted)
+    return build_certificate(cert.n, cert.d, cert.field.zero, cert.B * va_inv,
+                             cert.q.shift(cert.a) * va_inv)
 
 
 def family_slack0(n: int, d: int, base_field: Field) -> TorsionCertificate:
@@ -221,10 +196,10 @@ def family_slack0(n: int, d: int, base_field: Field) -> TorsionCertificate:
     order-m0 point (0, 1).  Needs char not dividing ell0 (or d)."""
     params = torsion_params(n, d)
     if params.slack != 0:
-        raise SlackNotZero(f"slack = {params.slack} != 0")
+        raise BadParameters(f"slack = {params.slack} != 0")
     char = base_field.characteristic()
     if char != 0 and params.ell0 % char == 0:
-        raise CharDividesEll0(f"characteristic {char} divides ell0 = {params.ell0}")
+        raise BadParameters(f"characteristic {char} divides ell0 = {params.ell0}")
     return build_certificate(n, d, base_field.zero, base_field.one,
                              Poly.one(base_field))
 
@@ -234,9 +209,9 @@ def slack0_reduce(cert: TorsionCertificate):
     x -> B0*x with B0^ell0 = B carries the reference curve onto this one.
     Returns B0 when the root exists in the base field, else None."""
     if cert.params.slack != 0:
-        raise SlackNotZero(f"slack = {cert.params.slack} != 0")
+        raise BadParameters(f"slack = {cert.params.slack} != 0")
     if not cert.is_normalized():
-        raise NotNormalized("certificate must have a = 0 and v(0) = 1")
+        raise BadParameters("certificate must have a = 0 and v(0) = 1")
     return cert.field.nth_root(cert.B, cert.ell0)
 
 
@@ -246,11 +221,11 @@ def family_slack1(n: int, d: int, B, B1):
     order-d point (-1/B1, 0)."""
     params = torsion_params(n, d)
     if params.slack != 1:
-        raise SlackNotOne(f"slack = {params.slack} != 1")
+        raise BadParameters(f"slack = {params.slack} != 1")
     if not isinstance(B, FieldElement) or not isinstance(B1, FieldElement):
         raise BadParameters("B and B1 must be field elements")
     field = B.field
     if B.is_zero() or B1.is_zero():
-        raise ZeroParameter("B and B1 must be nonzero")
+        raise BadParameters("B and B1 must be nonzero")
     cert = build_certificate(n, d, field.zero, B, Poly(field, (field.one, B1)))
     return cert, AffinePoint(-B1.inverse(), field.zero)

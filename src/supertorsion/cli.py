@@ -23,13 +23,11 @@ from .certificates import (
 )
 from .curves import reachability_status
 from .elliptic4 import build_family, check_order_structure, from_kubert, to_kubert
-from .errors import SupertorsionError, UsageError
+from .errors import DegreeNotNormalized, NotSquarefree, SupertorsionError, UsageError
 from .fields import QQ, Field, PrimeField
 from .orders import cantor_order, elliptic_order, order_of_class
 from .poly import Poly
 from .twopacket import (
-    DegreeNotNormalized,
-    NotSquarefree,
     bad_lambda_members,
     bad_lambda_set,
     build_two_packet_equal,
@@ -135,8 +133,8 @@ def _cmd_verify(args) -> int:
 def _cmd_normalize(args) -> int:
     cert = serialize.certificate_from_json(_load_json_arg(args.cert))
     norm = normalize_certificate(cert)
-    doc = serialize.certificate_to_json(norm.certificate)
-    doc["b_tilde"] = serialize.elem_to_str(norm.b_tilde)
+    doc = serialize.certificate_to_json(norm)
+    doc["b_tilde"] = serialize.elem_to_str(norm.B)
     _emit(doc)
     return EXIT_OK
 
@@ -229,6 +227,11 @@ def _cmd_two_packet(args) -> int:
         verdict = two_packet_admissible(args.n, args.d)
         _emit(serialize.admissibility_to_json(verdict))
         return EXIT_OK
+    # flags the action would ignore are refused, not dropped silently
+    if args.d != 2:
+        raise UsageError(f"two-packet {args.action} builds d = 2 curves; --d is for admissible")
+    if args.action == "build" and args.equal and (args.C, args.A1, args.A2) != (None,) * 3:
+        raise UsageError("two-packet build --equal takes no --C, --A1 or --A2")
     if args.p is None:
         raise UsageError(f"two-packet {args.action} needs --p")
     field = PrimeField(args.p)
@@ -412,7 +415,7 @@ def dispatch(argv) -> int:
     except (UsageError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_USAGE
-    except SupertorsionError as e:  # MathCheckError, PrecisionExhausted
+    except SupertorsionError as e:  # MathCheckError or the bare base
         print(f"check failed: {e}", file=sys.stderr)
         code = EXIT_MATH_FAIL
     if args.manifest and code != EXIT_USAGE:

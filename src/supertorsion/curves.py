@@ -13,7 +13,7 @@ import enum
 from math import gcd
 from typing import NamedTuple
 
-from .errors import BadParameters, NotOnCurve, RamifiedPoint, UnsupportedField
+from .errors import BadParameters, NotOnCurve, UnsupportedField
 from .fields import Field, FieldElement, is_prime
 from .poly import Poly, is_squarefree
 
@@ -192,7 +192,7 @@ def mu_d_orbit(curve: SuperellipticCurve, point: AffinePoint):
     """The d points (x, zeta*y) for zeta running over mu_d; needs mu_d in the
     base field and y != 0."""
     if point.y.is_zero():
-        raise RamifiedPoint("orbit of a ramified point is trivial")
+        raise BadParameters("orbit of a ramified point is trivial")
     try:
         zetas = curve.field.roots_of_unity(curve.d)
     except UnsupportedField:

@@ -15,13 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .curves import AffinePoint, SuperellipticCurve
-from .errors import (
-    BadParameters,
-    CharTwo,
-    Degenerate,
-    DegenerateB,
-    ZeroParameter,
-)
+from .errors import BadParameters, MathCheckError
 from .fields import Field, FieldElement
 from .orders import elliptic_add, elliptic_order
 from .poly import Poly
@@ -53,11 +47,11 @@ def build_family(B, B1) -> EllipticFourFamily:
         raise BadParameters("B and B1 must be field elements")
     field = B.field
     if field.characteristic() == 2:
-        raise CharTwo("the family needs characteristic != 2")
+        raise BadParameters("the family needs characteristic != 2")
     if B.is_zero() or B1.is_zero():
-        raise ZeroParameter("B and B1 must be nonzero")
+        raise BadParameters("B and B1 must be nonzero")
     if (B1 * B1 - 8 * B).is_zero():
-        raise Degenerate("B1^2 - 8B = 0: the quadratic factor has a double root")
+        raise MathCheckError("B1^2 - 8B = 0: the quadratic factor has a double root")
     quadratic = Poly(field, (field.one, B1, 2 * B))
     linear = Poly(field, (field.one, B1))
     return EllipticFourFamily(field=field, B=B, B1=B1, f=quadratic * linear)
@@ -101,7 +95,7 @@ def kubert_curve(b) -> KubertCurve:
     if not isinstance(b, FieldElement):
         raise BadParameters("b must be a field element")
     if b.is_zero() or (1 + 16 * b).is_zero():
-        raise DegenerateB("need b^4 (1 + 16b) != 0")
+        raise BadParameters("need b^4 (1 + 16b) != 0")
     return KubertCurve(field=b.field, b=b)
 
 
@@ -123,7 +117,7 @@ def from_kubert(b) -> tuple[EllipticFourFamily, PointMap]:
     curve = kubert_curve(b)
     field = curve.field
     if field.characteristic() == 2:
-        raise CharTwo("needs characteristic != 2")
+        raise BadParameters("needs characteristic != 2")
     b = curve.b
     binv = b.inverse()
     fam = build_family(-2 * binv, -binv)

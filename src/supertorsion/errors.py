@@ -1,7 +1,8 @@
 """Exception types raised by the library.
 
 Mathematical check failures are distinct from usage errors so the CLI can
-map them to different exit codes.
+map them to different exit codes; the message names the check that failed.
+A class exists only where some code, output or documentation tells it apart.
 """
 
 
@@ -17,117 +18,20 @@ class MathCheckError(SupertorsionError):
     """A mathematical validity check failed (non-squarefree f, wrong order, ...)."""
 
 
-# --- field / polynomial arithmetic ---
-
-class DivisionByZero(MathCheckError):
-    pass
-
-
-class FieldMismatch(UsageError):
-    pass
+class BadParameters(UsageError):
+    """Parameters that no construction or check accepts."""
 
 
 class UnsupportedField(UsageError):
-    pass
-
-
-class BothZero(UsageError):
-    pass
-
-
-class ZeroPolynomial(UsageError):
-    pass
-
-
-class BadInitialValue(UsageError):
-    pass
-
-
-class CharDividesD(UsageError):
-    pass
-
-
-# --- curves and parameters ---
-
-class BadParameters(UsageError):
-    pass
+    """An operation the base field cannot do: root finding over Q, a root or
+    root of unity the field lacks."""
 
 
 class NotOnCurve(MathCheckError):
     pass
 
 
-class RamifiedPoint(UsageError):
-    pass
-
-
-class NotRamified(UsageError):
-    pass
-
-
-class PrecisionExhausted(SupertorsionError):
-    pass
-
-
-# --- torsion certificates ---
-
-class NegativeSlack(UsageError):
-    pass
-
-
-class WrongQDegree(UsageError):
-    pass
-
-
-class QVanishesAtA(UsageError):
-    pass
-
-
 class NotSquarefree(MathCheckError):
-    pass
-
-
-class SlackNotZero(UsageError):
-    pass
-
-
-class SlackNotOne(UsageError):
-    pass
-
-
-class CharDividesEll0(UsageError):
-    pass
-
-
-class NotNormalized(UsageError):
-    pass
-
-
-# --- elliptic four-torsion family ---
-
-class ZeroParameter(UsageError):
-    pass
-
-
-class Degenerate(MathCheckError):
-    pass
-
-
-class CharTwo(UsageError):
-    pass
-
-
-class DegenerateB(UsageError):
-    pass
-
-
-# --- two-packet constructions ---
-
-class CharDividesM0(UsageError):
-    pass
-
-
-class NoRootOfUnityStructure(UsageError):
     pass
 
 
@@ -139,22 +43,3 @@ class DegreeNotNormalized(MathCheckError):
         super().__init__(msg)
         self.lam = lam
         self.polynomial = polynomial
-
-
-class LinearlyDependent(MathCheckError):
-    pass
-
-
-class NonvanishingViolation(MathCheckError):
-    """ell0*H - x*H' vanished identically; indicates a bug or a violated
-    hypothesis, never expected on valid inputs."""
-
-
-class SameAbscissa(UsageError):
-    pass
-
-
-# --- serialization ---
-
-class SchemaViolation(UsageError):
-    pass

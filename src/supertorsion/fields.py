@@ -11,7 +11,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import BadParameters, DivisionByZero, FieldMismatch, UnsupportedField
+from .errors import BadParameters, MathCheckError, UnsupportedField
 
 
 #: strong-probable-prime bases of ``is_prime``, and the bound below which
@@ -109,7 +109,7 @@ class Rationals(Field):
     def __call__(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
             if value.field is not self and value.field.kind != "Q":
-                raise FieldMismatch("cannot coerce a prime-field element into Q")
+                raise BadParameters("cannot coerce a prime-field element into Q")
             return FieldElement(self, value.value)
         if isinstance(value, (int, Fraction, str)):
             return FieldElement(self, Fraction(value))
@@ -181,7 +181,7 @@ class PrimeField(Field):
     def __call__(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
             if value.field != self:
-                raise FieldMismatch("cannot coerce across fields")
+                raise BadParameters("cannot coerce across fields")
             return value
         if isinstance(value, int):
             return FieldElement(self, value % self.p)
@@ -189,7 +189,7 @@ class PrimeField(Field):
             return FieldElement(self, int(value) % self.p)
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
-                raise DivisionByZero(f"denominator divisible by {self.p}")
+                raise MathCheckError(f"denominator divisible by {self.p}")
             return FieldElement(self, self.reduce(value.numerator * self.inv(value.denominator)))
         raise BadParameters(f"cannot build an F_{self.p} element from {value!r}")
 
@@ -346,7 +346,7 @@ class FieldElement:
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:
-                raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
+                raise BadParameters(f"{self.field!r} vs {other.field!r}")
             return other
         if isinstance(other, (int, Fraction)):
             return self.field(other)
@@ -404,7 +404,7 @@ class FieldElement:
 
     def inverse(self):
         if not self:
-            raise DivisionByZero("inverse of zero")
+            raise MathCheckError("inverse of zero")
         return FieldElement(self.field, self.field.inv(self.value))
 
     def __bool__(self):

@@ -28,7 +28,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .curves import AffinePoint, SuperellipticCurve
-from .errors import BadParameters, NotRamified, PrecisionExhausted
+from .errors import BadParameters, MathCheckError
 from .poly import Poly, _series_root_powers, poly_xgcd
 
 
@@ -174,7 +174,7 @@ def _principal_orders(curve: SuperellipticCurve, point: AffinePoint, max_k: int)
                 row = _content_free([pivot[lead] * u - c * v for u, v in zip(row, pivot)])
             lead = _lead(row, lead + 1)
         if lead is None or lead > k:
-            raise PrecisionExhausted(
+            raise MathCheckError(
                 f"a function of pole order {k} vanished at P to order above {k};"
                 " divisor bookkeeping violated")
         if p:
@@ -229,7 +229,7 @@ def order_of_ramified(curve: SuperellipticCurve, point) -> int:
     """Points with y = 0 have class order exactly d: x - x(P) has divisor
     d(P) - d(O) because f is squarefree at x(P)."""
     if not curve.point(*point).y.is_zero():
-        raise NotRamified("point has y != 0")
+        raise BadParameters("point has y != 0")
     return curve.d
 
 

@@ -15,17 +15,7 @@ import warnings
 from itertools import zip_longest
 from operator import add, mul, sub
 
-from .errors import (
-    BadInitialValue,
-    BadParameters,
-    BothZero,
-    CharDividesD,
-    DivisionByZero,
-    FieldMismatch,
-    MathCheckError,
-    UnsupportedField,
-    ZeroPolynomial,
-)
+from .errors import BadParameters, MathCheckError, UnsupportedField
 from .fields import GF, Field, FieldElement
 
 #: degree of the zero polynomial; compares below every integer
@@ -91,7 +81,7 @@ class Poly:
     @property
     def leading(self) -> FieldElement:
         if not self.values:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+            raise BadParameters("zero polynomial has no leading coefficient")
         return FieldElement(self.field, self.values[-1])
 
     def __getitem__(self, i: int) -> FieldElement:
@@ -115,7 +105,7 @@ class Poly:
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.field != self.field:
-                raise FieldMismatch("polynomials over different fields")
+                raise BadParameters("polynomials over different fields")
             return other
         if isinstance(other, (int, FieldElement)):
             return Poly(self.field, (other,))
@@ -177,7 +167,7 @@ class Poly:
         if o is NotImplemented:
             return NotImplemented
         if o.is_zero():
-            raise DivisionByZero("polynomial division by zero")
+            raise MathCheckError("polynomial division by zero")
         q, r = _divmod_values(self.field, self.values, o.values)
         return Poly._from_values(self.field, q), Poly._from_values(self.field, r)
 
@@ -235,7 +225,7 @@ class Poly:
 
     def monic(self) -> "Poly":
         if self.is_zero():
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
+            raise BadParameters("cannot normalize the zero polynomial")
         return self * self.leading.inverse()
 
     def reverse(self, m: int) -> "Poly":
@@ -340,7 +330,7 @@ def _powmod_values(field, base, e, modulus):
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd by Euclid's algorithm."""
     if f.is_zero() and g.is_zero():
-        raise BothZero("gcd(0, 0) is undefined")
+        raise BadParameters("gcd(0, 0) is undefined")
     field, g = f.field, f._coerce(g)
     return Poly._from_values(field, _euclid_values(field, ((f.values,), (g.values,)))[0])
 
@@ -348,7 +338,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def poly_xgcd(f: Poly, g: Poly):
     """(h, s, t) with h = s*f + t*g the monic gcd."""
     if f.is_zero() and g.is_zero():
-        raise BothZero("xgcd(0, 0) is undefined")
+        raise BadParameters("xgcd(0, 0) is undefined")
     field, g = f.field, f._coerce(g)
     rows = ((f.values, [1], []), (g.values, [], [1]))
     return tuple(Poly._from_values(field, w) for w in _euclid_values(field, rows))
@@ -358,7 +348,7 @@ def resultant(f: Poly, g: Poly) -> FieldElement:
     """Res(f, g) of nonzero f and g at their actual degrees, by Euclid's
     algorithm: zero iff f and g share a root in an algebraic closure."""
     if f.is_zero() or g.is_zero():
-        raise ZeroPolynomial("resultant with the zero polynomial")
+        raise BadParameters("resultant with the zero polynomial")
     field, g = f.field, f._coerce(g)
     return field(_resultant_values(field, f.values, g.values))
 
@@ -402,7 +392,7 @@ def is_squarefree(f: Poly) -> bool:
     only when every q fails does the exact Euclid run and may answer False.
     """
     if f.is_zero():
-        raise ZeroPolynomial("squarefreeness of the zero polynomial is undefined")
+        raise BadParameters("squarefreeness of the zero polynomial is undefined")
     if f.is_constant():
         return True
     if not f.field.characteristic():
@@ -431,7 +421,7 @@ def roots_in_field(f: Poly):
     is exponential in bit size.
     """
     if f.is_zero():
-        raise ZeroPolynomial("every point is a root of the zero polynomial")
+        raise BadParameters("every point is a root of the zero polynomial")
     field = f.field
     if field.kind != "Fp":
         raise UnsupportedField("roots_in_field needs a prime field")
@@ -553,7 +543,7 @@ class TruncatedSeries:
     def inverse(self):
         a = self.values
         if not a[0]:
-            raise DivisionByZero("series with zero constant term is not invertible")
+            raise MathCheckError("series with zero constant term is not invertible")
         red, inv0 = self.field.reduce, self.field.inv(a[0])
         out = [inv0]
         for k in range(1, self.precision):
@@ -596,15 +586,15 @@ def _series_root_powers(f: Poly, d: int, center, y0, precision: int):
     field, red = f.field, f.field.reduce
     char = field.characteristic()
     if char != 0 and d % char == 0:
-        raise CharDividesD(f"characteristic {char} divides {d}")
+        raise BadParameters(f"characteristic {char} divides {d}")
     if precision < 1:
         raise BadParameters("precision must be >= 1")
     y = field(y0).value
     g = (list(f.shift(center).values) + [0] * precision)[:precision]
     if red(y ** d) != g[0]:
-        raise BadInitialValue("y0^d != f(center)")
+        raise BadParameters("y0^d != f(center)")
     if y == 0:
-        raise BadInitialValue("y0 must be nonzero: the series is y0 * (f/y0^d)^(1/d)")
+        raise BadParameters("y0 must be nonzero: the series is y0 * (f/y0^d)^(1/d)")
     if char:
         scale, inv_d, inv_g0 = 1, pow(d, -1, char), pow(g[0], -1, char)
         h = [v * inv_g0 % char for v in g]

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .certificates import TorsionCertificate, VerificationReport, build_certificate
 from .curves import AffinePoint, SuperellipticCurve
-from .errors import SchemaViolation, SupertorsionError
+from .errors import BadParameters, SupertorsionError
 from .fields import QQ, Field, FieldElement, PrimeField
 from .poly import Poly
 from .twopacket import AdmissibilityVerdict, PacketFamily
@@ -27,15 +27,15 @@ def field_to_json(field: Field) -> dict:
 
 def field_from_json(doc) -> Field:
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise SchemaViolation(f"not a field spec: {doc!r}")
+        raise BadParameters(f"not a field spec: {doc!r}")
     if doc["kind"] == "Q":
         return QQ
     if doc["kind"] == "Fp":
         try:
             return PrimeField(_int_from_json(doc, "p"))
         except (KeyError, SupertorsionError) as e:
-            raise SchemaViolation(f"bad prime field spec: {doc!r}") from e
-    raise SchemaViolation(f"unknown field kind {doc['kind']!r}")
+            raise BadParameters(f"bad prime field spec: {doc!r}") from e
+    raise BadParameters(f"unknown field kind {doc['kind']!r}")
 
 
 def elem_to_str(x: FieldElement) -> str:
@@ -46,13 +46,13 @@ def elem_from_str(field: Field, s) -> FieldElement:
     if isinstance(s, int) and not isinstance(s, bool):
         return field(s)
     if not isinstance(s, str):
-        raise SchemaViolation(f"scalar must be a string: {s!r}")
+        raise BadParameters(f"scalar must be a string: {s!r}")
     try:
         if field.kind == "Q":
             return field(Fraction(s))
         return field(int(s))
     except (ValueError, ZeroDivisionError) as e:
-        raise SchemaViolation(f"cannot parse scalar {s!r}") from e
+        raise BadParameters(f"cannot parse scalar {s!r}") from e
 
 
 def poly_to_json(f: Poly) -> list:
@@ -61,7 +61,7 @@ def poly_to_json(f: Poly) -> list:
 
 def poly_from_json(field: Field, doc) -> Poly:
     if not isinstance(doc, list):
-        raise SchemaViolation(f"polynomial must be a list: {doc!r}")
+        raise BadParameters(f"polynomial must be a list: {doc!r}")
     return Poly(field, [elem_from_str(field, c) for c in doc])
 
 
@@ -77,9 +77,9 @@ def curve_from_json(doc) -> SuperellipticCurve:
     try:
         curve = SuperellipticCurve(field, _int_from_json(doc, "d"), f)
     except SupertorsionError as e:
-        raise SchemaViolation(f"invalid curve: {e}") from e
+        raise BadParameters(f"invalid curve: {e}") from e
     if "n" in doc and _int_from_json(doc, "n") != curve.n:
-        raise SchemaViolation(f"declared n = {doc['n']} but deg f = {curve.n}")
+        raise BadParameters(f"declared n = {doc['n']} but deg f = {curve.n}")
     return curve
 
 
@@ -111,12 +111,12 @@ def certificate_from_json(doc) -> TorsionCertificate:
                                  elem_from_str(field, doc["B"]),
                                  poly_from_json(field, doc["q"]))
     except SupertorsionError as e:
-        raise SchemaViolation(f"invalid certificate: {e}") from e
+        raise BadParameters(f"invalid certificate: {e}") from e
     for key, poly in (("v", cert.v), ("f", cert.f)):
         if key in doc and poly_from_json(field, doc[key]) != poly:
-            raise SchemaViolation(f"declared {key} disagrees with (a, B, q)")
+            raise BadParameters(f"declared {key} disagrees with (a, B, q)")
     if "m0" in doc and _int_from_json(doc, "m0") != cert.m0:
-        raise SchemaViolation(f"declared m0 = {doc['m0']} but m0 = {cert.m0}")
+        raise BadParameters(f"declared m0 = {doc['m0']} but m0 = {cert.m0}")
     return cert
 
 
@@ -159,12 +159,12 @@ def _int_from_json(doc, key) -> int:
         return value
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
-    raise SchemaViolation(f"{key} must be an integer: {value!r}")
+    raise BadParameters(f"{key} must be an integer: {value!r}")
 
 
 def _need_keys(doc, keys, what):
     if not isinstance(doc, dict):
-        raise SchemaViolation(f"{what} must be an object: {doc!r}")
+        raise BadParameters(f"{what} must be an object: {doc!r}")
     missing = [k for k in keys if k not in doc]
     if missing:
-        raise SchemaViolation(f"{what} is missing keys {missing}")
+        raise BadParameters(f"{what} is missing keys {missing}")

@@ -37,15 +37,10 @@ from typing import NamedTuple
 from .curves import AffinePoint, SuperellipticCurve, torsion_params
 from .errors import (
     BadParameters,
-    CharDividesM0,
     DegreeNotNormalized,
-    LinearlyDependent,
-    NonvanishingViolation,
-    NoRootOfUnityStructure,
+    MathCheckError,
     NotSquarefree,
-    SameAbscissa,
     UnsupportedField,
-    ZeroParameter,
 )
 from .fields import Field, FieldElement, PrimeField
 from .poly import (Poly, _convolve, _quadratic_roots, _resultant_values, interpolate,
@@ -159,7 +154,7 @@ def wronskian_degree_audit(f1: Poly, f2: Poly, f3: Poly, d: int,
     d-th powers, plus the derived constraint ell0*(d-6) <= -3."""
     w = wronskian3(f1 ** d, f2 ** d, f3 ** d)
     if w.is_zero():
-        raise LinearlyDependent("f1^d, f2^d, f3^d are linearly dependent")
+        raise MathCheckError("f1^d, f2^d, f3^d are linearly dependent")
     lower, upper = 3 * ell0 * (d - 2), 2 * ell0 * d - 3
     # every entry of the i-th column of W carries f_i^(d-2); W != 0 makes the
     # product nonzero
@@ -204,7 +199,7 @@ class TwoPacket(NamedTuple):
             raise BadParameters("sign must be 'plus' or 'minus'")
         lam = self.field(lam)
         if lam.is_zero():
-            raise ZeroParameter("lambda must be nonzero")
+            raise BadParameters("lambda must be nonzero")
         half = self.field(2).inverse()
         a, b = lam * half, lam.inverse() * half
         ut = (a * self.hi - b * self.hc) * self.cl.inverse()
@@ -238,7 +233,7 @@ def two_packet(field, n: int, I, C) -> TwoPacket:
     ell0 = (n + 1) // 2
     C = field(C)
     if C.is_zero():
-        raise ZeroParameter("C must be nonzero")
+        raise BadParameters("C must be nonzero")
     mu = field.roots_of_unity(n + 1)
     I = tuple(I)
     for eps in I:
@@ -330,7 +325,7 @@ def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
 
 def _amplitude_ratio(A1: FieldElement, A2: FieldElement) -> FieldElement:
     if A1.is_zero() or A2.is_zero():
-        raise ZeroParameter("A1 and A2 must be nonzero")
+        raise BadParameters("A1 and A2 must be nonzero")
     if A1 == A2:
         raise BadParameters("equal A1 = A2 is the C = 1 case; use "
                             "build_two_packet_equal")
@@ -344,7 +339,7 @@ def ratio_root(n: int, A1: FieldElement, A2: FieldElement) -> FieldElement:
     field = ratio.field
     C = field.nth_root(ratio, n + 1)
     if C is None:
-        raise NoRootOfUnityStructure(f"A1/A2 = {ratio!r} has no (n+1)-th root in F_{field.p}")
+        raise BadParameters(f"A1/A2 = {ratio!r} has no (n+1)-th root in F_{field.p}")
     return C
 
 
@@ -394,7 +389,7 @@ def example_m0_equals_nplus1(base_field: Field, n: int, d: int) -> PacketExample
         raise BadParameters(f"m0 = {params.m0} != n+1; the example needs d | n+1")
     char = base_field.characteristic()
     if char != 0 and params.m0 % char == 0:
-        raise CharDividesM0(f"characteristic {char} divides m0 = {params.m0}")
+        raise BadParameters(f"characteristic {char} divides m0 = {params.m0}")
     m0, ell0 = params.m0, params.ell0
     xp1 = Poly(base_field, (base_field.one, base_field.one))
     f = xp1 ** m0 - Poly.monomial(base_field, m0)
@@ -472,7 +467,7 @@ def _sieve(pk: TwoPacket):
     field, n, hi, hc = pk.field, pk.n, pk.hi, pk.hc
     bi, bc = nonvanishing_bracket(hi, pk.ell0), nonvanishing_bracket(hc, pk.ell0)
     if bi.is_zero() or bc.is_zero():
-        raise NonvanishingViolation("ell0*H - x*H' vanished identically")
+        raise MathCheckError("ell0*H - x*H' vanished identically")
     wh = hi.derivative() * hc - hc.derivative() * hi
     # eliminant: 4 C^(n+1) * bc * bi * x^(n+1) - x^2 * wh^2, with x^2 removed
     eliminant = (4 * pk.C ** (n + 1)) * bc * bi * Poly.monomial(field, n - 1) - wh * wh
@@ -561,7 +556,7 @@ def shift_points_to_0_minus1(curve: SuperellipticCurve, P: AffinePoint,
     scale^-n * f(scale*x + offset).  Orders of points are preserved since the
     infinite point maps to the infinite point."""
     if P.x == Q.x:
-        raise SameAbscissa("P and Q must have distinct abscissas")
+        raise BadParameters("P and Q must have distinct abscissas")
     field = curve.field
     offset = P.x
     scale = P.x - Q.x

@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from supertorsion import SuperellipticCurve, cli, orders, twopacket
+from supertorsion import SuperellipticCurve, cli, errors, orders, twopacket
 from supertorsion.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, dispatch
-from supertorsion.errors import PrecisionExhausted
 
 
 def run(capsys, *argv):
@@ -204,19 +203,27 @@ def test_inseparable_curve_reports_only_the_error_line(capsys):
     assert err == "error: invalid curve: f has repeated roots\n"
 
 
-def test_engine_failure_is_a_math_failure(capsys, monkeypatch):
-    # PrecisionExhausted is a SupertorsionError outside MathCheckError
-    def exhausted(curve, point, max_k):
-        raise PrecisionExhausted("vanishing order exceeded k")
+ERROR_CLASSES = [value for value in vars(errors).values()
+                 if isinstance(value, type) and issubclass(value, errors.SupertorsionError)]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+def test_engine_failure_is_a_math_failure(capsys, monkeypatch, error):
+    # a usage error exits 2, every other library error (a bare
+    # SupertorsionError included) exits 1; the message is the whole report
+    def failing(curve, point, max_k):
+        raise error("vanishing order exceeded k")
         yield
 
-    monkeypatch.setattr(orders, "_principal_orders", exhausted)
+    monkeypatch.setattr(orders, "_principal_orders", failing)
     curve = json.dumps({"d": 2, "field": {"kind": "Q"},
                         "f": ["1", "2", "3", "2"]})
     code, docs, err = run(capsys, "order", "--curve", curve, "--point", "0,1")
-    assert code == EXIT_MATH_FAIL
     assert docs == []
-    assert err == "check failed: vanishing order exceeded k\n"
+    if issubclass(error, errors.UsageError):
+        assert (code, err) == (EXIT_USAGE, "error: vanishing order exceeded k\n")
+    else:
+        assert (code, err) == (EXIT_MATH_FAIL, "check failed: vanishing order exceeded k\n")
 
 
 def test_reachability(capsys):
@@ -281,6 +288,26 @@ def test_two_packet_build_bad_lambda_exit(capsys):
                         "--I", "0,1", "--lambda", "5", "--equal")
     assert code == EXIT_MATH_FAIL
     assert docs[0]["error"] in ("NotSquarefree", "DegreeNotNormalized")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bad-lambdas", "--p", "13", "--n", "3", "--d", "3", "--I", "0,1"],
+     "two-packet bad-lambdas builds d = 2 curves; --d is for admissible"),
+    (["sweep", "--p", "13", "--n", "3", "--d", "5"],
+     "two-packet sweep builds d = 2 curves; --d is for admissible"),
+    (["build", "--p", "13", "--n", "3", "--d", "3", "--I", "0,1", "--lambda", "6", "--equal"],
+     "two-packet build builds d = 2 curves; --d is for admissible"),
+    (["build", "--p", "13", "--n", "3", "--I", "0,1", "--lambda", "6", "--equal", "--C", "5"],
+     "two-packet build --equal takes no --C, --A1 or --A2"),
+    (["build", "--p", "13", "--n", "3", "--I", "0,1", "--lambda", "6", "--equal",
+      "--A1", "16", "--A2", "1"],
+     "two-packet build --equal takes no --C, --A1 or --A2"),
+], ids=["bad-lambdas-d", "sweep-d", "build-d", "equal-C", "equal-A1-A2"])
+def test_two_packet_refuses_flags_its_action_ignores(capsys, monkeypatch, argv, message):
+    calls = _count_packets(monkeypatch)
+    code, docs, err = run(capsys, "two-packet", *argv)
+    assert (code, docs, err) == (EXIT_USAGE, [], f"error: {message}\n")
+    assert calls == []  # refused before any packet is built
 
 
 def test_usage_errors(capsys):

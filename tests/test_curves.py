@@ -12,8 +12,7 @@ from supertorsion import (
     reachability_status,
     torsion_params,
 )
-from supertorsion.errors import BadParameters, NotOnCurve, RamifiedPoint, \
-    UnsupportedField
+from supertorsion.errors import BadParameters, NotOnCurve, UnsupportedField
 
 
 @pytest.mark.parametrize("n,d,ell0,m0,slack", [
@@ -131,7 +130,7 @@ def test_mu_d_orbit_f13():
 def test_mu_d_orbit_errors():
     curve = SuperellipticCurve(QQ, 2, Poly(QQ, (0, 4, 6, 4)) + Poly(QQ, (1,)))
     ram = curve.point(QQ("-1/2"), 0)
-    with pytest.raises(RamifiedPoint):
+    with pytest.raises(BadParameters, match="orbit of a ramified point is trivial"):
         mu_d_orbit(curve, ram)
     cubic = SuperellipticCurve(QQ, 3, Poly(QQ, (1, 0, 3, 0, 3)))
     with pytest.raises(UnsupportedField):

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as strat
 
 from supertorsion import GF, QQ, Poly, PrimeField
-from supertorsion.errors import (
-    BadParameters,
-    DivisionByZero,
-    FieldMismatch,
-    UnsupportedField,
-)
+from supertorsion.errors import BadParameters, MathCheckError, UnsupportedField
 from supertorsion.fields import is_prime
 
 
@@ -49,25 +44,25 @@ def test_fp_negation():
 
 
 def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(MathCheckError, match="inverse of zero"):
         QQ(1) / QQ(0)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(MathCheckError, match="inverse of zero"):
         GF(7)(0).inverse()
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(BadParameters, match=r"GF\(5\) vs GF\(7\)"):
         GF(5)(1) + GF(7)(1)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(BadParameters, match=r"QQ vs GF\(7\)"):
         QQ(1) + GF(7)(1)
     # polynomials hold bare values, so the field check happens on the way in
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(BadParameters, match="cannot coerce across fields"):
         Poly(GF(7), [GF(5)(1)])
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(BadParameters, match="cannot coerce a prime-field element into Q"):
         Poly(QQ, [GF(7)(1)])
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(BadParameters, match="polynomials over different fields"):
         Poly(GF(5), (1, 1)) + Poly(GF(7), (1, 1))
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(BadParameters, match="cannot coerce across fields"):
         Poly(GF(5), (1, 1)) * GF(7)(2)
 
 

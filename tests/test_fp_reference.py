@@ -24,7 +24,7 @@ import pytest
 from supertorsion import (GF, QQ, Poly, SuperellipticCurve, is_squarefree, poly_gcd, poly_xgcd,
                           roots_in_field)
 from supertorsion.cli import EXIT_OK, dispatch
-from supertorsion.errors import BothZero, ZeroPolynomial
+from supertorsion.errors import BadParameters
 from supertorsion.fields import is_prime
 from supertorsion.poly import resultant
 
@@ -208,9 +208,9 @@ def test_gcd_xgcd_resultant_divmod_match_references(field):
         if not g.is_zero():
             assert divmod(f, g) == reference_divmod(f, g), (f, g)
         if f.is_zero() and g.is_zero():
-            with pytest.raises(BothZero):
+            with pytest.raises(BadParameters, match=r"^gcd\(0, 0\) is undefined"):
                 poly_gcd(f, g)
-            with pytest.raises(BothZero):
+            with pytest.raises(BadParameters, match=r"^xgcd\(0, 0\) is undefined"):
                 poly_xgcd(f, g)
             continue
         assert poly_gcd(f, g) == reference_gcd(f, g), (f, g)
@@ -220,7 +220,7 @@ def test_gcd_xgcd_resultant_divmod_match_references(field):
         assert s * f + t * g == h and h.leading == field.one, (f, g)
         assert reference_divmod(f, h)[1].is_zero() and reference_divmod(g, h)[1].is_zero()
         if f.is_zero() or g.is_zero():
-            with pytest.raises(ZeroPolynomial):
+            with pytest.raises(BadParameters, match="resultant with the zero polynomial"):
                 resultant(f, g)
         else:
             assert resultant(f, g) == reference_resultant(f, g), (f, g)

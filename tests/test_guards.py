@@ -1,38 +1,45 @@
 """The library's invariants are raised checks, never ``assert``s, which
 ``python -O`` removes; the library imports nothing outside the standard
-library; and every name the traced benchmark wraps still exists."""
+library; its error classes are the ones the README documents; and every
+name the traced benchmark wraps still exists."""
 
 import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+from supertorsion import errors
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 GUARDS = """
 from supertorsion import QQ, Poly, build_certificate, build_family, torsion_params
-from supertorsion.errors import BadParameters, Degenerate, NotSquarefree, QVanishesAtA
+from supertorsion.errors import BadParameters, MathCheckError, NotSquarefree
 
 if __debug__:
     raise SystemExit("not running under -O")
 cases = [
-    (QVanishesAtA, lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (0, 1)))),
-    (Degenerate, lambda: build_family(QQ(2), QQ(4))),
-    (BadParameters, lambda: torsion_params(4, 2)),
+    (BadParameters, "q(a) = 0", lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (0, 1)))),
+    (MathCheckError, "B1^2 - 8B = 0", lambda: build_family(QQ(2), QQ(4))),
+    (BadParameters, "need gcd(n, d) = 1", lambda: torsion_params(4, 2)),
     # f = (x^2 + 4x + 2)^2 - x^4 = 4(x + 1)^2 (2x + 1): the modular early exit
     # of is_squarefree must not turn that into a pass
-    (NotSquarefree, lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (2, 4)))),
+    (NotSquarefree, "repeated roots",
+     lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (2, 4)))),
 ]
-for exc, call in cases:
+for exc, message, call in cases:
     try:
         call()
-    except exc:
-        continue
-    raise SystemExit(exc.__name__ + " not raised")
+    except exc as e:
+        if message in str(e):
+            continue
+    raise SystemExit(f"{exc.__name__} ({message}) not raised")
 print("ok")
 """
 
@@ -63,6 +70,30 @@ def test_src_imports_only_the_standard_library():
             found += [f"{name}:{node.lineno}: {m}" for m in modules
                       if m.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_error_classes_are_the_documented_eight():
+    # the README's Errors table lists every class with its base and exit code
+    section = README.read_text().split("\n## Errors\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (\d) \|", section, re.M)
+    documented = {name: (base, int(code)) for name, base, code in rows}
+    defined = {name: value.__base__.__name__ for name, value in vars(errors).items()
+               if isinstance(value, type)}
+    assert len(documented) == len(rows) == 8
+    assert {name: base for name, (base, _) in documented.items()} == defined
+    # exit 2 for the usage errors, 1 for every other
+    assert {name: code for name, (_, code) in documented.items()} == {
+        name: 2 if issubclass(getattr(errors, name), errors.UsageError) else 1
+        for name in defined}
+    # each class is raised or caught by name somewhere in the package
+    used = set()
+    for _, src_tree in _src_trees():
+        for node in ast.walk(src_tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used.add(getattr(node.exc, "func", node.exc))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used.update(getattr(node.type, "elts", [node.type]))
+    assert set(defined) <= {node.id for node in used if isinstance(node, ast.Name)}
 
 
 def test_input_guards_raise_under_python_O():

@@ -27,14 +27,7 @@ from supertorsion import (
     series_dth_root,
     torsion_params,
 )
-from supertorsion.errors import (
-    BadInitialValue,
-    BadParameters,
-    CharDividesD,
-    NotSquarefree,
-    PrecisionExhausted,
-    QVanishesAtA,
-)
+from supertorsion.errors import BadParameters, MathCheckError, NotSquarefree
 from supertorsion.fields import is_prime
 from supertorsion.orders import left_kernel_vector
 
@@ -47,7 +40,7 @@ def newton_dth_root(f, d, center, y0, precision):
     field = f.field
     g = f.shift(center)
     if y0 ** d != g(field.zero) or y0.is_zero():
-        raise BadInitialValue("y0 is not a nonzero d-th root of f(center)")
+        raise BadParameters("y0 is not a nonzero d-th root of f(center)")
     s = TruncatedSeries(field, [y0], 1)
     dconst = field(d)
     while s.precision < precision:
@@ -87,9 +80,9 @@ def kloop_profile(curve, point, max_k):
         residual = [sum((c * row[t] for c, row in zip(combo, full)),
                         start=curve.field.zero) for t in range(precision)]
         if any(not residual[t].is_zero() for t in range(k)):
-            raise PrecisionExhausted("kernel vector failed to vanish as computed")
+            raise MathCheckError("kernel vector failed to vanish as computed")
         if residual[k].is_zero():
-            raise PrecisionExhausted(f"vanishing order exceeded {k}")
+            raise MathCheckError(f"vanishing order exceeded {k}")
         principal.append(k)
     return principal
 
@@ -119,7 +112,7 @@ def test_series_root_matches_newton(field):
     top = 30 if field.characteristic() < 30 else 12
     for d in range(2, 8):
         if field.characteristic() and d % field.characteristic() == 0:
-            with pytest.raises(CharDividesD):
+            with pytest.raises(BadParameters, match=f"^characteristic {field.characteristic()} divides {d}$"):
                 series_dth_root(Poly(field, (1, 1)), d, 0, 1, 3)
             continue
         if field.kind == "Q":
@@ -164,9 +157,12 @@ def _certificate(rng, n, d, field, a):
     slack = torsion_params(n, d).slack
     while True:
         q = Poly(field, [rng.randint(-2, 2) for _ in range(slack)] + [rng.choice((1, -1))])
+        B = rng.choice((1, -1, 2))
+        if q(field(a)).is_zero():  # build_certificate refuses q(a) = 0
+            continue
         try:
-            return build_certificate(n, d, a, rng.choice((1, -1, 2)), q)
-        except (NotSquarefree, QVanishesAtA):
+            return build_certificate(n, d, a, B, q)
+        except NotSquarefree:
             continue
 
 

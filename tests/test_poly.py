@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as strat
 
 from supertorsion import GF, QQ, Poly, TruncatedSeries, is_squarefree, poly_gcd, \
     roots_in_field, series_dth_root
-from supertorsion.errors import BadInitialValue, BadParameters, BothZero, \
-    DivisionByZero, UnsupportedField, ZeroPolynomial
+from supertorsion.errors import BadParameters, MathCheckError, UnsupportedField
 from supertorsion.poly import NEG_INF, _GOOD_FIELDS, InseparableWarning, interpolate, \
     resultant
 
@@ -68,7 +67,7 @@ def test_divmod_and_reconstruction():
 
 
 def test_division_by_zero_poly():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(MathCheckError, match="polynomial division by zero"):
         divmod(Poly(QQ, (1, 1)), Poly.zero(QQ))
 
 
@@ -92,7 +91,7 @@ def test_gcd_examples():
     f = Poly(QQ, (1, 4, 6, 4))
     assert poly_gcd(f, f.derivative()).degree == 0
     assert poly_gcd(f, Poly.zero(QQ)) == f.monic()
-    with pytest.raises(BothZero):
+    with pytest.raises(BadParameters, match=r"gcd\(0, 0\) is undefined"):
         poly_gcd(Poly.zero(QQ), Poly.zero(QQ))
 
 
@@ -106,7 +105,7 @@ def test_squarefree_examples():
     f, g = Poly(QQ, (Fraction(1, 3), 2, -5)), Poly(QQ, (7, Fraction(-2, 9)))
     assert is_squarefree(f * g)
     assert not is_squarefree(f * g * g) and not is_squarefree(f * g ** 3)
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(BadParameters, match="squarefreeness of the zero polynomial"):
         is_squarefree(Poly.zero(QQ))
 
 
@@ -173,9 +172,9 @@ def test_series_cube_root_verified_by_cubing():
 
 
 def test_series_bad_initial_value():
-    with pytest.raises(BadInitialValue):
+    with pytest.raises(BadParameters, match=r"y0\^d != f\(center\)"):
         series_dth_root(Poly(QQ, (1, 1)), 2, QQ(0), QQ(2), 3)
-    with pytest.raises(BadInitialValue):  # y0 = 0 solves y0^2 = f(0) but is no start
+    with pytest.raises(BadParameters, match="y0 must be nonzero"):  # y0 = 0 solves y0^2 = f(0) but is no start
         series_dth_root(Poly(QQ, (0, 1)), 2, QQ(0), QQ(0), 3)
 
 
@@ -276,7 +275,7 @@ def test_resultant_examples():
     assert resultant(f * Poly(F, (-5, 1)), g * Poly(F, (-5, 1))).is_zero()
     assert resultant(Poly(QQ, (3,)), Poly(QQ, (1, 0, 1))) == QQ(9)
     assert resultant(Poly(QQ, (3,)), Poly(QQ, (2,))) == QQ(1)
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(BadParameters, match="resultant with the zero polynomial"):
         resultant(Poly.zero(QQ), g)
 
 

@@ -17,7 +17,6 @@ from supertorsion import (
     family_slack1,
     from_kubert,
     kubert_curve,
-    normalize_certificate,
     reachability_status,
     rr_basis,
     shift_points_to_0_minus1,
@@ -54,7 +53,6 @@ BUILDERS = {
     "TorsionCertificate": _slack1,
     "CheckResult": lambda: verify_certificate(_slack1()).checks[0],
     "VerificationReport": lambda: verify_certificate(_slack1(), run_oracle=True),
-    "NormalizedCertificate": lambda: normalize_certificate(_slack1()),
     "EllipticFourFamily": lambda: build_family(QQ(1), QQ(1)),
     "OrderStructureReport": lambda: check_order_structure(build_family(QQ(1), QQ(1))),
     "KubertCurve": lambda: kubert_curve(QQ(1)),
