@@ -222,14 +222,31 @@ def _parse_subset(field, n, text):
     return tuple(mu[i] for i in idx)
 
 
+#: two-packet flag -> (attribute, its value when not given, the actions that read it)
+_TWO_PACKET_FLAGS = {
+    "--p": ("p", None, ("build", "bad-lambdas", "sweep")),
+    "--I": ("I", None, ("build", "bad-lambdas")),
+    "--C": ("C", None, ("build", "bad-lambdas", "sweep")),
+    "--lambda": ("lambda", None, ("build",)),
+    "--A1": ("A1", None, ("build",)),
+    "--A2": ("A2", None, ("build",)),
+    "--equal": ("equal", False, ("build",)),
+    "--sign minus": ("sign", "plus", ("build",)),
+}
+
+
 def _cmd_two_packet(args) -> int:
+    # flags the action would ignore are refused, not dropped silently
+    if args.action != "admissible" and args.d != 2:
+        raise UsageError(f"two-packet {args.action} builds d = 2 curves; --d is for admissible")
+    for flag, (attr, unset, users) in _TWO_PACKET_FLAGS.items():
+        if args.action not in users and getattr(args, attr) != unset:
+            readers = " and ".join((", ".join(users[:-1]), users[-1]) if users[1:] else users)
+            raise UsageError(f"two-packet {args.action} takes no {flag}; {flag} is for {readers}")
     if args.action == "admissible":
         verdict = two_packet_admissible(args.n, args.d)
         _emit(serialize.admissibility_to_json(verdict))
         return EXIT_OK
-    # flags the action would ignore are refused, not dropped silently
-    if args.d != 2:
-        raise UsageError(f"two-packet {args.action} builds d = 2 curves; --d is for admissible")
     if args.action == "build" and args.equal and (args.C, args.A1, args.A2) != (None,) * 3:
         raise UsageError("two-packet build --equal takes no --C, --A1 or --A2")
     if args.p is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 from .errors import BadParameters, MathCheckError, UnsupportedField
@@ -58,6 +59,22 @@ def _prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
+
+
+#: "num" or "num/den" between optional whitespace: no decimal point or
+#: exponent, whose expansion (Fraction("1e100000000")) could exhaust memory;
+#: compiled on first use (``re`` caches it), not at import
+_RATIONAL = r"\s*([-+]?\d+)(?:/(\d+))?\s*"
+
+
+def _parse_rational(text: str) -> Fraction:
+    match = re.fullmatch(_RATIONAL, text)
+    try:
+        if match is None:
+            raise ValueError(text)
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError) as e:  # also past int's digit limit, or den 0
+        raise BadParameters(f"cannot parse scalar {text!r}: expected num or num/den") from e
 
 
 def _powers(h: int, m: int, p: int):
@@ -111,8 +128,10 @@ class Rationals(Field):
             if value.field is not self and value.field.kind != "Q":
                 raise BadParameters("cannot coerce a prime-field element into Q")
             return FieldElement(self, value.value)
-        if isinstance(value, (int, Fraction, str)):
+        if isinstance(value, (int, Fraction)):
             return FieldElement(self, Fraction(value))
+        if isinstance(value, str):
+            return FieldElement(self, _parse_rational(value))
         if type(value) is tuple and len(value) == 2:  # (num, den); not a record
             return FieldElement(self, Fraction(value[0], value[1]))
         raise BadParameters(f"cannot build a rational from {value!r}")
@@ -186,7 +205,10 @@ class PrimeField(Field):
         if isinstance(value, int):
             return FieldElement(self, value % self.p)
         if isinstance(value, str):
-            return FieldElement(self, int(value) % self.p)
+            try:
+                return FieldElement(self, int(value) % self.p)
+            except ValueError as e:
+                raise BadParameters(f"cannot parse scalar {value!r}") from e
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise MathCheckError(f"denominator divisible by {self.p}")

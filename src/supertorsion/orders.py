@@ -211,13 +211,15 @@ def principality_profile(curve: SuperellipticCurve, point, max_k: int):
 def order_of_class(curve: SuperellipticCurve, point, max_k: int | None = None):
     """Least k with k(P) - k(O) principal, i.e. the order of [P - O] (d when
     y(P) = 0); None if it exceeds max_k (default 2*m0).  The engine runs to
-    min(max_k, 2*m0) first and doubles that bound up to max_k while it finds
-    no order, so a small order costs the same whatever max_k is."""
+    min(max_k, m0) first and doubles that bound up to max_k while it finds
+    no order.  It is exact at any bound, so one pass settles every order up
+    to m0: the order a certificate claims, and d or n, the only orders below
+    m0.  A small order costs the same whatever max_k is."""
     point = curve.point(*point)
     if max_k is None:
         max_k = 2 * curve.params.m0
     _check_max_k(max_k)
-    bound = min(max_k, 2 * curve.params.m0)
+    bound = min(max_k, curve.params.m0)
     while True:
         order = next(_principal_orders(curve, point, bound), None)
         if order is not None or bound == max_k:

@@ -151,16 +151,30 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        """self^e on integer numerators: with self = F/den, F^e / den^e.  A
+        linear F = c0 + c1*x expands by the binomial theorem; any other F by
+        left-to-right squaring, each product reduced mod p over F_p."""
         if e < 0:
             raise BadParameters("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        field = self.field
+        mod = field.characteristic() or None
+        ints, den = field.split(self.values)
+        if len(ints) == 2:
+            (c0, c1), out, binom = ints, [], 1
+            for k in range(e + 1):
+                out.append(binom * pow(c0, e - k, mod) * pow(c1, k, mod))
+                binom = binom * (e - k) // (k + 1)
+        else:
+            out = [1]
+            for bit in bin(e)[2:]:
+                out = _convolve(out, out, 2 * len(out) - 1)
+                if mod:
+                    out = [c % mod for c in out]
+                if bit == "1":
+                    out = _convolve(out, ints, len(out) + len(ints) - 1)
+                    if mod:
+                        out = [c % mod for c in out]
+        return Poly._from_values(field, field.join(out, den ** e))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -180,11 +194,23 @@ class Poly:
     # --- evaluation and substitution ---
 
     def __call__(self, x) -> FieldElement:
-        x, red = self.field(x).value, self.field.reduce
-        acc = self.field.zero.value
-        for c in reversed(self.values):
-            acc = red(acc * x + c)
-        return FieldElement(self.field, acc)
+        """Horner's rule: reduced mod p over F_p; over Q on integer numerators,
+        where self = F/den and x = X/s give sum F_i X^i s^(n-i) / (den s^n)."""
+        field, x = self.field, self.field(x).value
+        if field.characteristic():
+            red, acc = field.reduce, 0
+            for c in reversed(self.values):
+                acc = red(acc * x + c)
+            return FieldElement(field, acc)
+        ints, den = field.split(self.values)
+        if not ints:
+            return field.zero
+        X, s = x.numerator, x.denominator
+        acc, s_pow = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            s_pow *= s
+            acc = acc * X + c * s_pow
+        return FieldElement(field, field.join((acc,), den * s_pow)[0])
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)) by Horner on polynomial values."""

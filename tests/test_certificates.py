@@ -303,13 +303,18 @@ def test_vanishing_at_P_matches_the_series_route(field):
     assert "v(a)^d != f(a): P is not on y^d = f" in orders
 
 
-def test_vanishing_at_P_raises_when_char_divides_d():
+def test_vanishing_at_P_fails_when_char_divides_d():
     F = GF(3)
     x = Poly.x(F)
     v = x ** 2 + 1
     cert = TorsionCertificate(field=F, n=4, d=3, a=F(0), B=F(1), q=Poly.one(F), v=v,
                               f=v ** 3 - x ** 6 + x, params=torsion_params(4, 3))
-    with pytest.raises(BadParameters, match="^characteristic 3 divides 3$"):
-        verify_certificate(cert)
+    report = verify_certificate(cert, run_oracle=True)
+    checks = {c.name: c for c in report}
+    assert not report.passed and report.oracle_order is None
+    assert checks["vanishing_at_P"] == ("vanishing_at_P", False, "characteristic 3 divides 3")
+    assert not checks["squarefree"].passed
+    assert not checks["oracle_order"].passed
+    assert checks["oracle_order"].detail.startswith("not run")
     with pytest.raises(BadParameters, match="^characteristic 3 divides 3$"):
         reference_vanishing_detail(cert)

@@ -302,12 +302,46 @@ def test_two_packet_build_bad_lambda_exit(capsys):
     (["build", "--p", "13", "--n", "3", "--I", "0,1", "--lambda", "6", "--equal",
       "--A1", "16", "--A2", "1"],
      "two-packet build --equal takes no --C, --A1 or --A2"),
-], ids=["bad-lambdas-d", "sweep-d", "build-d", "equal-C", "equal-A1-A2"])
+    (["sweep", "--p", "13", "--n", "3", "--I", "0,1"],
+     "two-packet sweep takes no --I; --I is for build and bad-lambdas"),
+    (["bad-lambdas", "--p", "13", "--n", "3", "--I", "0,1", "--lambda", "6"],
+     "two-packet bad-lambdas takes no --lambda; --lambda is for build"),
+    (["bad-lambdas", "--p", "13", "--n", "3", "--I", "0,1", "--A1", "16", "--A2", "1"],
+     "two-packet bad-lambdas takes no --A1; --A1 is for build"),
+    (["sweep", "--p", "13", "--n", "3", "--A2", "1"],
+     "two-packet sweep takes no --A2; --A2 is for build"),
+    (["sweep", "--p", "13", "--n", "3", "--equal"],
+     "two-packet sweep takes no --equal; --equal is for build"),
+    (["bad-lambdas", "--p", "13", "--n", "3", "--I", "0,1", "--sign", "minus"],
+     "two-packet bad-lambdas takes no --sign minus; --sign minus is for build"),
+    (["admissible", "--n", "3", "--p", "13"],
+     "two-packet admissible takes no --p; --p is for build, bad-lambdas and sweep"),
+    (["admissible", "--n", "3", "--I", "0,1"],
+     "two-packet admissible takes no --I; --I is for build and bad-lambdas"),
+    (["admissible", "--n", "3", "--d", "3", "--C", "2"],
+     "two-packet admissible takes no --C; --C is for build, bad-lambdas and sweep"),
+    (["admissible", "--n", "3", "--lambda", "6", "--equal"],
+     "two-packet admissible takes no --lambda; --lambda is for build"),
+    (["admissible", "--n", "3", "--sign", "minus"],
+     "two-packet admissible takes no --sign minus; --sign minus is for build"),
+], ids=["bad-lambdas-d", "sweep-d", "build-d", "equal-C", "equal-A1-A2", "sweep-I",
+        "bad-lambdas-lambda", "bad-lambdas-A1", "sweep-A2", "sweep-equal",
+        "bad-lambdas-sign-minus", "admissible-p", "admissible-I", "admissible-C",
+        "admissible-lambda", "admissible-sign-minus"])
 def test_two_packet_refuses_flags_its_action_ignores(capsys, monkeypatch, argv, message):
     calls = _count_packets(monkeypatch)
     code, docs, err = run(capsys, "two-packet", *argv)
     assert (code, docs, err) == (EXIT_USAGE, [], f"error: {message}\n")
     assert calls == []  # refused before any packet is built
+
+
+def test_two_packet_accepts_the_default_sign_and_d_everywhere(capsys):
+    plain = run(capsys, "two-packet", "sweep", "--p", "13", "--n", "3")
+    assert plain[0] == EXIT_OK and plain[1]
+    assert run(capsys, "two-packet", "sweep", "--p", "13", "--n", "3",
+               "--sign", "plus", "--d", "2") == plain
+    code, docs, _ = run(capsys, "two-packet", "admissible", "--n", "3", "--sign", "plus")
+    assert code == EXIT_OK and docs[0]["n"] == 3
 
 
 def test_usage_errors(capsys):
@@ -317,6 +351,18 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "nonsense")
     assert code == EXIT_USAGE
+
+
+def test_scalars_with_exponents_or_decimals_are_usage_errors(capsys):
+    code, docs, err = run(capsys, "construct", "--n", "3", "--d", "2", "--a", "1e7",
+                          "--B", "1", "--q", "1,1", "--field", "Q")
+    assert (code, docs, err) == (
+        EXIT_USAGE, [], "error: cannot parse scalar '1e7': expected num or num/den\n")
+    cert = {"n": 3, "d": 2, "field": {"kind": "Q"}, "a": "1e100000000", "B": "1",
+            "q": ["1", "1.5"]}
+    code, docs, err = run(capsys, "verify", "--oracle", "--cert", json.dumps(cert))
+    assert (code, docs) == (EXIT_USAGE, [])
+    assert "cannot parse scalar '1e100000000'" in err
 
 
 def test_manifest_written_and_deterministic(tmp_path, capsys):

@@ -315,6 +315,14 @@ def reference_shift(f, a):
     return Poly(field, g)
 
 
+def reference_eval(f, x):
+    """f(x) by Horner's rule on field values, one reduced operation a step."""
+    field, x, acc = f.field, f.field(x).value, 0
+    for c in reversed([c.value for c in f.coeffs]):
+        acc = field.reduce(acc * x + c)
+    return field(acc)
+
+
 def assert_canonical(f):
     """Values are Fractions over Q and residues in [0, p) over F_p."""
     p = f.field.characteristic()
@@ -325,13 +333,15 @@ def assert_canonical(f):
 
 
 def kernel_cases(field, rng):
-    """Operands with mixed denominators (over Q), zero and constants, and
-    shift points with denominators, plus seeded ones."""
+    """Operands with mixed denominators (over Q), zero, constants and linear
+    ones (one with a zero constant term), and shift points with
+    denominators, plus seeded ones."""
     if field is QQ:
         draw = lambda: Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 6, 9, 35)))
         polys = [Poly(QQ, (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), 0, Fraction(7, 9))),
                  Poly(QQ, (Fraction(2, 3), Fraction(1, 5))), Poly(QQ, (3, 0, -1, 2)),
-                 Poly(QQ, (Fraction(3, 7),)), Poly(QQ, (5,)), Poly.zero(QQ)]
+                 Poly(QQ, (Fraction(3, 7),)), Poly(QQ, (5,)), Poly.zero(QQ),
+                 Poly(QQ, (Fraction(-2, 3), Fraction(5, 4)))]
         points = [0, 3, -2, Fraction(-1, 2), Fraction(7, 3), Fraction(5, 6), Fraction(-9, 4)]
     else:
         p = field.characteristic()
@@ -339,6 +349,7 @@ def kernel_cases(field, rng):
         polys = [Poly(field, (1, 2, 3, 4, 5)), Poly(field, (3,)), Poly.one(field),
                  Poly.zero(field)]
         points = [0, 1, p - 1, 5, rng.randrange(p)]
+    polys += [Poly(field, (0, 3)), Poly(field, (-2, 1)), Poly(field, (5, -4))]
     polys += [Poly(field, [draw() for _ in range(rng.randint(1, 9))]) for _ in range(12)]
     return polys, points
 
@@ -353,7 +364,7 @@ def test_mul_pow_shift_match_reference_kernels(field):
             assert h == reference_mul(f, g), (f, g)
             assert_canonical(h)
         expected = Poly.one(field)
-        for e in range(5):
+        for e in range(12):
             assert f ** e == expected, (f, e)
             assert_canonical(f ** e)
             expected = reference_mul(expected, f)
@@ -361,6 +372,15 @@ def test_mul_pow_shift_match_reference_kernels(field):
             g = f.shift(a)
             assert g == reference_shift(f, a), (f, a)
             assert_canonical(g)
+            value = f(a)
+            assert value == reference_eval(f, a), (f, a)
+            assert_canonical(Poly._from_values(field, [value.value]))
+
+
+def test_pow_of_a_linear_base_over_f7_is_frobenius():
+    F = GF(7)
+    assert Poly(F, (1, 1)) ** 7 == Poly(F, (1, 0, 0, 0, 0, 0, 0, 1))
+    assert Poly(F, (3, 2)) ** 14 == Poly(F, (3, 0, 0, 0, 0, 0, 0, 2)) ** 2
 
 
 def euclid_is_squarefree(f):

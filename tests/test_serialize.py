@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from supertorsion import GF, QQ, Poly, build_certificate, family_slack1
@@ -25,6 +27,22 @@ def test_scalar_round_trip():
     assert ser.elem_from_str(GF(13), ser.elem_to_str(y)) == y
     with pytest.raises(BadParameters, match="cannot parse scalar 'one half'"):
         ser.elem_from_str(QQ, "one half")
+
+
+@pytest.mark.parametrize("text", ["1e100000000", "1.5", "1/0", "1/-2", "0x10", "", "1/2/3"])
+def test_rational_scalars_are_num_or_num_over_den_only(text):
+    start = time.perf_counter()
+    with pytest.raises(BadParameters, match="cannot parse scalar"):
+        ser.elem_from_str(QQ, text)
+    with pytest.raises(BadParameters, match="cannot parse scalar"):
+        QQ(text)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_rational_scalars_allow_signs_and_surrounding_whitespace():
+    assert ser.elem_from_str(QQ, "-3/4") == QQ((-3, 4))
+    assert ser.elem_from_str(QQ, " 7 ") == QQ(7)
+    assert QQ("+6/4") == QQ((3, 2)) and QQ("\t-0\n") == QQ(0)
 
 
 def test_poly_round_trip():
