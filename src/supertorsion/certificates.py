@@ -1,12 +1,18 @@
 """Torsion certificates: the normal form f = -B^d (x-a)^m0 + v(x)^d that
 witnesses an order-m0 point P = (a, v(a)), with v = B(x-a)^ell0 + q.
 
-``verify_certificate`` rechecks everything from scratch, each fact once: the
-defining polynomial identity (v^d - f is the norm of v - y, so the same
+``build_certificate`` assembles v and f from (a, B, q) and refuses a
+non-squarefree f.  ``assemble_certificate`` checks only the parameters, and
+the degrees of a declared v and f; it takes declared data as given, so a
+certificate read from JSON is not rebuilt.
+
+``verify_certificate`` rechecks everything the data claims, each fact once:
+the defining polynomial identity (v^d - f is the norm of v - y, so the same
 identity puts the zero divisor of v - y entirely above x = a), the shape of
 v, that f defines a curve, the pole bookkeeping at the infinite point, the
 local vanishing order at P, and (optionally) the independent order oracle on
-that curve.
+that curve.  A declared v or f that disagrees with (a, B, q), or an f with a
+repeated root, is a failed entry of its report.
 """
 
 from __future__ import annotations
@@ -53,6 +59,19 @@ class TorsionCertificate(NamedTuple):
 
 def build_certificate(n: int, d: int, a, B, q: Poly) -> TorsionCertificate:
     """Assemble and validate a certificate from (a, B, q)."""
+    cert = assemble_certificate(n, d, a, B, q)
+    if not is_squarefree(cert.f):
+        raise NotSquarefree("assembled f has repeated roots")
+    return cert
+
+
+def assemble_certificate(n: int, d: int, a, B, q: Poly, v: Poly | None = None,
+                         f: Poly | None = None) -> TorsionCertificate:
+    """The certificate with parameters (a, B, q) and the given v and f; an
+    absent one is assembled from (a, B, q).  The parameters are checked, and
+    a given v or f only for its degree (ell0 or n), which bounds the work of
+    ``verify_certificate``; whether v and f agree with (a, B, q), and whether
+    f is squarefree, is left to it."""
     params = torsion_params(n, d)
     field = q.field
     a, B = field(a), field(B)
@@ -67,13 +86,17 @@ def build_certificate(n: int, d: int, a, B, q: Poly) -> TorsionCertificate:
     char = field.characteristic()
     if char != 0 and d % char == 0:
         raise BadParameters(f"characteristic {char} divides d = {d}")
-    x_minus_a = Poly(field, (-a, field.one))
-    v = B * x_minus_a ** params.ell0 + q
-    f = -(B ** d) * x_minus_a ** params.m0 + v ** d
-    if f.degree != n:
-        raise BadParameters("degree of f collapsed; invalid parameters")
-    if not is_squarefree(f):
-        raise NotSquarefree("assembled f has repeated roots")
+    if v is not None and v.degree != params.ell0:
+        raise BadParameters(f"deg v = {v.degree}, expected ell0 = {params.ell0}")
+    if f is not None and f.degree != n:
+        raise BadParameters(f"deg f = {f.degree}, expected n = {n}")
+    if v is None or f is None:
+        x_minus_a = Poly(field, (-a, field.one))
+        v_abq = B * x_minus_a ** params.ell0 + q
+        # deg f = n: the top term of v^d - B^d (x-a)^m0 is d B^(d-1) (x-a)^(m0-ell0) q,
+        # of degree m0 - ell0 + slack = n and nonzero, since char does not divide d
+        f = -(B ** d) * x_minus_a ** params.m0 + v_abq ** d if f is None else f
+        v = v_abq if v is None else v
     return TorsionCertificate(field=field, n=n, d=d, a=a, B=B, q=q, v=v, f=f,
                               params=params)
 
@@ -119,7 +142,8 @@ class VerificationReport:
 def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
                        max_k: int | None = None) -> VerificationReport:
     """Re-derive every claim a certificate makes; failures become report
-    entries, never exceptions."""
+    entries, never exceptions.  The oracle runs to ``max_k`` (default 2*m0),
+    which, as for every oracle, must be at least 1."""
     field = cert.field
     x_minus_a = Poly(field, (-cert.a, field.one))
     # R = v^d - f is the norm prod_{zeta in mu_d} (v - zeta*y) of v - y, so this
@@ -176,7 +200,7 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
         if curve is None or not on_curve:
             detail = "not run: f defines no curve, or P is not a point on it"
         else:
-            oracle_order = order_of_class(curve, pt, max_k or 2 * cert.m0)
+            oracle_order = order_of_class(curve, pt, 2 * cert.m0 if max_k is None else max_k)
             detail = f"independent order oracle returned {oracle_order}"
         checks.append(CheckResult("oracle_order", oracle_order == cert.m0, detail))
     return VerificationReport(checks=tuple(checks), oracle_order=oracle_order)

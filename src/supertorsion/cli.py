@@ -132,6 +132,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_normalize(args) -> int:
     cert = serialize.certificate_from_json(_load_json_arg(args.cert))
+    # the normal form depends only on (a, B, q), so declared data that
+    # fails any check is refused rather than silently replaced
+    failed = [c.name for c in verify_certificate(cert) if not c.passed]
+    if failed:
+        raise UsageError(f"invalid certificate: {', '.join(failed)} failed")
     norm = normalize_certificate(cert)
     doc = serialize.certificate_to_json(norm)
     doc["b_tilde"] = serialize.elem_to_str(norm.B)

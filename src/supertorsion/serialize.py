@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .certificates import TorsionCertificate, VerificationReport, build_certificate
+from .certificates import TorsionCertificate, VerificationReport, assemble_certificate
 from .curves import AffinePoint, SuperellipticCurve
 from .errors import BadParameters, SupertorsionError
 from .fields import QQ, Field, FieldElement, PrimeField
@@ -95,18 +95,22 @@ def certificate_to_json(cert: TorsionCertificate) -> dict:
 
 
 def certificate_from_json(doc) -> TorsionCertificate:
+    """The certificate a JSON document declares.  Its parameters (n, d, a, B,
+    q) are checked, and a declared v or f only for its degree; v and f are
+    taken as declared, and assembled from (a, B, q) only when absent.
+    Whether they agree with (a, B, q), and whether f is squarefree, is for
+    ``verify_certificate`` to report."""
     _need_keys(doc, ("n", "d", "field", "a", "B", "q"), "certificate")
     field = field_from_json(doc["field"])
     n, d = _int_from_json(doc, "n"), _int_from_json(doc, "d")
     try:
-        cert = build_certificate(n, d, elem_from_str(field, doc["a"]),
-                                 elem_from_str(field, doc["B"]),
-                                 poly_from_json(field, doc["q"]))
+        a, B = elem_from_str(field, doc["a"]), elem_from_str(field, doc["B"])
+        q = poly_from_json(field, doc["q"])
+        v, f = (poly_from_json(field, doc[key]) if key in doc else None
+                for key in ("v", "f"))
+        cert = assemble_certificate(n, d, a, B, q, v, f)
     except SupertorsionError as e:
         raise BadParameters(f"invalid certificate: {e}") from e
-    for key, poly in (("v", cert.v), ("f", cert.f)):
-        if key in doc and poly_from_json(field, doc[key]) != poly:
-            raise BadParameters(f"declared {key} disagrees with (a, B, q)")
     if "m0" in doc and _int_from_json(doc, "m0") != cert.m0:
         raise BadParameters(f"declared m0 = {doc['m0']} but m0 = {cert.m0}")
     return cert

@@ -19,11 +19,16 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 GUARDS = """
-from supertorsion import QQ, Poly, build_certificate, build_family, torsion_params
-from supertorsion.errors import BadParameters, MathCheckError, NotSquarefree
+import json
+from types import SimpleNamespace
+
+from supertorsion import QQ, Poly, build_certificate, build_family, cli, torsion_params
+from supertorsion.errors import BadParameters, MathCheckError, NotSquarefree, UsageError
+from supertorsion.serialize import certificate_from_json
 
 if __debug__:
     raise SystemExit("not running under -O")
+cert = {"n": 3, "d": 2, "field": {"kind": "Q"}, "a": "0", "B": "1", "q": ["1", "1"]}
 cases = [
     (BadParameters, "q(a) = 0", lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (0, 1)))),
     (MathCheckError, "B1^2 - 8B = 0", lambda: build_family(QQ(2), QQ(4))),
@@ -32,6 +37,13 @@ cases = [
     # of is_squarefree must not turn that into a pass
     (NotSquarefree, "repeated roots",
      lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (2, 4)))),
+    (BadParameters, "deg v = 3, expected ell0 = 2",
+     lambda: certificate_from_json({**cert, "v": ["1", "1", "0", "1"]})),
+    (BadParameters, "deg f = 4, expected n = 3",
+     lambda: certificate_from_json({**cert, "f": ["1", "1", "0", "1", "1"]})),
+    # normalize refuses declared data that verify reports as failed
+    (UsageError, "invalid certificate: shape failed",
+     lambda: cli._cmd_normalize(SimpleNamespace(cert=json.dumps({**cert, "v": ["-1"] * 3})))),
 ]
 for exc, message, call in cases:
     try:

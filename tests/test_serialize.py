@@ -70,10 +70,10 @@ def test_certificate_schema_guards():
     del bad["B"]
     with pytest.raises(BadParameters, match=r"certificate is missing keys \['B'\]"):
         ser.certificate_from_json(bad)
-    lying = dict(doc)
-    lying["f"] = ser.poly_to_json(cert.f + Poly.one(QQ))
-    with pytest.raises(BadParameters, match=r"declared f disagrees with \(a, B, q\)"):
-        ser.certificate_from_json(lying)
+    # a declared f is taken as given; verify reports its disagreement
+    # (tests/test_verify_declared.py)
+    lying = {**doc, "f": ser.poly_to_json(cert.f + Poly.one(QQ))}
+    assert ser.certificate_from_json(lying) == cert._replace(f=cert.f + Poly.one(QQ))
     degenerate = dict(doc)
     degenerate["q"] = ["0", "1"]  # q(a) = 0
     with pytest.raises(BadParameters, match=r"invalid certificate: q\(a\) = 0"):

@@ -1,0 +1,163 @@
+"""``verify`` checks a certificate's declared data as given.
+
+Parsing refuses only what no certificate can be: bad parameters (a, B, q),
+or a declared v or f of the wrong degree (exit 2).  A declared v or f that
+disagrees with (a, B, q), or an f with a repeated root, is a failed entry of
+the report (exit 1); ``normalize``, whose output depends only on (a, B, q),
+refuses such a certificate (exit 2).
+"""
+
+import importlib.util
+import json
+import time
+from pathlib import Path
+
+import pytest
+
+from supertorsion import GF, QQ, Poly, cli, serialize, verify_certificate
+from supertorsion.certificates import assemble_certificate, build_certificate
+from supertorsion.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, dispatch
+from supertorsion.errors import BadParameters
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+FIELDS = (QQ, GF(13))
+
+
+def run(capsys, *argv):
+    code = dispatch(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def cert_doc(field, q=(1, 1), **changes):
+    """The JSON of the (3, 2) certificate a = 0, B = 1 with this q, its
+    declared polynomials replaced by ``changes`` (None drops the key)."""
+    cert = assemble_certificate(3, 2, field(0), field(1), Poly(field, q))
+    doc = serialize.certificate_to_json(cert)
+    for key, poly in changes.items():
+        if poly is None:
+            del doc[key]
+        else:
+            doc[key] = serialize.poly_to_json(poly(cert))
+    return json.dumps(doc)
+
+
+def failed(out):
+    doc = json.loads(out)
+    return doc, {c["name"] for c in doc["checks"] if not c["passed"]}
+
+
+# (label, changes, the checks that fail); q = 2 + 4x gives
+# f = 4 (x + 1)^2 (2x + 1) over Q and over F_13
+TAMPERED = (
+    ("f + 1", dict(f=lambda c: c.f + Poly.one(c.field)),
+     {"identity", "norm", "vanishing_at_P", "oracle_order"}),
+    ("-v", dict(v=lambda c: -c.v), {"shape"}),
+    ("repeated root", dict(q=(2, 4)), {"squarefree", "oracle_order"}),
+)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("label,changes,expected", TAMPERED, ids=[t[0] for t in TAMPERED])
+def test_verify_reports_declared_data_that_fails(capsys, field, label, changes, expected):
+    code, out, err = run(capsys, "verify", "--oracle", "--cert", cert_doc(field, **changes))
+    doc, names = failed(out)
+    assert (code, err) == (EXIT_MATH_FAIL, "")
+    assert names == expected and doc["passed"] is False
+    if "oracle_order" in expected:
+        oracle = next(c for c in doc["checks"] if c["name"] == "oracle_order")
+        assert oracle["detail"].startswith("not run") and doc["oracle_order"] is None
+    else:
+        # -v is the point (a, -v(a)), also of order m0 on the same curve
+        assert doc["oracle_order"] == 4
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("label,changes,expected", TAMPERED, ids=[t[0] for t in TAMPERED])
+def test_normalize_refuses_what_verify_reports(capsys, field, label, changes, expected):
+    code, out, err = run(capsys, "normalize", "--cert", cert_doc(field, **changes))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: invalid certificate: ") and err.endswith(" failed\n")
+    assert set(err[len("error: invalid certificate: "):-len(" failed\n")].split(", ")) \
+        == expected - {"oracle_order"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("q", [(1, 1), (2, 4)])
+def test_absent_v_and_f_are_assembled_from_a_b_q(capsys, field, q):
+    full = run(capsys, "verify", "--oracle", "--cert", cert_doc(field, q))
+    for changes in (dict(v=None), dict(f=None), dict(v=None, f=None)):
+        assert run(capsys, "verify", "--oracle", "--cert", cert_doc(field, q, **changes)) == full
+    # a declared v does not feed the assembled f: the identity fails
+    code, out, _ = run(capsys, "verify", "--cert", cert_doc(field, q, v=lambda c: c.v + c.v,
+                                                             f=None))
+    assert code == EXIT_MATH_FAIL and {"identity", "shape"} <= failed(out)[1]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("key,poly,message", [
+    ("v", lambda c: Poly(c.field, range(1, 4001)), "deg v = 3999, expected ell0 = 2"),
+    ("v", lambda c: Poly.one(c.field), "deg v = 0, expected ell0 = 2"),
+    ("v", lambda c: Poly(c.field, ()), "deg v = -inf, expected ell0 = 2"),
+    ("f", lambda c: c.f * c.f, "deg f = 6, expected n = 3"),
+    ("f", lambda c: Poly(c.field, range(1, 4001)), "deg f = 3999, expected n = 3"),
+])
+def test_a_declared_polynomial_of_the_wrong_degree_is_refused_at_parse(
+        capsys, monkeypatch, field, key, poly, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify_certificate ran on a refused certificate")
+
+    monkeypatch.setattr(cli, "verify_certificate", unreachable)
+    doc = cert_doc(field, **{key: poly})
+    for command in ("verify", "normalize"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--cert", doc)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: invalid certificate: {message}\n")
+        assert time.perf_counter() - start < 2.0
+
+
+def test_verify_oracle_honours_max_k():
+    cert = build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (1, 1)))
+    assert verify_certificate(cert, run_oracle=True).oracle_order == 4
+    assert verify_certificate(cert, run_oracle=True, max_k=4).oracle_order == 4
+    report = verify_certificate(cert, run_oracle=True, max_k=1)
+    assert report.oracle_order is None and not report.passed
+    for max_k in (0, -1):
+        with pytest.raises(BadParameters, match="max_k must be >= 1"):
+            verify_certificate(cert, run_oracle=True, max_k=max_k)
+
+
+def test_manifest_is_written_for_a_tampered_verify(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    doc = cert_doc(QQ, f=lambda c: c.f + Poly.one(c.field))
+    assert dispatch(["--manifest", str(path), "verify", "--cert", doc]) == EXIT_MATH_FAIL
+    capsys.readouterr()
+    manifest = json.loads(path.read_text())
+    assert manifest["checks_failed"] == 4 and manifest["results"][0]["passed"] is False
+
+
+def _load_bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return workloads, spans
+
+
+@pytest.mark.parametrize("workload", ["certify-q", "certify-fp"])
+def test_each_verify_op_tests_squarefree_once_and_builds_nothing(capsys, monkeypatch,
+                                                                 workload):
+    # the benchmark's seed-1 round: every certificate declares v and f
+    workloads, spans = _load_bench(monkeypatch)
+    ops = [op for op in workloads.round_ops(workload, 1, 0) if op.kind == "verify"]
+    counts = set()
+    with spans.LayerTrace() as trace:
+        for op in ops:
+            before = trace.calls["poly.is_squarefree"]
+            assert dispatch(list(op.argv)) == EXIT_OK
+            counts.add(trace.calls["poly.is_squarefree"] - before)
+    capsys.readouterr()
+    assert len(ops) == len(workloads.SHAPES) and counts == {1}
+    assert trace.calls["certificates.build_certificate"] == 0
+    assert trace.calls["certificates.verify_certificate"] == len(ops)
