@@ -11,19 +11,22 @@ the defining polynomial identity (v^d - f is the norm of v - y, so the same
 identity puts the zero divisor of v - y entirely above x = a), the shape of
 v, that f defines a curve, the pole bookkeeping at the infinite point, the
 local vanishing order at P, and (optionally) the independent order oracle on
-that curve.  A declared v or f that disagrees with (a, B, q), or an f with a
-repeated root, is a failed entry of its report.
+that curve, over Q taken modulo a prime of good reduction whenever one
+settles the answer.  A declared v or f that disagrees with (a, B, q), or an
+f with a repeated root, is a failed entry of its report.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import NamedTuple
 
+from . import poly
 from .curves import AffinePoint, SuperellipticCurve, TorsionParams, torsion_params
 from .errors import BadParameters, NotSquarefree
 from .fields import Field, FieldElement
 from .orders import order_of_class
-from .poly import Poly, is_squarefree
+from .poly import Poly, _pow_ints, _shift_ints, _trim, is_squarefree
 
 
 class TorsionCertificate(NamedTuple):
@@ -143,23 +146,44 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
                        max_k: int | None = None) -> VerificationReport:
     """Re-derive every claim a certificate makes; failures become report
     entries, never exceptions.  The oracle runs to ``max_k`` (default 2*m0),
-    which, as for every oracle, must be at least 1."""
-    field = cert.field
-    x_minus_a = Poly(field, (-cert.a, field.one))
+    which, as for every oracle, must be at least 1.
+
+    Over Q the curve is, when one exists, y^d = f mod q for the first prime q
+    of good reduction in ``poly._GOOD_FIELDS`` (``_good_reduction``): f mod q
+    squarefree of degree n proves f squarefree over Q.  The identity and the
+    vanishing order prove m0 principal over Q, and every k principal over Q
+    stays principal mod q; so when both pass, the oracle's one pass over F_q
+    to min(max_k, m0) is the answer over Q if it finds m0, or no order with
+    max_k < m0.  Any other answer, and every certificate that fails those
+    checks, runs the exact engine on the curve over Q.
+    """
+    field, d, m0, red = cert.field, cert.d, cert.m0, cert.field.reduce
     # R = v^d - f is the norm prod_{zeta in mu_d} (v - zeta*y) of v - y, so this
-    # one identity also puts the whole zero divisor of v - y above x = a.
-    R = cert.v ** cert.d - cert.f
-    identity_ok = R == (cert.B ** cert.d) * x_minus_a ** cert.m0
+    # one identity also puts the whole zero divisor of v - y above x = a.  It
+    # is checked as R(a + t) == B^d t^m0 on numerators: with v = V/dv and
+    # f = F/df, R = (V^d df - F dv^d) / (dv^d df).
+    (V, dv), (F, df) = field.split(cert.v.values), field.split(cert.f.values)
+    dv_d = dv ** d
+    G, den = _at_a(cert, [red(u * df - w * dv_d) for u, w in zip_longest(
+        _pow_ints(field, V, d), F, fillvalue=0)], dv_d * df)
+    identity_ok = _is_monomial(field, G, den, m0, cert.B ** d)
     checks = [CheckResult("identity", identity_ok, "f + B^d (x-a)^m0 == v^d")]
-    checks.append(CheckResult(
-        "shape", cert.v == cert.B * x_minus_a ** cert.ell0 + cert.q
-        and cert.v.degree == cert.ell0 and cert.v.leading == cert.B
-        and cert.q.degree == cert.params.slack and not cert.q(cert.a).is_zero(),
-        "v = B(x-a)^ell0 + q with the required degrees"))
-    try:
-        curve = SuperellipticCurve(field, cert.d, cert.f)
-    except BadParameters:
-        curve = None
+    # v - q == B (x-a)^ell0, likewise at a + t, on numerators over one
+    # denominator; deg q = slack < ell0 then gives deg v = ell0, lc(v) = B,
+    # and v(a) = q(a)
+    ints, den_vq = field.split(cert.v.values + cert.q.values)
+    nv, pt = len(cert.v.values), cert.point()
+    W = [red(u - w) for u, w in zip_longest(ints[:nv], ints[nv:], fillvalue=0)]
+    shape_ok = _is_monomial(field, *_at_a(cert, W, den_vq), cert.ell0, cert.B) \
+        and cert.q.degree == cert.params.slack and not pt.y.is_zero()
+    checks.append(CheckResult("shape", shape_ok,
+                              "v = B(x-a)^ell0 + q with the required degrees"))
+    curve = _good_reduction(cert, F, df, pt.y) if field.kind == "Q" else None
+    if curve is None:
+        try:
+            curve = SuperellipticCurve(field, d, cert.f)
+        except BadParameters:
+            curve = None
     checks.append(CheckResult(
         "squarefree", curve is not None and cert.f.degree == cert.n,
         "f squarefree of degree n"))
@@ -168,31 +192,29 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
 
     # pole orders at O: v_O(x) = -d, v_O(y) = -n, so v(x) has pole d*ell0 = m0
     # and v - y has pole order exactly max(m0, n) = m0.
-    pole_v = cert.d * cert.v.degree
+    pole_v = d * cert.v.degree
     checks.append(CheckResult(
-        "pole_order", pole_v == cert.m0 and cert.m0 > cert.n,
-        f"v_O(v) = -{pole_v}, v_O(y) = -{cert.n}, so v_O(v - y) = -{cert.m0}"))
+        "pole_order", pole_v == m0 and m0 > cert.n,
+        f"v_O(v) = -{pole_v}, v_O(y) = -{cert.n}, so v_O(v - y) = -{m0}"))
 
     # local vanishing: ord_P(v - y) = m0 exactly, read off R.  At P the
     # factors v - zeta*y with zeta != 1 take the value v(a)(1 - zeta) != 0,
     # and x - a is a uniformizer, so ord_P(v - y) is the multiplicity of
     # x = a in R (counted up to m0 + 1, as None beyond).
-    pt = cert.point()
     vanish_ok = on_curve = False
     char = field.characteristic()
     if pt.y.is_zero():
         detail = "v(a) = 0: not a valid certificate point"
-    elif char != 0 and cert.d % char == 0:
-        detail = f"characteristic {char} divides {cert.d}"
+    elif char != 0 and d % char == 0:
+        detail = f"characteristic {char} divides {d}"
     else:
-        at_a = R.shift(cert.a)  # R(a + t)
-        on_curve = at_a[0].is_zero()
+        on_curve = not G or not G[0]
         if not on_curve:
             detail = "v(a)^d != f(a): P is not on y^d = f"
         else:
-            order = next((i for i in range(cert.m0 + 2) if not at_a[i].is_zero()), None)
-            vanish_ok = order == cert.m0
-            detail = f"ord_P(v - y) = {order}, expected {cert.m0}"
+            order = next((i for i, c in enumerate(G[:m0 + 2]) if c), None)
+            vanish_ok = order == m0
+            detail = f"ord_P(v - y) = {order}, expected {m0}"
     checks.append(CheckResult("vanishing_at_P", vanish_ok, detail))
 
     oracle_order = None
@@ -200,10 +222,59 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
         if curve is None or not on_curve:
             detail = "not run: f defines no curve, or P is not a point on it"
         else:
-            oracle_order = order_of_class(curve, pt, 2 * cert.m0 if max_k is None else max_k)
+            oracle_order = _oracle_order(cert, curve, pt, 2 * m0 if max_k is None else max_k,
+                                         identity_ok and vanish_ok)
             detail = f"independent order oracle returned {oracle_order}"
-        checks.append(CheckResult("oracle_order", oracle_order == cert.m0, detail))
+        checks.append(CheckResult("oracle_order", oracle_order == m0, detail))
     return VerificationReport(checks=tuple(checks), oracle_order=oracle_order)
+
+
+def _at_a(cert: TorsionCertificate, ints, den):
+    """(G, D) with P(a + t) = G(t)/D for P = ints/den, given on ``split``
+    numerators (residues and den = 1 over F_p)."""
+    (A,), s = cert.field.split((cert.a.value,))
+    G, scale = _shift_ints(cert.field, _trim(ints), A, s)
+    return G, den * scale
+
+
+def _is_monomial(field: Field, G, D, k: int, c: FieldElement) -> bool:
+    """G(t)/D == c t^k."""
+    return len(G) == k + 1 and not any(G[:k]) and field.join((G[k],), D)[0] == c.value
+
+
+def _good_reduction(cert: TorsionCertificate, F, den, y0: FieldElement):
+    """The curve y^d = f mod q, f = F/den over Q, over the first F_q of
+    ``poly._GOOD_FIELDS`` with q > m0 at which f, a and y0 = v(a) are
+    q-integral, y0 is a q-unit, and f mod q has degree n and is squarefree;
+    None if no q qualifies.  q > m0 > d keeps q prime to d, and to the order
+    m0 (prime-to-q torsion injects under good reduction; Katz, Invent. Math.
+    62, 1981)."""
+    a, y = cert.a.value, y0.value
+    for fq in poly._GOOD_FIELDS:
+        if fq.p <= cert.m0 or den * a.denominator * y.denominator * y.numerator % fq.p == 0:
+            continue
+        f_q = Poly._from_values(fq, fq.join(F, den))
+        if f_q.degree == cert.n:
+            try:
+                return SuperellipticCurve(fq, cert.d, f_q)
+            except BadParameters:
+                pass
+    return None
+
+
+def _oracle_order(cert: TorsionCertificate, curve: SuperellipticCurve, pt: AffinePoint,
+                  max_k: int, proven: bool):
+    """``order_of_class`` at P to max_k.  ``curve`` is over the field of the
+    certificate or, over Q, over an F_q of good reduction; ``proven`` says
+    that the identity and the vanishing order hold, so m0 is principal."""
+    fq = curve.field
+    if fq != cert.field:
+        if proven:
+            order = order_of_class(curve, (fq(pt.x.value), fq(pt.y.value)), min(max_k, cert.m0))
+            if order == cert.m0 or (order is None and max_k < cert.m0):
+                return order
+        curve = SuperellipticCurve(cert.field, cert.d, cert.f)
+    return order_of_class(curve, pt, max_k)
 
 
 def normalize_certificate(cert: TorsionCertificate) -> TorsionCertificate:

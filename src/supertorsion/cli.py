@@ -100,8 +100,8 @@ def _parse_field(spec: str) -> Field:
 
 
 def _parse_poly(field: Field, text: str) -> Poly:
-    return Poly(field, [serialize.elem_from_str(field, c.strip())
-                        for c in text.split(",")])
+    return Poly._from_values(field, [serialize.elem_from_str(field, c.strip()).value
+                                     for c in text.split(",")])
 
 
 def _load_json_arg(text: str):

@@ -151,30 +151,13 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        """self^e on integer numerators: with self = F/den, F^e / den^e.  A
-        linear F = c0 + c1*x expands by the binomial theorem; any other F by
-        left-to-right squaring, each product reduced mod p over F_p."""
+        """self^e on integer numerators: with self = F/den, F^e / den^e
+        (``_pow_ints``)."""
         if e < 0:
             raise BadParameters("negative polynomial power")
         field = self.field
-        mod = field.characteristic() or None
         ints, den = field.split(self.values)
-        if len(ints) == 2:
-            (c0, c1), out, binom = ints, [], 1
-            for k in range(e + 1):
-                out.append(binom * pow(c0, e - k, mod) * pow(c1, k, mod))
-                binom = binom * (e - k) // (k + 1)
-        else:
-            out = [1]
-            for bit in bin(e)[2:]:
-                out = _convolve(out, out, 2 * len(out) - 1)
-                if mod:
-                    out = [c % mod for c in out]
-                if bit == "1":
-                    out = _convolve(out, ints, len(out) + len(ints) - 1)
-                    if mod:
-                        out = [c % mod for c in out]
-        return Poly._from_values(field, field.join(out, den ** e))
+        return Poly._from_values(field, field.join(_pow_ints(field, ints, e), den ** e))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -220,21 +203,12 @@ class Poly:
         return acc
 
     def shift(self, a) -> "Poly":
-        """x -> x + a substitution by Horner's rule on integer numerators: with
-        self = F/den and a = A/s (den = s = 1 over F_p), self(x + a) is
-        G(s*x) / (den * s^n) for G(x) = H(x + A), H_i = F_i * s^(n-i)."""
-        field, red = self.field, self.field.reduce
+        """x -> x + a substitution on integer numerators (``_shift_ints``)."""
+        field = self.field
         ints, den = field.split(self.values)
         (A,), s = field.split((field(a).value,))
-        n = max(len(ints) - 1, 0)
-        if s != 1:
-            ints = [c * s ** (n - i) for i, c in enumerate(ints)]
-        g = []
-        for c in reversed(ints):  # g <- g*(x + A) + c
-            g = [red(A * u + v) for u, v in zip(g + [0], [c] + g)]
-        if s != 1:
-            g, den = [c * s ** k for k, c in enumerate(g)], den * s ** n
-        return Poly._from_values(field, field.join(g, den))
+        g, scale = _shift_ints(field, ints, A, s)
+        return Poly._from_values(field, field.join(g, den * scale))
 
     def scale_arg(self, c) -> "Poly":
         """x -> c*x substitution."""
@@ -285,6 +259,47 @@ def _convolve(a, b, n):
         lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1) + 1
         out.append(sum(map(mul, a[lo:hi], rb[len(b) - 1 - k + lo:])))
     return out
+
+
+def _pow_ints(field, ints, e):
+    """F^e for the integer coefficients F of ``field.split`` (residues over
+    F_p).  A linear F = c0 + c1*x expands by the binomial theorem; any other
+    F by left-to-right squaring, each product reduced mod p over F_p."""
+    mod = field.characteristic() or None
+    if len(ints) == 2:
+        (c0, c1), out, binom = ints, [], 1
+        for k in range(e + 1):
+            out.append(binom * pow(c0, e - k, mod) * pow(c1, k, mod))
+            binom = binom * (e - k) // (k + 1)
+        return out
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _convolve(out, out, 2 * len(out) - 1)
+        if mod:
+            out = [c % mod for c in out]
+        if bit == "1":
+            out = _convolve(out, ints, len(out) + len(ints) - 1)
+            if mod:
+                out = [c % mod for c in out]
+    return out
+
+
+def _shift_ints(field, ints, A, s):
+    """(G, s^n) with G / s^n = F(x + A/s), for the integer coefficients F of
+    degree n of ``field.split`` (residues and s = 1 over F_p): Horner's rule
+    gives H(x + A) for H_i = F_i * s^(n-i), and G_k = s^k * (H(x + A))_k."""
+    if not A:
+        return list(ints), 1
+    red = field.reduce
+    n = max(len(ints) - 1, 0)
+    if s != 1:
+        ints = [c * s ** (n - i) for i, c in enumerate(ints)]
+    g = []
+    for c in reversed(ints):  # g <- g*(x + A) + c
+        g = [red(A * u + v) for u, v in zip(g + [0], [c] + g)]
+    if s == 1:
+        return g, 1
+    return [c * s ** k for k, c in enumerate(g)], s ** n
 
 
 def _trim(values):
@@ -398,8 +413,11 @@ def interpolate(field: Field, points, values) -> Poly:
     return Poly._from_values(field, out)
 
 
-#: F_q for primes q near 2^31; over Q, ``is_squarefree`` tries these first
-_GOOD_FIELDS = tuple(GF(q) for q in (2147483647, 2147483629, 2147483587))
+#: F_q for the three primes just below 2^30, whose residues fit in one
+#: CPython digit.  Over Q, ``is_squarefree`` tries these first, and
+#: ``verify_certificate`` takes the first of good reduction for its curve and
+#: the lower bound of its order oracle.
+_GOOD_FIELDS = tuple(GF(q) for q in (1073741789, 1073741783, 1073741741))
 
 
 class InseparableWarning(UserWarning):

@@ -54,7 +54,7 @@ def poly_to_json(f: Poly) -> list:
 def poly_from_json(field: Field, doc) -> Poly:
     if not isinstance(doc, list):
         raise BadParameters(f"polynomial must be a list: {doc!r}")
-    return Poly(field, [elem_from_str(field, c) for c in doc])
+    return Poly._from_values(field, [elem_from_str(field, c).value for c in doc])
 
 
 def curve_to_json(curve: SuperellipticCurve) -> dict:

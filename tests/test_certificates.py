@@ -270,10 +270,7 @@ def _tampered(cert, rng):
     return out
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(13), GF(1009)],
-                         ids=["Q", "F3", "F7", "F13", "F1009"])
-def test_vanishing_at_P_matches_the_series_route(field):
-    rng = random.Random(field.characteristic() + 11)
+def _random_certificates(field, rng):
     char, certs = field.characteristic(), []
     for n, d in ((3, 2), (4, 3), (5, 2), (7, 4), (7, 2), (7, 3), (8, 5), (11, 4)):
         if char and d % char == 0:
@@ -290,6 +287,17 @@ def test_vanishing_at_P_matches_the_series_route(field):
                 continue
             break
     assert len(certs) >= 6
+    return certs
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(13), GF(1009)],
+                                 ids=["Q", "F3", "F7", "F13", "F1009"])
+
+
+@FIELDS
+def test_vanishing_at_P_matches_the_series_route(field):
+    rng = random.Random(field.characteristic() + 11)
+    certs = _random_certificates(field, rng)
     orders = set()
     for cert in certs:
         for case in [cert] + _tampered(cert, rng):
@@ -301,6 +309,35 @@ def test_vanishing_at_P_matches_the_series_route(field):
     assert any(f"ord_P(v - y) = {m0 + 1}" in orders for m0 in m0s)
     assert "v(a) = 0: not a valid certificate point" in orders
     assert "v(a)^d != f(a): P is not on y^d = f" in orders
+
+
+def reference_identity_and_shape(cert):
+    """The identity and shape checks as polynomial equations."""
+    x_minus_a = Poly(cert.field, (-cert.a, cert.field.one))
+    identity = cert.v ** cert.d - cert.f == cert.B ** cert.d * x_minus_a ** cert.m0
+    shape = (cert.v == cert.B * x_minus_a ** cert.ell0 + cert.q
+             and cert.v.degree == cert.ell0 and cert.v.leading == cert.B
+             and cert.q.degree == cert.params.slack and not cert.q(cert.a).is_zero())
+    return identity, shape
+
+
+@FIELDS
+def test_identity_and_shape_match_the_polynomial_route(field):
+    rng = random.Random(field.characteristic() + 12)
+    seen = set()
+    for cert in _random_certificates(field, rng):
+        x_minus_a = Poly(field, (-cert.a, field.one))
+        unit, qa = field(rng.randrange(1, 50)), cert.q(cert.a)
+        cases = [cert, cert._replace(B=cert.B + unit), cert._replace(q=cert.q + unit),
+                 cert._replace(v=cert.v + unit * x_minus_a ** cert.ell0),
+                 cert._replace(q=cert.q + Poly.monomial(field, cert.ell0, unit)),
+                 cert._replace(q=cert.q - qa, v=cert.v - qa)]  # q(a) = 0
+        for case in cases + _tampered(cert, rng):
+            checks = {c.name: c.passed for c in verify_certificate(case)}
+            expected = reference_identity_and_shape(case)
+            assert (checks["identity"], checks["shape"]) == expected, case
+            seen.add(expected)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_vanishing_at_P_fails_when_char_divides_d():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from supertorsion import orders
+from supertorsion import orders, poly
 from supertorsion import (
     GF,
     QQ,
@@ -292,52 +292,54 @@ def test_point_entries_reject_points_off_the_curve():
             oracle(curve, (QQ(0), QQ(2)), 8)
 
 
-def _record_precisions(monkeypatch):
-    precisions = []
+def _record_series(monkeypatch):
+    """The (field, precision) of every ``_series_root_powers`` call."""
+    calls = []
 
     def recording(f, d, a, b, precision):
-        precisions.append(precision)
+        calls.append((f.field, precision))
         return series_root_powers(f, d, a, b, precision)
 
     series_root_powers = orders._series_root_powers
     monkeypatch.setattr(orders, "_series_root_powers", recording)
-    return precisions
+    return calls
 
 
 def test_rr_precision_does_not_grow_with_max_k(monkeypatch):
     # y^2 = x^3 + 1 over F_13, m0 = 4: (0, 1) has order 3
     F = GF(13)
     curve = SuperellipticCurve(F, 2, Poly(F, (1, 0, 0, 1)))
-    precisions = _record_precisions(monkeypatch)
+    calls = _record_series(monkeypatch)
     assert order_of_class(curve, (F(0), F(1)), 10 ** 5) == 3
-    assert precisions == [curve.params.m0 + 2]
+    assert calls == [(F, curve.params.m0 + 2)]
 
 
 def test_rr_doubles_its_bound_only_while_no_order_is_found(monkeypatch):
     # y^2 = x^3 + 7 over F_101, m0 = 4: (6, 18) has order 17 > 2*m0
-    precisions = _record_precisions(monkeypatch)
+    calls = _record_series(monkeypatch)
     F = GF(101)
     curve = SuperellipticCurve(F, 2, Poly(F, (7, 0, 0, 1)))
     assert order_of_class(curve, (F(6), F(18)), 100) == 17 == elliptic_order(
         curve, (F(6), F(18)), 100)
-    assert precisions == [6, 10, 18, 34]
-    precisions.clear()
+    assert calls == [(F, 6), (F, 10), (F, 18), (F, 34)]
+    calls.clear()
     assert order_of_class(curve, (F(6), F(18)), 12) is None
-    assert precisions == [6, 10, 14]
-    precisions.clear()
+    assert calls == [(F, 6), (F, 10), (F, 14)]
+    calls.clear()
     assert order_of_class(curve, (F(6), F(18))) is None  # default max_k = 2*m0
-    assert precisions == [6, 10]
+    assert calls == [(F, 6), (F, 10)]
 
 
 @pytest.mark.parametrize("n,d,field", [(4, 3, QQ), (3, 2, QQ), (13, 4, QQ), (7, 4, GF(29)),
                                        (19, 10, GF(13))])
 def test_verify_oracle_solves_the_series_once_at_m0_plus_2(monkeypatch, n, d, field):
+    # over Q the one series is solved mod the first prime of good reduction
     m0 = torsion_params(n, d).m0
-    precisions = _record_precisions(monkeypatch)
+    calls = _record_series(monkeypatch)
     if torsion_params(n, d).slack == 0:
         cert = family_slack0(n, d, field)
     else:
         cert, _ = family_slack1(n, d, field(2), field(-3))
     report = verify_certificate(cert, run_oracle=True)
     assert report.passed and report.oracle_order == m0
-    assert precisions == [m0 + 2]
+    assert calls == [(poly._GOOD_FIELDS[0] if field == QQ else field, m0 + 2)]
