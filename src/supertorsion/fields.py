@@ -193,6 +193,7 @@ class PrimeField(Field):
         if not is_prime(p):
             raise BadParameters(f"{p} is not prime")
         self.p = p
+        self._of_order = {}  # m -> the answer of _element_of_order(m)
 
     def characteristic(self) -> int:
         return self.p
@@ -290,14 +291,16 @@ class PrimeField(Field):
         return r * pow(z, -j, p) % p
 
     def _element_of_order(self, m: int) -> int:
-        """A residue of multiplicative order exactly m, for m | p-1: the
-        first c^((p-1)/m) whose power to m/q is not 1 for any prime q | m."""
+        """A residue of multiplicative order exactly m, for m | p-1, kept per
+        field: the first c^((p-1)/m) whose power to m/q is not 1 for any q | m."""
+        if m in self._of_order:
+            return self._of_order[m]
         p = self.p
         cofactor, primes = (p - 1) // m, _prime_factors(m)
         for c in range(1, p):
             h = pow(c, cofactor, p)
             if all(pow(h, m // q, p) != 1 for q in primes):
-                return h
+                return self._of_order.setdefault(m, h)
         # unreachable for prime p with m | p-1
         raise UnsupportedField(f"no element of order {m} in F_{p}^*")
 

@@ -356,15 +356,15 @@ def _resultant_values(field, f, g):
     return red(res * pow(g[-1], len(f) - 1, mod))
 
 
-def _powmod_values(field, base, e, modulus):
-    """base^e mod modulus (trimmed, degree >= 1) by left-to-right squaring:
-    each product is a raw convolution, reduced once by the division."""
-    out = [1]
+def _powmod_linear(field, a, e, g):
+    """(x + a)^e mod a monic g of degree >= 1 over F_p by left-to-right squaring;
+    a step by x + a is a shift and one multiple of g, O(deg g), no division."""
+    red, low, out = field.reduce, g[:-1], [1]
     for bit in bin(e)[2:]:
-        out = _divmod_values(field, _convolve(out, out, 2 * len(out) - 1), modulus)[1]
-        if bit == "1":
-            out = _divmod_values(
-                field, _convolve(out, base, len(out) + len(base) - 1), modulus)[1]
+        out = _divmod_values(field, _convolve(out, out, 2 * len(out) - 1), g)[1]
+        if bit == "1":  # out*(x + a), less c*g for out's top coefficient c
+            c = out[-1] if len(out) == len(low) else 0
+            out = _trim([red(a * u + v - c * w) for u, v, w in zip(out + [0], [0] + out, low)])
     return out
 
 
@@ -455,44 +455,45 @@ def is_squarefree(f: Poly) -> bool:
 
 
 def roots_in_field(f: Poly):
-    """All base-field roots of f, without multiplicity.
+    """All base-field roots of f, without multiplicity, in ascending order.
 
-    Over F_p the distinct linear factors of f multiply to gcd(f, x^p - x),
-    with x^p mod f taken by repeated squaring; that product is split by
-    gcd((x+a)^((p-1)/2) - 1, .) for a = 0, 1, 2, ... in turn, so the result
-    needs no randomness.  The roots come back in ascending order of residue.
-    Over Q it raises ``UnsupportedField``: a rational-root search by divisors
-    is exponential in bit size.
+    Over F_2 they are read off f(0) and f(1).  Over F_p, p odd, one ladder
+    gives h = x^((p-1)/2) mod f, then x^p = x*h^2 gives g = gcd(f, x^p - x),
+    the product of the distinct linear factors, and h splits g at a = 0
+    (``_split_linear``; no randomness).  Over Q it raises ``UnsupportedField``:
+    a rational-root search by divisors is exponential in bit size.
     """
     if f.is_zero():
         raise BadParameters("every point is a root of the zero polynomial")
-    field = f.field
+    field, h = f.field, None
     if field.kind != "Fp":
         raise UnsupportedField("roots_in_field needs a prime field")
-    if f.is_constant():
-        return ()
-    xp = _powmod_values(field, [0, 1], field.p, f.values) + [0, 0]
-    xp[1] -= 1
-    linear = _euclid_values(field, ((f.values,), (_trim([field.reduce(v) for v in xp]),)))[0]
-    return tuple(field(r) for r in sorted(_split_linear(field, linear)))
-
-
-def _split_linear(field, g):
-    """The roots, as residues, of a monic product g of distinct linear
-    factors over F_p, given as a value list."""
-    if len(g) <= 2:
-        return [field.reduce(-g[0])] if len(g) == 2 else []
-    if not g[0]:
-        # split off x: over F_2 the quadratic character below is trivial
-        return [0] + _split_linear(field, g[1:])
     p = field.p
-    if len(g) == 3:  # g = (x - r)(x - s): its discriminant is a nonzero square
-        return list(_quadratic_roots(1, g[1], g[0], field))
-    for a in range(p):
-        h = _powmod_values(field, [a, 1], (p - 1) // 2, g) or [0]
+    if p == 2:
+        return tuple(field(r) for r in (0, 1) if not f(r))
+    g = list(f.monic().values)
+    if len(g) > 3:
+        h = _powmod_linear(field, 0, (p - 1) // 2, g)
+        xp = _divmod_values(field, [0] + _convolve(h, h, 2 * len(h) - 1), g)[1] + [0, 0]
+        xp[1] -= 1
+        g = _euclid_values(field, ((g,), (_trim([v % p for v in xp]),)))[0]
+    return tuple(field(r) for r in sorted(_split_linear(field, g, 0, h)))
+
+
+def _split_linear(field, g, a, h=None):
+    """Residues of the roots of a monic value list g, p odd: closed form to degree 2,
+    else g is a product of distinct linear factors no shift below a splits, split by
+    gcd(h - 1, g), h = (x+a)^((p-1)/2) mod g (a given h: mod a multiple), a = a, a+1, ..."""
+    if len(g) <= 3:
+        return list(_quadratic_roots(*([0] * (3 - len(g)) + g[::-1]), field))
+    p = field.p
+    for a in range(a, p):
+        h = (_powmod_linear(field, a, (p - 1) // 2, g) if h is None else h) or [0]
         h = _euclid_values(field, ((g,), (_trim([(h[0] - 1) % p] + h[1:]),)))[0]
         if 1 < len(h) < len(g):
-            return _split_linear(field, h) + _split_linear(field, _divmod_values(field, g, h)[0])
+            return (_split_linear(field, h, a + 1)
+                    + _split_linear(field, _divmod_values(field, g, h)[0], a + 1))
+        h = None
     # unreachable: for distinct roots r, s a character sum shows that
     # (r+a)(s+a) is a non-residue for some a, which puts exactly one in h
     raise MathCheckError(f"no shift a < {p} splits {Poly._from_values(field, g)!r}")

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fields import Field, FieldElement, PrimeField
 from .poly import (Poly, _convolve, _quadratic_roots, _resultant_values, interpolate,
-                   is_squarefree, poly_gcd, roots_in_field)
+                   is_squarefree, roots_in_field)
 
 
 # ---------------------------------------------------------------------------
@@ -433,46 +433,54 @@ def bad_lambda_set(pk: TwoPacket) -> frozenset:
 
     The result is a deliberate superset of the truly bad values; compare with
     ``confirmed_bad_lambdas``.  When the eliminant vanishes identically the
-    analysis localizes nothing and every abscissa is scanned.
+    analysis localizes nothing and every abscissa is scanned, for p <= 2^16.
     """
-    sieve, field, ell0 = _sieve(pk), pk.field, pk.ell0
-    p, cl, bad = field.p, pk.cl.value, {1, field.p - 1}
-    for x0 in range(p) if sieve is None else (r.value for r in roots_in_field(sieve)):
-        powers = [pow(x0, i, p) for i in range(ell0 + 1)]  # deg H_I, deg H_comp <= ell0
-        bad.update(lam for lam in _quadratic_roots(
-            sum(map(mul, pk.hi.values, powers)) % p, -2 * cl * powers[ell0] % p,
-            -sum(map(mul, pk.hc.values, powers)) % p, field) if lam)
-    return frozenset(field(lam) for lam in bad | {p - lam for lam in bad})
+    sieve, field, p = _sieve(pk), pk.field, pk.field.p
+    if sieve is None and p > 2 ** 16:  # about p/2 candidates
+        raise BadParameters(f"the eliminant vanishes identically for I = {pk.I!r}, so about "
+                            f"p/2 lambda are candidates: listed for p <= {2 ** 16}, not p = {p}")
+    bad = {1}.union(*(_quadratic_roots(a, -b % p, -c % p, field)
+                      for a, b, c in _q_coefficients(pk, sieve)))
+    return frozenset(field(lam) for lam in bad | {p - lam for lam in bad} if lam % p)
 
 
 def bad_lambda_members(pk: TwoPacket, lams) -> frozenset:
     """The lams in ``bad_lambda_set(pk)``, found in polylog(p) without
     building that set.  Apart from +-1, a lam != 0 is in it iff
     R = Q(x, lam) Q(x, -lam) = (lam^2 H_I - H_comp)^2 - 4 C^(2 ell0) lam^2 x^(n+1),
-    nonzero at x = 0, has a root in F_p that the analysis draws lambdas from."""
-    sieve, field, out = _sieve(pk), pk.field, set()
+    nonzero at x = 0, has a root in F_p that the analysis draws lambdas from:
+    a root of ``_sieve``, found once, or any root if the eliminant vanishes."""
+    sieve, field, p, out = _sieve(pk), pk.field, pk.field.p, set()
+    qs = None if sieve is None else list(_q_coefficients(pk, sieve))
     for lam in map(field, lams):
-        w = pk.hi * (lam * lam) - pk.hc
-        r = w * w - Poly.monomial(field, pk.n + 1, 4 * (pk.cl * lam) ** 2)
-        if lam == 1 or lam == -1 or (lam and roots_in_field(
-                r if sieve is None else poly_gcd(r, sieve))):
+        m = lam.value ** 2 % p  # lam^2: 1 for lam = +-1, 0 for lam = 0
+        if m == 1 or m and (any(((a * m - c) ** 2 - b * b * m) % p == 0 for a, b, c in qs)
+                            if qs is not None else roots_in_field((pk.hi * m - pk.hc) ** 2
+                            - Poly.monomial(field, pk.n + 1, 4 * pk.cl.value ** 2 * m))):
             out.add(lam)
     return frozenset(out)
 
 
 def _sieve(pk: TwoPacket):
-    """S whose roots are the abscissas the bad lambda analysis draws lambdas
-    from, or None when the eliminant vanishes identically and every abscissa
-    is."""
+    """(eliminant, ell0*H_I - x*H_I', ell0*H_comp - x*H_comp'), whose roots are the
+    abscissas the analysis draws lambdas from (it divides by the brackets, of degree
+    <= ell0 - 1), or None when the eliminant vanishes identically and every one is."""
     field, n, hi, hc = pk.field, pk.n, pk.hi, pk.hc
     bi, bc = nonvanishing_bracket(hi, pk.ell0), nonvanishing_bracket(hc, pk.ell0)
-    if bi.is_zero() or bc.is_zero():
-        raise MathCheckError("ell0*H - x*H' vanished identically")
     wh = hi.derivative() * hc - hc.derivative() * hi
     # eliminant: 4 C^(n+1) * bc * bi * x^(n+1) - x^2 * wh^2, with x^2 removed
     eliminant = (4 * pk.C ** (n + 1)) * bc * bi * Poly.monomial(field, n - 1) - wh * wh
-    # the elimination divides by the brackets; cover their zeros too
-    return None if eliminant.is_zero() else eliminant * bi * bc
+    return None if eliminant.is_zero() else (eliminant, bi, bc)
+
+
+def _q_coefficients(pk: TwoPacket, sieve):
+    """The residues (H_I(x0), 2 C^ell0 x0^ell0, H_comp(x0)) of Q(x0, lam) at the
+    roots x0 of the factors of ``sieve``, each split once (every x0 for None)."""
+    p, ell0, two_cl = pk.field.p, pk.ell0, 2 * pk.cl.value
+    for x0 in range(p) if sieve is None else {r.value for s in sieve for r in roots_in_field(s)}:
+        powers = [pow(x0, i, p) for i in range(ell0 + 1)]  # deg H_I, deg H_comp <= ell0
+        yield (sum(map(mul, pk.hi.values, powers)) % p, two_cl * powers[ell0] % p,
+               sum(map(mul, pk.hc.values, powers)) % p)
 
 
 def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:
@@ -499,11 +507,15 @@ def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:
 
     The sign of ut does not matter, since ut and -ut give the same
     polynomial."""
-    top = Poly.monomial(pk.field, pk.n + 1)
-    out = set()
+    field, n, p, out = pk.field, pk.n, pk.field.p, set()
+    pairs = list(zip_longest(pk.hi.values, pk.hc.values, fillvalue=0))
+    inv_2cl = field.inv(2 * pk.cl.value % p)
     for lam in _candidate_lambdas(pk):
-        ut, _ = pk.shapes(lam)
-        f = top - ut * ut
+        # ut = (lam*H_I - (1/lam)*H_comp) / (2 C^ell0), f = x^(n+1) - ut^2
+        a, b = lam.value * inv_2cl % p, field.inv(lam.value) * inv_2cl % p
+        ut = [(a * u - b * v) % p for u, v in pairs]
+        f = Poly._from_values(field, [((k == n + 1) - c) % p
+                                      for k, c in enumerate(_convolve(ut, ut, n + 2))])
         if f.is_zero() or not is_squarefree(f):
             out.add(lam)
     return frozenset(out)

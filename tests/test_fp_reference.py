@@ -303,6 +303,56 @@ def test_roots_in_field_matches_evaluation_scan():
             assert tuple(r.value for r in roots_in_field(f)) == reference_roots(f), (p, f)
 
 
+ROOT_PRIMES = (2, 3, 5, 13, 241, 1009, 2 ** 31 - 1)
+
+
+def irreducible_quadratic(F):
+    """x^2 + x + 1 over F_2, else x^2 - c for the smallest non-residue c."""
+    p = F.p
+    if p == 2:
+        return Poly(F, (1, 1, 1))
+    return Poly(F, (-next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1), 0, 1))
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+def test_roots_in_field_matches_reference_split_linear(p):
+    # f = unit * prod (x - r)^m * q^k for an irreducible quadratic q: its roots
+    # are those of prod (x - r), which reference_split_linear splits
+    F, rng = GF(p), random.Random(f"split:{p}")
+    q, r = irreducible_quadratic(F), rng.randrange(1, p)
+    cases = [({r}, (1,), 0), ({0}, (1,), 0),              # degree 1
+             ({r}, (2,), 0), ({0}, (2,), 0),              # a double root
+             ({0, r}, (1, 1), 0), (set(), (), 1),         # two roots; none
+             ({0, r}, (3, 2), 1), ({r}, (1,), 2)]
+    for _ in range(12):
+        roots = {rng.randrange(p) for _ in range(rng.randint(0, 5))}
+        if rng.random() < 0.4:
+            roots.add(0)
+        cases.append((roots, [rng.randint(1, 3) for _ in roots], rng.randint(0, 2)))
+    for roots, mults, k in cases:
+        f = Poly(F, (rng.randrange(1, p),)) * q ** k
+        distinct = Poly.one(F)
+        for root, m in zip(sorted(roots), mults):
+            f, distinct = f * linear(F, root) ** m, distinct * linear(F, root)
+        if f.is_constant():
+            continue
+        expected = tuple(sorted(reference_split_linear(distinct)))
+        assert tuple(x.value for x in roots_in_field(f)) == expected, (p, f)
+
+
+def test_reused_field_answers_like_a_fresh_one():
+    # a field keeps its elements of each order; the second pass reads them
+    for p in (13, 241, 1009, 2 ** 31 - 1):
+        F, rng = GF(p), random.Random(f"reuse:{p}")
+        xs = [rng.randrange(p) for _ in range(8)]
+        for _ in range(2):
+            for m in (m for m in range(1, 50) if (p - 1) % m == 0):
+                assert F.roots_of_unity(m) == GF(p).roots_of_unity(m), (p, m)
+            for k in (2, 3, 4, 6, 8):
+                for x in xs + [pow(x, k, p) for x in xs]:
+                    assert F.nth_root(F(x), k) == GF(p).nth_root(GF(p)(x), k), (p, k, x)
+
+
 def test_points_above_matches_y_scan():
     rng = random.Random(20260118)
     for p in [q for q in PRIMES if 3 <= q < 100]:
@@ -362,6 +412,18 @@ def test_large_prime_bad_lambdas_cli(capsys, p, n, subset):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert '"contained": true' in out
+
+
+def test_degenerate_bad_lambdas_refused_above_the_scan_bound():
+    # I = {0, 2, 4} alternates mu_6, so the eliminant vanishes identically and
+    # the candidate set has about p/2 elements: refused, not scanned
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-m", "supertorsion", "two-packet", "bad-lambdas",
+                          "--p", "1000000009", "--n", "5", "--I", "0,2,4", "--C", "1"],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert "eliminant vanishes identically" in run.stderr
+    assert "p <= 65536, not p = 1000000009" in run.stderr
 
 
 def test_large_prime_sweep_cli():

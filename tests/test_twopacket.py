@@ -23,6 +23,7 @@ from supertorsion import (
     order_of_class,
     packet_polynomial,
     packet_wronskian_triple,
+    roots_in_field,
     shift_points_to_0_minus1,
     two_packet,
     two_packet_admissible,
@@ -323,8 +324,9 @@ def test_bad_lambda_set_closed_under_negation():
     assert {-x for x in bad} == set(bad)
 
 
-# every subset, C in {1, 2, p-1} and every unit: 8,856 memberships, the
-# alternate-root subsets (eliminant identically zero) included
+# every subset, C in {1, 2, p-1}, and as lams every unit (8,856 memberships)
+# or every third element: the alternate-root subsets (eliminant identically
+# zero) included
 @pytest.mark.parametrize("n,primes", [(3, (13, 17, 29, 37, 41)), (5, (13, 37, 61))])
 def test_bad_lambda_members_matches_bad_lambda_set(n, primes):
     for p in primes:
@@ -332,9 +334,50 @@ def test_bad_lambda_members_matches_bad_lambda_set(n, primes):
         for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
             for C in sorted({1, 2, p - 1}):
                 pk = two_packet(F, n, I, F(C))
-                assert bad_lambda_members(pk, F.units()) == bad_lambda_set(pk), (p, I, C)
+                bad = bad_lambda_set(pk)
+                for lams in (list(F.units()), list(F.elements())[::3]):
+                    assert bad_lambda_members(pk, lams) == bad & set(lams), (p, I, C)
     assert bad_lambda_members(two_packet(13, 3, GF(13).roots_of_unity(4)[:2], 1), [0]) == \
         frozenset()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_bad_lambda_roots_taken_once_per_sieve_factor(n, monkeypatch):
+    # the eliminant and the two brackets are split once per call, however
+    # many lambda are asked, not once per lambda
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return roots_in_field(f)
+
+    monkeypatch.setattr(twopacket, "roots_in_field", counting)
+    F = GF(10009)
+    pk = two_packet(F, n, F.roots_of_unity(n + 1)[:(n + 1) // 2], 2)
+    factors = twopacket._sieve(pk)
+    assert factors is not None
+    for lams in ([F(5)], list(F.units())):
+        calls.clear()
+        members = bad_lambda_members(pk, lams)
+        assert len(calls) <= 3 and all(f in factors for f in calls)
+    calls.clear()
+    assert members == bad_lambda_set(pk)
+    assert len(calls) <= 3 and all(f in factors for f in calls)
+
+
+def test_degenerate_bad_lambda_set_refused_above_the_scan_bound():
+    # {0, 2} alternates mu_4: the eliminant vanishes identically, and at
+    # p = 65537 > 2^16 listing the set would scan every abscissa
+    F = GF(65537)
+    mu = F.roots_of_unity(4)
+    pk = two_packet(F, 3, (mu[0], mu[2]), 1)
+    assert twopacket._sieve(pk) is None
+    with pytest.raises(BadParameters, match=r"p <= 65536, not p = 65537"):
+        bad_lambda_set(pk)
+    # membership and the confirmed set never scan
+    lams = pk.normalizing_lambdas()
+    assert {F(1), F(-1)} <= bad_lambda_members(pk, lams + (F(1), F(-1)))
+    assert {F(1), F(-1)} <= confirmed_bad_lambdas(pk)
 
 
 def test_nonvanishing_bracket():
