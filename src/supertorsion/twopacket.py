@@ -21,11 +21,11 @@ other two-packet entry point takes as its first argument.
 Only finitely many lam make x^(n+1) - ut^2 non-squarefree; ``bad_lambda_set``
 assembles that exclusion set from the multiple-root analysis, and
 ``confirmed_bad_lambdas`` recomputes it independently: an exact squarefree
-test of each lam that a discriminant in lam^2 leaves as a candidate, or of
-every unit when p is too small for that discriminant.  Separately, only the
-lam for which ut has leading coefficient +-1 give the polynomial degree n
-(anything else leaves degree n+1, which defines no curve with a single
-infinite point); ``TwoPacket.normalizing_lambdas`` lists them.
+test of each lam that a resultant in lam of the factor x^ell0 - ut leaves as
+a candidate, or of every unit when p is too small for that resultant.
+Separately, only the lam for which ut has leading coefficient +-1 give the
+polynomial degree n (anything else leaves degree n+1, which defines no curve
+with a single infinite point); ``TwoPacket.normalizing_lambdas`` lists them.
 """
 
 from __future__ import annotations
@@ -412,8 +412,8 @@ def example_m0_equals_nplus1(base_field: Field, n: int, d: int) -> PacketExample
 def nonvanishing_bracket(h: Poly, ell0: int) -> Poly:
     """ell0*H - x*H': kills the top coefficient, keeps ell0*H(0) != 0; never
     the zero polynomial for an H with nonzero constant term."""
-    field = h.field
-    return field(ell0) * h - Poly.x(field) * h.derivative()
+    red = h.field.reduce
+    return Poly._from_values(h.field, [red((ell0 - k) * c) for k, c in enumerate(h.values)])
 
 
 def bad_lambda_set(pk: TwoPacket) -> frozenset:
@@ -465,12 +465,16 @@ def _sieve(pk: TwoPacket):
     """(eliminant, ell0*H_I - x*H_I', ell0*H_comp - x*H_comp'), whose roots are the
     abscissas the analysis draws lambdas from (it divides by the brackets, of degree
     <= ell0 - 1), or None when the eliminant vanishes identically and every one is."""
-    field, n, hi, hc = pk.field, pk.n, pk.hi, pk.hc
-    bi, bc = nonvanishing_bracket(hi, pk.ell0), nonvanishing_bracket(hc, pk.ell0)
-    wh = hi.derivative() * hc - hc.derivative() * hi
+    red, n, hi, hc = pk.field.reduce, pk.n, pk.hi.values, pk.hc.values
+    bi, bc = (nonvanishing_bracket(h, pk.ell0) for h in (pk.hi, pk.hc))
+    m = len(hi) + len(hc) - 2  # the length of H_I' H_comp and of H_comp' H_I
+    wh = [red(u - v) for u, v in zip(_convolve([k * c for k, c in enumerate(hi)][1:], hc, m),
+                                     _convolve([k * c for k, c in enumerate(hc)][1:], hi, m))]
     # eliminant: 4 C^(n+1) * bc * bi * x^(n+1) - x^2 * wh^2, with x^2 removed
-    eliminant = (4 * pk.C ** (n + 1)) * bc * bi * Poly.monomial(field, n - 1) - wh * wh
-    return None if eliminant.is_zero() else (eliminant, bi, bc)
+    four_c, bcbi = 4 * pk.cl.value ** 2, _convolve(bc.values, bi.values, bc.degree + bi.degree + 1)
+    eliminant = [red(u - v) for u, v in zip_longest(
+        [0] * (n - 1) + [four_c * c for c in bcbi], _convolve(wh, wh, 2 * m - 1), fillvalue=0)]
+    return (Poly._from_values(pk.field, eliminant), bi, bc) if any(eliminant) else None
 
 
 def _q_coefficients(pk: TwoPacket, sieve):
@@ -486,26 +490,10 @@ def _q_coefficients(pk: TwoPacket, sieve):
 def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:
     """The lambda for which x^(n+1) - ut^2 actually fails squarefreeness
     (the zero polynomial counts as failing), as the independent check of
-    ``bad_lambda_set``.
-
-    A lambda enters the set only by the exact test of its own polynomial.
-    What keeps a lambda out untested is a discriminant.  With mu = lam^2,
-    G(mu, x) = 4 C^(n+1) mu x^(n+1) - (mu H_I - H_comp)^2 equals
-    4 C^(n+1) lam^2 (x^(n+1) - ut^2).  Its x^(n+1) coefficient,
-    4 C^(n+1) mu - (mu a - b)^2 with a, b the x^ell0 coefficients of H_I and
-    H_comp, vanishes at mu = lam^2 exactly for the normalizing lambdas.
-    For any other lam, G(lam^2, x) has degree n+1 and, as p does not divide
-    n+1, its x-derivative has degree n, so it is squarefree iff
-    D(lam^2) = Res_x(G, dG/dx) is nonzero.  The Sylvester matrix of D has
-    2n+1 rows of entries of degree <= 2 in mu, so deg D <= 4n+2: D is
-    interpolated from its values at the first 4n+3 mu = 1, 2, ... where the
-    leading coefficient is nonzero, at which Euclid's resultant of the
-    specialized polynomials is D(mu).  The lambdas tested are the square
-    roots of the roots of D and the normalizing lambdas, at most
-    2(4n+2) + 4.  When p leaves fewer than 4n+3 such mu (p below about
-    4n+6), or D vanishes identically, every unit is tested.
-
-    The sign of ut does not matter, since ut and -ut give the same
+    ``bad_lambda_set``: a lambda enters the set only by the exact test of its
+    own polynomial, and ``_candidate_lambdas`` picks the lambdas to test from
+    a resultant that eliminates x, not lambda, so it also sees repeated roots
+    outside F_p.  The sign of ut does not matter: ut and -ut give the same
     polynomial."""
     field, n, p, out = pk.field, pk.n, pk.field.p, set()
     pairs = list(zip_longest(pk.hi.values, pk.hc.values, fillvalue=0))
@@ -522,29 +510,40 @@ def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:
 
 
 def _candidate_lambdas(pk: TwoPacket):
-    """The units ``confirmed_bad_lambdas`` tests: the roots in lam of
-    D(lam^2) and the normalizing lambdas, or every unit as the fallback."""
-    field, n, hi, hc = pk.field, pk.n, pk.hi, pk.hc
-    red, count = field.reduce, 4 * n + 3
-    four_c = (4 * pk.C ** (n + 1)).value
-    a, b = hi[pk.ell0].value, hc[pk.ell0].value
-    mus = list(islice((mu for mu in range(1, field.p)
-                       if red(four_c * mu - (mu * a - b) ** 2)), count))
-    if len(mus) == count:
+    """The units ``confirmed_bad_lambdas`` tests: every lambda that can make
+    x^(n+1) - ut^2 = (x^ell0 - ut)(x^ell0 + ut) non-squarefree.
+
+    F(lam, x) = 2 C^ell0 lam (x^ell0 - ut) = 2 C^ell0 lam x^ell0 - lam^2 H_I
+    + H_comp has degree 2 in lam and ell0 in x; the second factor is the
+    first at -lam.  The factors share a root only at x = 0 with ut(0) = 0,
+    that is lam = +-1 (H_I(0) = H_comp(0) = 1).  Let R(lam) be the Sylvester
+    resultant of F and F_x at degrees ell0 and ell0 - 1: n rows of entries of
+    degree <= 2 in lam, so deg R <= 2n.  Where the leading coefficient
+    2 C^ell0 lam - a lam^2 + b (a, b the x^ell0 coefficients of H_I, H_comp)
+    vanishes, so does the first column, and R(lam) = 0: these lam and their
+    negatives are the normalizing lambdas.  Anywhere else both degrees are
+    exact (p does not divide n+1 = 2 ell0), so R(lam) is Euclid's resultant
+    and vanishes iff F has a repeated root.  R is interpolated from those
+    resultants at the first 2n+1 lam = 1, 2, ... where the leading
+    coefficient is nonzero.  The candidates are the roots of R, their
+    negatives and +-1: at most 4n+2.  When p leaves fewer than 2n+1 such lam
+    (p below about 2n+4), or R vanishes identically, every unit is one."""
+    field, n, ell0, p = pk.field, pk.n, pk.ell0, pk.field.p
+    red, count, two_cl = field.reduce, 2 * n + 1, 2 * pk.cl.value
+    pairs = list(zip_longest(pk.hi.values, pk.hc.values, fillvalue=0))
+    a, b = pairs[ell0]
+    lams = list(islice((lam for lam in range(1, p)
+                        if red(two_cl * lam - a * lam * lam + b)), count))
+    if len(lams) == count:
         values = []
-        for mu in mus:
-            w = [mu * u - v for u, v in zip_longest(hi.values, hc.values, fillvalue=0)]
-            g = [red(-c) for c in _convolve(w, w, n + 2)]
-            g[n + 1] = red(g[n + 1] + four_c * mu)
-            values.append(_resultant_values(field, g, [red(i * c) for i, c in enumerate(g)][1:]))
-        disc = interpolate(field, mus, values)
-        if not disc.is_zero():
-            out = set(pk.normalizing_lambdas())
-            for mu in roots_in_field(disc):
-                lam = field.nth_root(mu, 2)
-                if lam is not None and not lam.is_zero():
-                    out |= {lam, -lam}
-            return out
+        for lam in lams:
+            f = [red(v - lam * lam * u) for u, v in pairs]
+            f[ell0] = red(f[ell0] + two_cl * lam)
+            values.append(_resultant_values(field, f, [red(k * c) for k, c in enumerate(f)][1:]))
+        r = interpolate(field, lams, values)
+        if not r.is_zero():
+            roots = {x.value for x in roots_in_field(r)} | {1}
+            return {field(v) for v in roots | {-v % p for v in roots} if v}
     return field.units()
 
 

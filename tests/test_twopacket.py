@@ -38,6 +38,7 @@ from supertorsion.errors import (
     UnsupportedField,
     UsageError,
 )
+from supertorsion.poly import interpolate, resultant
 from supertorsion.twopacket import (
     nonvanishing_bracket,
     ratio_root,
@@ -506,17 +507,23 @@ def reference_confirmed_bad_lambdas(pk):
 
 
 # n = 5 stops at 43 to keep the suite fast: the reference costs a squarefree
-# test per lambda, and the subsets and lambdas grow with p.  The grids cover
-# both sides of the discriminant's fallback to every unit: it applies at
-# p = 5, 13, 17 (n = 3) and 7, 13, 19 (n = 5), where fewer than 4n+3 evaluation
-# points exist, and not from p = 29 (n = 3) and 31 (n = 5) on.
-@pytest.mark.parametrize("n,max_p", [(3, 101), (5, 43)])
+# test per lambda, and the subsets and lambdas grow with p.  n = 7 (ell0 = 4,
+# the first n at which a repeated root of x^ell0 - ut need not lie in F_p)
+# runs at p = 17 and 41, on a seeded sample of 24 of its 70 subsets.  The
+# grids cover both sides of the resultant's fallback to every unit, which
+# needs 2n+1 units where the leading coefficient of x^ell0 - ut does not
+# vanish: it applies at p = 5 (n = 3) and at p = 7 and 13 (n = 5; at 13 for
+# the packets whose leading coefficient has two roots), and not from p = 13
+# (n = 3), 19 (n = 5) and 17 (n = 7) on.
+@pytest.mark.parametrize("n,max_p", [(3, 101), (5, 43), (7, 41)])
 def test_confirmed_bad_lambdas_matches_packet_polynomial_loop(n, max_p):
     primes = [p for p in range(5, max_p + 1)
               if all(p % q for q in range(2, p)) and (p - 1) % (n + 1) == 0]
+    rng = random.Random(n)
     for p in primes:
         F = GF(p)
-        for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
+        subsets = list(combinations(F.roots_of_unity(n + 1), (n + 1) // 2))
+        for I in rng.sample(subsets, min(len(subsets), 24)):
             for C in sorted({1, 2, p - 1}):
                 pk = two_packet(F, n, I, F(C))
                 assert confirmed_bad_lambdas(pk) == reference_confirmed_bad_lambdas(pk), \
@@ -530,19 +537,63 @@ def test_confirmed_bad_lambdas_matches_loop_at_2017(n):
     assert confirmed_bad_lambdas(pk) == reference_confirmed_bad_lambdas(pk)
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 7])
 def test_confirmed_bad_lambdas_tests_few_lambdas(n, monkeypatch):
-    # at most two square roots per root of the discriminant (degree <= 4n+2)
-    # and the at most four normalizing lambdas, not one test per unit
-    calls = []
+    # the roots of R (degree <= 2n), their negatives and +-1, not one test
+    # per unit; R from 2n+1 resultants
+    calls = {"is_squarefree": 0, "_resultant_values": 0, "roots_in_field": 0}
 
-    def counting(f):
-        calls.append(f)
-        return is_squarefree(f)
+    def counting(name):
+        real = getattr(twopacket, name)
 
-    monkeypatch.setattr(twopacket, "is_squarefree", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(twopacket, name, counting(name))
     F = GF(10009)
     pk = two_packet(F, n, F.roots_of_unity(n + 1)[:(n + 1) // 2], 1)
     confirmed = confirmed_bad_lambdas(pk)
-    assert len(calls) <= 2 * (4 * n + 2) + 4
+    assert calls["is_squarefree"] <= 4 * n + 2
+    assert calls["_resultant_values"] <= 2 * n + 1
+    assert calls["roots_in_field"] == 1
     assert {F(1), F(-1)} <= confirmed
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_candidate_resultant_has_degree_at_most_2n(n, monkeypatch):
+    # R(lam) = Res_x(F, F_x), F = 2 C^ell0 lam (x^ell0 - ut): the interpolant
+    # through the 2n+1 values the code computes must match Res_x at further lam
+    F, ell0 = GF(10009), (n + 1) // 2
+    rng = random.Random(10009 + n)
+    pk = two_packet(F, n, rng.sample(F.roots_of_unity(n + 1), ell0), rng.randrange(1, 10009))
+    seen = []
+
+    def capturing(field, points, values):
+        seen.append((list(points), list(values)))
+        return interpolate(field, points, values)
+
+    monkeypatch.setattr(twopacket, "interpolate", capturing)
+    confirmed_bad_lambdas(pk)
+    (lams, values), = seen
+    assert len(lams) == 2 * n + 1
+
+    def res(lam):  # Res_x(F, F_x) of F built from shapes, or None if deg F < ell0
+        ut, _ = pk.shapes(lam)
+        f = 2 * pk.cl * F(lam) * (Poly.monomial(F, ell0) - ut)
+        return resultant(f, f.derivative()) if f.degree == ell0 else None
+
+    assert [res(lam) for lam in lams] == [F(v) for v in values]
+    r, further = interpolate(F, lams, values), []
+    for lam in range(max(lams) + 1, 10009):
+        if res(lam) is not None:
+            further.append(lam)
+            if len(further) == 5:
+                break
+    assert [r(F(lam)) for lam in further] == [res(lam) for lam in further]
+    # R vanishes where the leading coefficient does: the normalizing lambdas
+    # are candidates without being listed
+    assert pk.normalizing_lambdas()
+    assert all(r(lam).is_zero() or r(-lam).is_zero() for lam in pk.normalizing_lambdas())
