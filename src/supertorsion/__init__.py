@@ -66,6 +66,7 @@ from .twopacket import (
     packet_polynomial,
     packet_wronskian_triple,
     shift_points_to_0_minus1,
+    sweep_families,
     two_packet,
     two_packet_admissible,
     wronskian3,

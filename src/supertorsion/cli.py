@@ -28,12 +28,12 @@ from .fields import QQ, Field, PrimeField
 from .orders import cantor_order, elliptic_order, order_of_class
 from .poly import Poly
 from .twopacket import (
-    bad_lambda_members,
     bad_lambda_set,
     build_two_packet_equal,
     build_two_packet_general,
     confirmed_bad_lambdas,
     ratio_root,
+    sweep_families,
     two_packet,
     two_packet_admissible,
 )
@@ -290,32 +290,12 @@ def _cmd_two_packet(args) -> int:
             return EXIT_MATH_FAIL
         _emit(serialize.packet_family_to_json(fam))
         return EXIT_OK
-    # sweep: one packet per subset and requested C.  A lambda that does not
-    # normalize it leaves deg f = n + 1 and raises DegreeNotNormalized, so
-    # only the normalizing ones (at most four, ascending) are tried.
-    from itertools import combinations
-    mu = field.roots_of_unity(args.n + 1)
-    ell0 = (args.n + 1) // 2
-    cs = ([serialize.elem_from_str(field, c) for c in args.C.split(",")]
-          if args.C else [field.one])
     built = 0
-    for C in cs:
-        for I in combinations(mu, ell0):
-            pk = two_packet(field, args.n, I, C)
-            lams = sorted(pk.normalizing_lambdas(), key=lambda lam: lam.value)
-            bad = bad_lambda_members(pk, lams)
-            for lam in lams:
-                try:
-                    if C == field.one:
-                        fam = build_two_packet_equal(pk, lam)
-                    else:
-                        fam = build_two_packet_general(pk, lam, C ** (args.n + 1), field.one)
-                except SupertorsionError:
-                    continue
-                doc = serialize.packet_family_to_json(fam)
-                doc["candidate_bad"] = lam in bad
-                _emit(doc)
-                built += 1
+    for fam, bad in sweep_families(field, args.n, args.C.split(",") if args.C else (1,)):
+        doc = serialize.packet_family_to_json(fam)
+        doc["candidate_bad"] = bad
+        _emit(doc)
+        built += 1
     print(f"built {built} families", file=sys.stderr)
     return EXIT_OK
 

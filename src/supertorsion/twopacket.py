@@ -16,7 +16,10 @@ which leads to the one-parameter shapes
                                                          "minus" sign negates ut)
 
 ``two_packet`` checks (F_p, n, I, C) once into a ``TwoPacket``, which every
-other two-packet entry point takes as its first argument.
+other two-packet entry point takes as its first argument.  ``sweep_families``
+builds every family of a field, n and list of C, one packet per pair of
+complementary subsets: ut(-lam) = -ut(lam), and swapping I with its
+complement at -1/lam keeps ut and negates vt.
 
 Only finitely many lam make x^(n+1) - ut^2 non-squarefree; ``bad_lambda_set``
 assembles that exclusion set from the multiple-root analysis, and
@@ -30,7 +33,8 @@ with a single infinite point); ``TwoPacket.normalizing_lambdas`` lists them.
 
 from __future__ import annotations
 
-from itertools import islice, zip_longest
+from itertools import combinations, islice, zip_longest
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
@@ -173,10 +177,11 @@ def build_H(I, C: FieldElement) -> Poly:
     """prod_{eps in I} ((1 - C*eps) x + 1).  A factor with C*eps = 1 is the
     constant 1 and silently drops the degree; callers that need full degree
     must check the degree of the result."""
-    field, h = C.field, [C.field.one.value]
+    field, c, h = C.field, C.value, [C.field.one.value]
+    red = field.reduce
     for eps in I:  # h <- h * ((1 - C*eps) x + 1)
-        c = (1 - C * eps).value
-        h = [field.reduce(u + c * v) for u, v in zip(h + [0], [0] + h)]
+        a = red(1 - c * eps.value)
+        h = [red(u + a * v) for u, v in zip(h + [0], [0] + h)]
     return Poly._from_values(field, h)
 
 
@@ -195,15 +200,21 @@ class TwoPacket(NamedTuple):
 
     def shapes(self, lam, sign: str = "plus"):
         """(ut, vt) for a nonzero lam; ut is negated for the "minus" sign."""
+        return tuple(Poly._from_values(self.field, c) for c in self._values(lam, sign))
+
+    def _values(self, lam, sign: str = "plus"):
+        """The residues of (ut, vt) at a nonzero lam, each ell0 + 1 long."""
         if sign not in ("plus", "minus"):
             raise BadParameters("sign must be 'plus' or 'minus'")
-        lam = self.field(lam)
-        if lam.is_zero():
+        p, lam = self.field.p, self.field(lam).value
+        if not lam:
             raise BadParameters("lambda must be nonzero")
-        half = self.field(2).inverse()
-        a, b = lam * half, lam.inverse() * half
-        ut = (a * self.hi - b * self.hc) * self.cl.inverse()
-        return (-ut if sign == "minus" else ut), a * self.hi + b * self.hc
+        half = (p + 1) // 2  # 1/2
+        a, b = lam * half % p, pow(lam, -1, p) * half % p
+        c = pow(self.cl.value, -1, p) * (1 if sign == "plus" else -1)  # +-1/C^ell0
+        pairs = tuple(zip_longest(self.hi.values, self.hc.values, fillvalue=0))
+        return ([(a * h - b * g) * c % p for h, g in pairs],
+                [(a * h + b * g) % p for h, g in pairs])
 
     def normalizing_lambdas(self):
         """The lam with leading(ut) = +-1, i.e. the only lam for which
@@ -295,22 +306,26 @@ class PacketFamily(NamedTuple):
 
 def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
     """The family u = B1*ut, v = B2*vt of one packet and lam, for square
-    roots B1, B2 of A1, A2 (all four are 1 in the equal case).  When a root
-    is missing, it falls back to the normalized model f = x^(n+1) - ut^2
-    (A1 = 1, A2 = C^-(n+1)), whose roots always exist."""
-    field, n, one = pk.field, pk.n, pk.field.one
+    roots B1, B2 of A1, A2 (all four are 1 in the equal case), checked on
+    residues.  When a root is missing, it falls back to the normalized model
+    f = x^(n+1) - ut^2 (A1 = 1, A2 = C^-(n+1)), whose roots always exist."""
+    field, n, p, one = pk.field, pk.n, pk.field.p, pk.field.one
     lam = field(lam)
-    ut, vt = pk.shapes(lam, sign)
+    ut, vt = pk._values(lam, sign)
     B1, B2, twisted = one, one, False
     if (A1, A2) != (one, one):
         B1, B2 = field.nth_root(A1, 2), field.nth_root(A2, 2)
         if B1 is None or B2 is None:
             cl_inv = pk.cl.inverse()
             A1, A2, B1, B2, twisted = one, cl_inv * cl_inv, one, cl_inv, True
-    u, v = B1 * ut, B2 * vt
-    f = A1 * Poly.monomial(field, n + 1) - u * u
-    if f != A2 * Poly(field, (one, one)) ** (n + 1) - v * v:
+    u, v = [B1.value * c % p for c in ut], [B2.value * c % p for c in vt]
+    # A1 x^(n+1) - u^2 and A2 (x+1)^(n+1) - v^2, both n + 2 long
+    f = [-c % p for c in _convolve(u, u, n + 2)]
+    f[n + 1] = (f[n + 1] + A1.value) % p
+    if f != [(A2.value * comb(n + 1, k) - c) % p
+             for k, c in enumerate(_convolve(v, v, n + 2))]:
         raise BadParameters("double representation failed: inconsistent inputs")
+    f = Poly._from_values(field, f)
     if f.degree != n:
         raise DegreeNotNormalized(
             f"lambda = {lam!r} leaves deg f = {f.degree}, not n = {n}; "
@@ -318,8 +333,9 @@ def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
             lam=lam, polynomial=f)
     if not is_squarefree(f):
         raise NotSquarefree(f"bad lambda = {lam!r}: f has a repeated root")
-    return PacketFamily(field=field, p=field.p, n=n, ell0=pk.ell0, m0=n + 1, I=pk.I,
-                        lam=lam, C=pk.C, A1=A1, A2=A2, B1=B1, B2=B2, u=u, v=v, f=f,
+    return PacketFamily(field=field, p=p, n=n, ell0=pk.ell0, m0=n + 1, I=pk.I,
+                        lam=lam, C=pk.C, A1=A1, A2=A2, B1=B1, B2=B2,
+                        u=Poly._from_values(field, u), v=Poly._from_values(field, v), f=f,
                         sign=sign, twisted=twisted)
 
 
@@ -494,19 +510,16 @@ def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:
     own polynomial, and ``_candidate_lambdas`` picks the lambdas to test from
     a resultant that eliminates x, not lambda, so it also sees repeated roots
     outside F_p.  The sign of ut does not matter: ut and -ut give the same
-    polynomial."""
+    polynomial, and ut(-lam) = -ut(lam), so one test decides lam and -lam;
+    the candidates are closed under negation."""
     field, n, p, out = pk.field, pk.n, pk.field.p, set()
-    pairs = list(zip_longest(pk.hi.values, pk.hc.values, fillvalue=0))
-    inv_2cl = field.inv(2 * pk.cl.value % p)
-    for lam in _candidate_lambdas(pk):
-        # ut = (lam*H_I - (1/lam)*H_comp) / (2 C^ell0), f = x^(n+1) - ut^2
-        a, b = lam.value * inv_2cl % p, field.inv(lam.value) * inv_2cl % p
-        ut = [(a * u - b * v) % p for u, v in pairs]
+    for lam in {min(lam.value, p - lam.value) for lam in _candidate_lambdas(pk)}:
+        ut, _ = pk._values(lam)
         f = Poly._from_values(field, [((k == n + 1) - c) % p
                                       for k, c in enumerate(_convolve(ut, ut, n + 2))])
         if f.is_zero() or not is_squarefree(f):
-            out.add(lam)
-    return frozenset(out)
+            out.update((lam, p - lam))
+    return frozenset(map(field, out))
 
 
 def _candidate_lambdas(pk: TwoPacket):
@@ -526,8 +539,9 @@ def _candidate_lambdas(pk: TwoPacket):
     and vanishes iff F has a repeated root.  R is interpolated from those
     resultants at the first 2n+1 lam = 1, 2, ... where the leading
     coefficient is nonzero.  The candidates are the roots of R, their
-    negatives and +-1: at most 4n+2.  When p leaves fewer than 2n+1 such lam
-    (p below about 2n+4), or R vanishes identically, every unit is one."""
+    negatives and +-1: at most 4n+2, in at most 2n+1 pairs +-lam.  When p
+    leaves fewer than 2n+1 such lam (p below about 2n+4), or R vanishes
+    identically, every unit is one."""
     field, n, ell0, p = pk.field, pk.n, pk.ell0, pk.field.p
     red, count, two_cl = field.reduce, 2 * n + 1, 2 * pk.cl.value
     pairs = list(zip_longest(pk.hi.values, pk.hc.values, fillvalue=0))
@@ -545,6 +559,65 @@ def _candidate_lambdas(pk: TwoPacket):
             roots = {x.value for x in roots_in_field(r)} | {1}
             return {field(v) for v in roots | {-v % p for v in roots} if v}
     return field.units()
+
+
+# ---------------------------------------------------------------------------
+# every packet family of a field, n and list of C
+# ---------------------------------------------------------------------------
+
+def sweep_families(field: PrimeField, n: int, Cs):
+    """(family, candidate_bad) for every C in Cs (anything ``field`` takes),
+    every subset I of ell0 (n+1)-th roots of unity in ``combinations`` order
+    and every normalizing lam of their packet that builds a curve, ascending;
+    candidate_bad says whether lam is in ``bad_lambda_set``.  Every other lam
+    leaves deg f = n + 1.  C = 1 is the equal case, without lam = +-1; a
+    C != 1 with C^(n+1) = 1 would give A1 = A2 = 1, which neither builder
+    takes, so it yields nothing.  mu_(n+1) and every C are checked before the
+    first family.
+
+    Two symmetries share the work.  (S1) ut(-lam) = -ut(lam) and
+    vt(-lam) = -vt(lam): one build per pair +-lam, u and v negated for the
+    other.  (S2) swapping I and its complement comp swaps H_I and H_comp,
+    so comp at -1/lam has the same ut and -vt: the same f, and Q_comp(x0,
+    -1/lam) = -Q_I(x0, lam)/lam^2 gives the same candidate_bad.  So only
+    the first subset of each pair {I, comp} gets a packet, and comp's
+    families are derived from it with v negated."""
+    mu = field.roots_of_unity(n + 1)
+    return _sweep(field, n, mu, [field(C) for C in Cs])
+
+
+def _sweep(field, n, mu, Cs):
+    p, one = field.p, field.one
+    for C in Cs:
+        A1 = C ** (n + 1)
+        if C != one and A1 == one:
+            continue
+        mirrored = {}  # comp -> its families, from the packet of its complement
+        for I in combinations(mu, (n + 1) // 2):
+            if I in mirrored:
+                yield from mirrored.pop(I)
+                continue
+            pk = two_packet(field, n, I, C)
+            # the normalizing lambdas are closed under negation: one per pair
+            lams = {min(lam.value, p - lam.value) for lam in pk.normalizing_lambdas()}
+            if C == one:
+                lams.discard(1)
+            bad = bad_lambda_members(pk, lams)
+            comp = tuple(e for e in mu if e not in I)
+            own, theirs = [], []
+            for lam in lams:
+                try:
+                    rep = (build_two_packet_equal(pk, lam) if C == one else
+                           build_two_packet_general(pk, lam, A1, one))
+                except (NotSquarefree, DegreeNotNormalized):
+                    continue
+                flag = rep.lam in bad
+                for fam in (rep, rep._replace(lam=-rep.lam, u=-rep.u, v=-rep.v)):  # (S1)
+                    own.append((fam, flag))
+                    theirs.append((fam._replace(I=comp, lam=-fam.lam.inverse(), v=-fam.v),
+                                   flag))  # (S2)
+            yield from sorted(own, key=lambda item: item[0].lam.value)
+            mirrored[comp] = sorted(theirs, key=lambda item: item[0].lam.value)
 
 
 # ---------------------------------------------------------------------------

@@ -159,9 +159,14 @@ def test_two_packet_commands_build_one_packet_per_subset_and_c(capsys, monkeypat
         assert len(calls) == 1
     calls.clear()
     assert dispatch(["two-packet", "sweep", "--p", "13", "--n", "3", "--C", "1,2,3"]) == EXIT_OK
-    # one packet for each of the 6 subsets and 3 values of C
-    assert len(calls) == len({(tuple(I), C) for _, _, I, C in calls}) == 18
+    # one packet for each of the 3 complementary pairs of subsets and 3 values of C
+    assert len(calls) == len({(tuple(I), C) for _, _, I, C in calls}) == 9
     capsys.readouterr()
+    calls.clear()
+    # 5^4 = 1 mod 13: C != 1 with A1 = A2 = 1, which no build takes
+    assert dispatch(["two-packet", "sweep", "--p", "13", "--n", "3", "--C", "5"]) == EXIT_OK
+    assert len(calls) == 0
+    assert capsys.readouterr() == ("", "built 0 families\n")
 
 
 @pytest.mark.parametrize("d,backend,message", [

@@ -25,6 +25,7 @@ from supertorsion import (
     packet_wronskian_triple,
     roots_in_field,
     shift_points_to_0_minus1,
+    sweep_families,
     two_packet,
     two_packet_admissible,
     wronskian3,
@@ -342,6 +343,48 @@ def test_bad_lambda_members_matches_bad_lambda_set(n, primes):
         frozenset()
 
 
+def reference_sweep(F, n, C):
+    """The direct loop: one packet per subset, each normalizing lambda built
+    by the public builder, (I, lambda) ascending; C^(n+1) = 1 means C = 1."""
+    out = []
+    for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
+        pk = two_packet(F, n, I, C)
+        for lam in sorted(pk.normalizing_lambdas(), key=lambda lam: lam.value):
+            if C == 1 and lam in (1, -1):
+                continue
+            try:
+                if C == 1:
+                    out.append(build_two_packet_equal(pk, lam))
+                else:
+                    out.append(build_two_packet_general(pk, lam, C ** (n + 1), F.one))
+            except (NotSquarefree, DegreeNotNormalized):
+                pass
+    return out
+
+
+# C = 1, a generic C, and a C != 1 with C^(n+1) = 1, which no builder takes
+@pytest.mark.parametrize("p,n", [(13, 3), (29, 3), (13, 5), (37, 5), (17, 7), (41, 7)])
+def test_sweep_families_matches_the_direct_loop(p, n):
+    F = GF(p)
+    root = F.roots_of_unity(n + 1)[1]
+    generic = next(F(c) for c in range(2, p) if F(c) ** (n + 1) != 1)
+    with pytest.raises(BadParameters):
+        build_two_packet_general(two_packet(F, n, F.roots_of_unity(n + 1)[:(n + 1) // 2],
+                                            root), 2, F.one, F.one)
+    assert list(sweep_families(F, n, [root])) == []
+    for C in (F.one, generic):
+        swept = list(sweep_families(F, n, [C]))
+        direct = reference_sweep(F, n, C)
+        assert direct, (p, n, C)
+        assert [(fam.I, fam.lam) for fam, _ in swept] == [(fam.I, fam.lam) for fam in direct]
+        for fam, bad in swept:
+            pk = two_packet(F, n, fam.I, C)
+            expected = (build_two_packet_equal(pk, fam.lam) if C == 1 else
+                        build_two_packet_general(pk, fam.lam, C ** (n + 1), F.one))
+            assert fam._asdict() == expected._asdict(), (p, n, C, fam.I, fam.lam)
+            assert bad == (fam.lam in bad_lambda_members(pk, [fam.lam])), (p, n, C, fam.I)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_bad_lambda_roots_taken_once_per_sieve_factor(n, monkeypatch):
     # the eliminant and the two brackets are split once per call, however
@@ -539,8 +582,8 @@ def test_confirmed_bad_lambdas_matches_loop_at_2017(n):
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_confirmed_bad_lambdas_tests_few_lambdas(n, monkeypatch):
-    # the roots of R (degree <= 2n), their negatives and +-1, not one test
-    # per unit; R from 2n+1 resultants
+    # the roots of R (degree <= 2n), their negatives and +-1, one test per
+    # pair +-lam, not one test per unit; R from 2n+1 resultants
     calls = {"is_squarefree": 0, "_resultant_values": 0, "roots_in_field": 0}
 
     def counting(name):
@@ -556,7 +599,7 @@ def test_confirmed_bad_lambdas_tests_few_lambdas(n, monkeypatch):
     F = GF(10009)
     pk = two_packet(F, n, F.roots_of_unity(n + 1)[:(n + 1) // 2], 1)
     confirmed = confirmed_bad_lambdas(pk)
-    assert calls["is_squarefree"] <= 4 * n + 2
+    assert calls["is_squarefree"] <= 2 * n + 1
     assert calls["_resultant_values"] <= 2 * n + 1
     assert calls["roots_in_field"] == 1
     assert {F(1), F(-1)} <= confirmed
