@@ -11,7 +11,6 @@ from .curves import (
     ReachabilityStatus,
     SuperellipticCurve,
     TorsionParams,
-    mu_d_orbit,
     reachability_status,
     torsion_params,
 )
@@ -22,7 +21,6 @@ from .certificates import (
     family_slack0,
     family_slack1,
     normalize_certificate,
-    slack0_reduce,
     verify_certificate,
 )
 from .elliptic4 import (
@@ -37,17 +35,12 @@ from .elliptic4 import (
 from .fields import GF, QQ, FieldElement, PrimeField, Rationals
 from .orders import (
     MumfordDivisor,
-    RiemannRochBasis,
     cantor_add,
     cantor_order,
     elliptic_add,
     elliptic_order,
-    gap_semigroup_count,
-    genus,
     order_of_class,
-    order_of_ramified,
     principality_profile,
-    rr_basis,
 )
 from .poly import NEG_INF, Poly, TruncatedSeries, is_squarefree, poly_gcd, \
     poly_xgcd, roots_in_field, series_dth_root
@@ -62,15 +55,10 @@ from .twopacket import (
     build_two_packet_general,
     confirmed_bad_lambdas,
     example_m0_equals_nplus1,
-    fermat_identity_check,
     packet_polynomial,
-    packet_wronskian_triple,
-    shift_points_to_0_minus1,
     sweep_families,
     two_packet,
     two_packet_admissible,
-    wronskian3,
-    wronskian_degree_audit,
 )
 
 __version__ = "0.1.0"

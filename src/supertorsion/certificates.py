@@ -56,9 +56,6 @@ class TorsionCertificate(NamedTuple):
     def curve(self) -> SuperellipticCurve:
         return SuperellipticCurve(self.field, self.d, self.f)
 
-    def is_normalized(self) -> bool:
-        return self.a.is_zero() and self.v(self.field.zero) == self.field.one
-
 
 def build_certificate(n: int, d: int, a, B, q: Poly) -> TorsionCertificate:
     """Assemble and validate a certificate from (a, B, q)."""
@@ -297,17 +294,6 @@ def family_slack0(n: int, d: int, base_field: Field) -> TorsionCertificate:
         raise BadParameters(f"characteristic {char} divides ell0 = {params.ell0}")
     return build_certificate(n, d, base_field.zero, base_field.one,
                              Poly.one(base_field))
-
-
-def slack0_reduce(cert: TorsionCertificate):
-    """For a normalized slack-0 certificate with parameter B: the scaling
-    x -> B0*x with B0^ell0 = B carries the reference curve onto this one.
-    Returns B0 when the root exists in the base field, else None."""
-    if cert.params.slack != 0:
-        raise BadParameters(f"slack = {cert.params.slack} != 0")
-    if not cert.is_normalized():
-        raise BadParameters("certificate must have a = 0 and v(0) = 1")
-    return cert.field.nth_root(cert.B, cert.ell0)
 
 
 def family_slack1(n: int, d: int, B, B1):

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 
 from . import serialize
 from .certificates import (
@@ -410,10 +409,7 @@ def dispatch(argv) -> int:
                     if k not in ("func", "manifest") and v is not None}
     ) if args.manifest else None
     try:
-        with warnings.catch_warnings():
-            # a warning's cause reaches stderr as the error it leads to
-            warnings.simplefilter("ignore")
-            code = args.func(args)
+        code = args.func(args)
     except (UsageError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_USAGE

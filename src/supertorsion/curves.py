@@ -13,7 +13,7 @@ import enum
 from math import gcd
 from typing import NamedTuple
 
-from .errors import BadParameters, NotOnCurve, UnsupportedField
+from .errors import BadParameters, NotOnCurve
 from .fields import Field, FieldElement, is_prime
 from .poly import Poly, is_squarefree
 
@@ -186,16 +186,3 @@ class SuperellipticCurve:
         if self.d % 2 == 0 and not r.is_zero():
             pts.append(AffinePoint(x, -r))
         return tuple(pts)
-
-
-def mu_d_orbit(curve: SuperellipticCurve, point: AffinePoint):
-    """The d points (x, zeta*y) for zeta running over mu_d; needs mu_d in the
-    base field and y != 0."""
-    if point.y.is_zero():
-        raise BadParameters("orbit of a ramified point is trivial")
-    try:
-        zetas = curve.field.roots_of_unity(curve.d)
-    except UnsupportedField:
-        raise UnsupportedField(
-            f"mu_{curve.d} is not rational over {curve.field!r}") from None
-    return tuple(AffinePoint(point.x, z * point.y) for z in zetas)

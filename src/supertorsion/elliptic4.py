@@ -125,30 +125,6 @@ def from_kubert(b) -> tuple[EllipticFourFamily, PointMap]:
 
 
 def to_kubert(fam: EllipticFourFamily) -> FieldElement:
-    """b = -B/(2 B1^2): both models then reduce to the same cubic
-    (``reduced_cubic_from_family``, ``reduced_cubic_from_kubert``)."""
+    """b = -B/(2 B1^2): both models then reduce to the same cubic, which
+    the test suite checks."""
     return -fam.B / (2 * fam.B1 * fam.B1)
-
-
-def reduced_cubic_from_family(B: FieldElement, B1: FieldElement) -> Poly:
-    """Scale y^2 = (ax^2+cx+1)(cx+1), a = 2B, c = B1, by x -> a c x,
-    y -> 2 a c y: gives y^2 = 4x^3 + 4(a + c^2)x^2 + 8 a c^2 x + 4 a^2 c^2."""
-    field = B.field
-    a, c = 2 * B, B1
-    return Poly(field, (4 * a * a * c * c, 8 * a * c * c, 4 * (a + c * c), field(4)))
-
-
-def reduced_cubic_from_kubert(b: FieldElement, c: FieldElement) -> Poly:
-    """The Kubert model first becomes y^2 = 4x^3 + (1-4b)x^2 - 2bx + b^2;
-    scaling x -> 4c^2 x, y -> 8c^3 y then lands on the same target cubic."""
-    e1 = kubert_model_cubic(b)
-    # substitute x = X/(4c^2), multiply through by 64 c^6
-    c2 = 4 * c * c
-    return Poly(b.field, [e1[i] * c2 ** (3 - i) for i in range(4)])
-
-
-def kubert_model_cubic(b: FieldElement) -> Poly:
-    """Complete the square in y: the Kubert curve is y^2 = 4x^3 + (1-4b)x^2
-    - 2bx + b^2 after y -> (2y + x - b)/2 rescaling."""
-    field = b.field
-    return Poly(field, (b * b, -2 * b, 1 - 4 * b, field(4)))

@@ -11,7 +11,8 @@ point once, by ``curve.point``, then max_k >= 1, then that it applies:
   search is one incremental exact elimination of the truncated local
   expansions at P of a basis of these functions, one function per pole
   order, on bare residues or integers (``_principal_orders``, shared with
-  ``principality_profile``).
+  ``principality_profile``).  A ramified point (y = 0) has order d, which
+  it returns without the series.
 * ``elliptic_order`` -- chord/tangent group law; needs d = 2, deg f = 3.
 * ``cantor_order``  -- Mumford representation plus composition/reduction
   (Cantor, Math. Comp. 48, 1987); needs d = 2.
@@ -30,50 +31,6 @@ from typing import NamedTuple
 from .curves import AffinePoint, SuperellipticCurve
 from .errors import BadParameters, MathCheckError
 from .poly import Poly, _series_root_powers, poly_xgcd
-
-
-# ---------------------------------------------------------------------------
-# Riemann-Roch style basis of functions with poles only at O
-# ---------------------------------------------------------------------------
-
-class RiemannRochBasis(NamedTuple):
-    """Monomials x^i y^j (0 <= j < d) with pole order d*i + n*j <= k at O.
-
-    gcd(n, d) = 1 makes the pole orders pairwise distinct, so these monomials
-    are a basis of the space of functions with divisor >= -k*O.
-    """
-
-    n: int
-    d: int
-    k: int
-    monomials: tuple  # of (i, j)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.monomials)
-
-
-def rr_basis(n: int, d: int, k: int) -> RiemannRochBasis:
-    if gcd(n, d) != 1:
-        raise BadParameters("pole orders collide unless gcd(n, d) = 1")
-    mons = [(i, j) for j in range(d) for i in range(k // d + 1) if d * i + n * j <= k]
-    mons.sort(key=lambda ij: d * ij[0] + n * ij[1])
-    return RiemannRochBasis(n=n, d=d, k=k, monomials=tuple(mons))
-
-
-def gap_semigroup_count(n: int, d: int, k: int) -> int:
-    """#{s <= k : s in the numerical semigroup generated by d and n}."""
-    reachable = [False] * (k + 1)
-    reachable[0] = True
-    for s in range(1, k + 1):
-        if (s >= d and reachable[s - d]) or (s >= n and reachable[s - n]):
-            reachable[s] = True
-    return sum(reachable)
-
-
-def genus(n: int, d: int) -> int:
-    """Number of gaps of the semigroup <d, n> = (n-1)(d-1)/2."""
-    return (n - 1) * (d - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +104,9 @@ def _principal_orders(curve: SuperellipticCurve, point: AffinePoint, max_k: int)
     lead is k.  Rows hold bare values over max_k + 2 columns: residues mod
     p, kept with lead 1, or over Q integer rows divided by their content, in
     the variable t/C of ``_series_root_powers``.  Scaling a row, or column
-    t^c by C^c, moves no lead.  A ramified point (y = 0) has order d
-    (``order_of_ramified``), so its principal k are the multiples of d.
+    t^c by C^c, moves no lead.  A ramified point (y = 0) has order d, since
+    x - x(P) has divisor d(P) - d(O) (f is squarefree at x(P)), so its
+    principal k are the multiples of d.
     """
     if point.y.is_zero():
         yield from range(curve.d, max_k + 1, curve.d)
@@ -225,14 +183,6 @@ def order_of_class(curve: SuperellipticCurve, point, max_k: int | None = None):
         if order is not None or bound == max_k:
             return order
         bound = min(2 * bound, max_k)
-
-
-def order_of_ramified(curve: SuperellipticCurve, point) -> int:
-    """Points with y = 0 have class order exactly d: x - x(P) has divisor
-    d(P) - d(O) because f is squarefree at x(P)."""
-    if not curve.point(*point).y.is_zero():
-        raise BadParameters("point has y != 0")
-    return curve.d
 
 
 # ---------------------------------------------------------------------------

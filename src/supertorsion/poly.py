@@ -11,7 +11,6 @@ splitting run in kernels on value lists (``_divmod_values`` and the like);
 
 from __future__ import annotations
 
-import warnings
 from itertools import zip_longest
 from operator import add, mul, sub
 
@@ -195,13 +194,6 @@ class Poly:
             acc = acc * X + c * s_pow
         return FieldElement(field, field.join((acc,), den * s_pow)[0])
 
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)) by Horner on polynomial values."""
-        acc = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
-
     def shift(self, a) -> "Poly":
         """x -> x + a substitution on integer numerators (``_shift_ints``)."""
         field = self.field
@@ -209,15 +201,6 @@ class Poly:
         (A,), s = field.split((field(a).value,))
         g, scale = _shift_ints(field, ints, A, s)
         return Poly._from_values(field, field.join(g, den * scale))
-
-    def scale_arg(self, c) -> "Poly":
-        """x -> c*x substitution."""
-        c, red = self.field(c).value, self.field.reduce
-        out, power = [], 1
-        for a in self.values:
-            out.append(red(a * power))
-            power = red(power * c)
-        return Poly._from_values(self.field, out)
 
     def derivative(self) -> "Poly":
         red, a = self.field.reduce, self.values
@@ -227,13 +210,6 @@ class Poly:
         if self.is_zero():
             raise BadParameters("cannot normalize the zero polynomial")
         return self * self.leading.inverse()
-
-    def reverse(self, m: int) -> "Poly":
-        """x^m * self(1/x): coefficient reversal padded to length m+1."""
-        if self.degree > m:
-            raise BadParameters(f"degree {self.degree} exceeds reversal order {m}")
-        padded = self.values + (self.field.zero.value,) * (m + 1 - len(self.values))
-        return Poly._from_values(self.field, padded[::-1])
 
     def __repr__(self):
         if self.is_zero():
@@ -420,16 +396,11 @@ def interpolate(field: Field, points, values) -> Poly:
 _GOOD_FIELDS = tuple(GF(q) for q in (1073741789, 1073741783, 1073741741))
 
 
-class InseparableWarning(UserWarning):
-    """f' vanished identically over F_p: f is a p-th power in disguise."""
-
-
 def is_squarefree(f: Poly) -> bool:
     """True iff f has no repeated roots (in an algebraic closure).
 
-    Nonzero constants count as squarefree.  Over F_p a vanishing derivative
-    means f lies in F_p[x^p]; that is reported as not squarefree with a
-    warning, since it only arises from degenerate parameters here.
+    Nonzero constants count as squarefree.  Over F_p a nonconstant f with
+    f' = 0 lies in F_p[x^p], so it is g(x)^p for some g, and False is exact.
 
     Over Q, f mod q squarefree of the same degree, for a prime q of
     ``_GOOD_FIELDS``, proves f squarefree (a square factor would survive);
@@ -448,8 +419,6 @@ def is_squarefree(f: Poly) -> bool:
                 return True
     fp = f.derivative()
     if fp.is_zero():
-        warnings.warn("derivative vanished identically (inseparable direction)",
-                      InseparableWarning, stacklevel=2)
         return False
     return len(_euclid_values(f.field, ((f.values,), (fp.values,)))[0]) == 1
 

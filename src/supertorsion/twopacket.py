@@ -15,6 +15,8 @@ which leads to the one-parameter shapes
     ut = (lam*H_I - (1/lam)*H_comp) / (2 C^ell0)        ("plus" sign; the
                                                          "minus" sign negates ut)
 
+and f = A1 (x^(n+1) - ut^2), because u = B1*ut with B1^2 = A1.
+
 ``two_packet`` checks (F_p, n, I, C) once into a ``TwoPacket``, which every
 other two-packet entry point takes as its first argument.  ``sweep_families``
 builds every family of a field, n and list of C, one packet per pair of
@@ -29,6 +31,9 @@ a candidate, or of every unit when p is too small for that resultant.
 Separately, only the lam for which ut has leading coefficient +-1 give the
 polynomial degree n (anything else leaves degree n+1, which defines no curve
 with a single infinite point); ``TwoPacket.normalizing_lambdas`` lists them.
+
+The Wronskian identities behind the conditions of ``two_packet_admissible``
+are checked by the test suite; the package does not compute them.
 """
 
 from __future__ import annotations
@@ -38,11 +43,10 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .curves import AffinePoint, SuperellipticCurve, torsion_params
+from .curves import SuperellipticCurve, torsion_params
 from .errors import (
     BadParameters,
     DegreeNotNormalized,
-    MathCheckError,
     NotSquarefree,
     UnsupportedField,
 )
@@ -106,67 +110,6 @@ def two_packet_admissible(n: int, d: int) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(n=n, d=d, m0=params.m0, ell0=params.ell0,
                                 slack=params.slack, allowed=not reasons,
                                 exempt=False, reasons=tuple(reasons))
-
-
-# ---------------------------------------------------------------------------
-# Wronskian machinery (any d)
-# ---------------------------------------------------------------------------
-
-def fermat_identity_check(f1: Poly, f2: Poly, f3: Poly, d: int):
-    """Whether f1^d + f2^d + f3^d is a nonzero constant; returns
-    (is_constant, value_or_None)."""
-    s = f1 ** d + f2 ** d + f3 ** d
-    if s.is_zero() or not s.is_constant():
-        return False, None
-    return True, s[0]
-
-
-def wronskian3(g1: Poly, g2: Poly, g3: Poly) -> Poly:
-    """3x3 Wronskian determinant with rows (g, g', g'')."""
-    rows = [(g, g.derivative(), g.derivative().derivative()) for g in (g1, g2, g3)]
-    cols = list(zip(*rows))  # cols[k][i] = k-th derivative of g_{i+1}
-    det = Poly.zero(g1.field)
-    for sign, (i, j, k) in (
-            (1, (0, 1, 2)), (-1, (0, 2, 1)), (-1, (1, 0, 2)),
-            (1, (1, 2, 0)), (1, (2, 0, 1)), (-1, (2, 1, 0))):
-        term = cols[0][i] * cols[1][j] * cols[2][k]
-        det = det + term if sign > 0 else det - term
-    return det
-
-
-def wronskian_pair_form(f1: Poly, f2: Poly, d: int, constant: FieldElement) -> Poly:
-    """constant * ((f1^d)'(f2^d)'' - (f2^d)'(f1^d)''): what the Wronskian of
-    (f1^d, f2^d, f3^d) collapses to when f1^d + f2^d + f3^d = constant."""
-    a, b = f1 ** d, f2 ** d
-    a1, b1 = a.derivative(), b.derivative()
-    a2, b2 = a1.derivative(), b1.derivative()
-    return (a1 * b2 - b1 * a2) * constant
-
-
-class WronskianAudit(NamedTuple):
-    degree: int
-    lower: int
-    upper: int
-    degree_ok: bool
-    slope_bound_ok: bool  # ell0 (d - 6) <= -3
-    divisibility_ok: bool
-
-
-def wronskian_degree_audit(f1: Poly, f2: Poly, f3: Poly, d: int,
-                           ell0: int) -> WronskianAudit:
-    """Degree window 3*ell0*(d-2) <= deg W <= 2*ell0*d - 3 for independent
-    d-th powers, plus the derived constraint ell0*(d-6) <= -3."""
-    w = wronskian3(f1 ** d, f2 ** d, f3 ** d)
-    if w.is_zero():
-        raise MathCheckError("f1^d, f2^d, f3^d are linearly dependent")
-    lower, upper = 3 * ell0 * (d - 2), 2 * ell0 * d - 3
-    # every entry of the i-th column of W carries f_i^(d-2); W != 0 makes the
-    # product nonzero
-    return WronskianAudit(
-        degree=w.degree, lower=lower, upper=upper,
-        degree_ok=lower <= w.degree <= upper,
-        slope_bound_ok=ell0 * (d - 6) <= -3,
-        divisibility_ok=d <= 2 or (w % (f1 * f2 * f3) ** (d - 2)).is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +205,15 @@ def packet_polynomial(pk: TwoPacket, lam, sign: str = "plus") -> Poly:
     """x^(n+1) - ut^2: degree n exactly when lam normalizes the leading term,
     degree n+1 otherwise.  Squarefreeness of this polynomial is what the bad
     lambda analysis controls."""
-    ut, _ = pk.shapes(lam, sign)
-    return Poly.monomial(pk.field, pk.n + 1) - ut * ut
+    return Poly._from_values(pk.field, _packet_values(pk, pk._values(lam, sign)[0]))
+
+
+def _packet_values(pk: TwoPacket, ut):
+    """The residues of x^(n+1) - ut^2, n + 2 long, for residues ut."""
+    p, n = pk.field.p, pk.n
+    f = [-c % p for c in _convolve(ut, ut, n + 2)]
+    f[n + 1] = (f[n + 1] + 1) % p
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +269,9 @@ def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
             cl_inv = pk.cl.inverse()
             A1, A2, B1, B2, twisted = one, cl_inv * cl_inv, one, cl_inv, True
     u, v = [B1.value * c % p for c in ut], [B2.value * c % p for c in vt]
-    # A1 x^(n+1) - u^2 and A2 (x+1)^(n+1) - v^2, both n + 2 long
-    f = [-c % p for c in _convolve(u, u, n + 2)]
-    f[n + 1] = (f[n + 1] + A1.value) % p
+    # f = A1 (x^(n+1) - ut^2) = A1 x^(n+1) - u^2, as B1^2 = A1 in every branch;
+    # checked against A2 (x+1)^(n+1) - v^2, both n + 2 long
+    f = [A1.value * c % p for c in _packet_values(pk, ut)]
     if f != [(A2.value * comb(n + 1, k) - c) % p
              for k, c in enumerate(_convolve(v, v, n + 2))]:
         raise BadParameters("double representation failed: inconsistent inputs")
@@ -512,11 +462,9 @@ def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:
     outside F_p.  The sign of ut does not matter: ut and -ut give the same
     polynomial, and ut(-lam) = -ut(lam), so one test decides lam and -lam;
     the candidates are closed under negation."""
-    field, n, p, out = pk.field, pk.n, pk.field.p, set()
+    field, p, out = pk.field, pk.field.p, set()
     for lam in {min(lam.value, p - lam.value) for lam in _candidate_lambdas(pk)}:
-        ut, _ = pk._values(lam)
-        f = Poly._from_values(field, [((k == n + 1) - c) % p
-                                      for k, c in enumerate(_convolve(ut, ut, n + 2))])
+        f = Poly._from_values(field, _packet_values(pk, pk._values(lam)[0]))
         if f.is_zero() or not is_squarefree(f):
             out.update((lam, p - lam))
     return frozenset(map(field, out))
@@ -618,59 +566,3 @@ def _sweep(field, n, mu, Cs):
                                    flag))  # (S2)
             yield from sorted(own, key=lambda item: item[0].lam.value)
             mirrored[comp] = sorted(theirs, key=lambda item: item[0].lam.value)
-
-
-# ---------------------------------------------------------------------------
-# moving two packet abscissas to 0 and -1
-# ---------------------------------------------------------------------------
-
-class ShiftMap(NamedTuple):
-    """x -> scale*x + offset on the base line, y -> y/y_scale on the cover;
-    y_scale is a d-th root of scale^n, None when the base field has none, in
-    which case only the x-side is available."""
-
-    scale: FieldElement
-    offset: FieldElement
-    y_scale: FieldElement | None
-
-
-def shift_points_to_0_minus1(curve: SuperellipticCurve, P: AffinePoint,
-                             Q: AffinePoint):
-    """Produce the isomorphic curve with x(P), x(Q) moved to 0, -1: f_new =
-    scale^-n * f(scale*x + offset).  Orders of points are preserved since the
-    infinite point maps to the infinite point."""
-    if P.x == Q.x:
-        raise BadParameters("P and Q must have distinct abscissas")
-    field = curve.field
-    offset = P.x
-    scale = P.x - Q.x
-    substituted = curve.f.compose(Poly(field, (offset, scale)))
-    f_new = substituted * (scale ** curve.n).inverse()
-    new_curve = SuperellipticCurve(field, curve.d, f_new)
-    y_scale = field.nth_root(scale ** curve.n, curve.d)
-    smap = ShiftMap(scale=scale, offset=offset, y_scale=y_scale)
-    images = None
-    if y_scale is not None:
-        images = (new_curve.point(field.zero, P.y / y_scale),
-                  new_curve.point(-field.one, Q.y / y_scale))
-    return new_curve, smap, images
-
-
-# ---------------------------------------------------------------------------
-# the degree-2 Wronskian triple of a built family
-# ---------------------------------------------------------------------------
-
-def packet_wronskian_triple(fam: PacketFamily):
-    """(f1, f2, f3) with f1^2 + f2^2 + f3^2 = A1: f1 = B2 (1+t)^ell0,
-    f2 = reversal of u, f3 = eta * reversal of v with eta^2 = -1."""
-    field = fam.field
-    eta = field.nth_root(field(-1), 2)
-    if eta is None:
-        raise UnsupportedField(f"F_{fam.p} has no square root of -1")
-    f1 = fam.B2 * Poly(field, (field.one, field.one)) ** fam.ell0
-    f2 = fam.u.reverse(fam.ell0)
-    f3 = eta * fam.v.reverse(fam.ell0)
-    ok, value = fermat_identity_check(f1, f2, f3, 2)
-    if not ok or value != fam.A1:
-        raise BadParameters("triple does not sum to A1")
-    return f1, f2, f3

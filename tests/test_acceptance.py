@@ -30,26 +30,31 @@ from supertorsion import (
     example_m0_equals_nplus1,
     family_slack0,
     family_slack1,
-    fermat_identity_check,
     from_kubert,
-    gap_semigroup_count,
-    genus,
     is_squarefree,
     order_of_class,
-    order_of_ramified,
     packet_polynomial,
-    packet_wronskian_triple,
     reachability_status,
-    rr_basis,
     to_kubert,
     torsion_params,
     two_packet,
     two_packet_admissible,
-    wronskian3,
-    wronskian_degree_audit,
 )
 from supertorsion.errors import DegreeNotNormalized, NotSquarefree
-from supertorsion.twopacket import nonvanishing_bracket, wronskian_pair_form
+from supertorsion.twopacket import nonvanishing_bracket
+
+from paper_checks import (
+    fermat_identity_check,
+    gap_semigroup_count,
+    genus,
+    packet_wronskian_triple,
+    reduced_cubic_from_family,
+    reduced_cubic_from_kubert,
+    rr_basis,
+    wronskian3,
+    wronskian_degree_audit,
+    wronskian_pair_form,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -93,7 +98,7 @@ def test_criterion_2_slack1_equals_elliptic_family():
         q2 = (-B1.inverse(), QQ(0))
         assert elliptic_add(curve, q0, q0) == q2
         assert elliptic_order(curve, q2, 8) == 2
-        assert order_of_ramified(curve, curve.point(*q2)) == 2
+        assert order_of_class(curve, q2, 8) == 2
         checked += 1
     _report("criterion 2: slack-1 family = marked 4-torsion cubic", True,
             f"{checked} random parameter pairs, all exact")
@@ -101,10 +106,6 @@ def test_criterion_2_slack1_equals_elliptic_family():
 
 def test_criterion_3_kubert_correspondence():
     """Round trips, identical reduced cubics, (0,0) maps to an order-4 point."""
-    from supertorsion.elliptic4 import (
-        reduced_cubic_from_family,
-        reduced_cubic_from_kubert,
-    )
     rng = random.Random(1889)
     done_b = 0
     while done_b < 25:

@@ -15,11 +15,12 @@ from supertorsion import (
     normalize_certificate,
     order_of_class,
     series_dth_root,
-    slack0_reduce,
     torsion_params,
     verify_certificate,
 )
 from supertorsion.errors import BadParameters, NotSquarefree
+
+from paper_checks import compose
 
 
 def test_build_slack1_example():
@@ -107,27 +108,6 @@ def test_family_slack0_f11():
     assert verify_certificate(cert).passed
 
 
-def test_slack0_reduce():
-    cert = family_slack0(4, 3, QQ)
-    assert slack0_reduce(cert) == QQ(1)
-    F = GF(13)
-    cert13 = build_certificate(4, 3, F(0), F(12), Poly.one(F))
-    b0 = slack0_reduce(cert13)
-    assert b0 == F(5)  # 5^2 = 12 in F_13
-    assert cert13.f == family_slack0(4, 3, F).f.scale_arg(b0)
-    # sqrt(2) does not exist in Q
-    cert_q = build_certificate(4, 3, QQ(0), QQ(2), Poly.one(QQ))
-    assert slack0_reduce(cert_q) is None
-
-
-def test_slack0_reduce_requires_normalized():
-    cert = build_certificate(4, 3, QQ(1), QQ(1), Poly(QQ, (2,)))
-    with pytest.raises(BadParameters, match=r"certificate must have a = 0 and v\(0\) = 1"):
-        slack0_reduce(cert)
-    with pytest.raises(BadParameters, match="slack = 1 != 0"):
-        slack0_reduce(build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (1, 1))))
-
-
 def test_family_slack1_examples():
     cert, point_d = family_slack1(3, 2, QQ(1), QQ(1))
     assert [c.value for c in cert.f.coeffs] == [1, 2, 3, 2]
@@ -198,11 +178,10 @@ def test_family_slack0_is_inner_pullback(field):
         assert inner.degree == d - 1 and is_squarefree(inner)
         assert inner(field.zero) == field.one
         reference = family_slack0(n, d, field)
-        assert reference.f == inner.compose(X ** ell0)
-        B = field(2) ** ell0
-        cert = build_certificate(n, d, field.zero, B, Poly.one(field))
-        b0 = slack0_reduce(cert)
-        assert b0 ** ell0 == B and cert.f == reference.f.scale_arg(b0)
+        assert reference.f == compose(inner, X ** ell0)
+        b0 = field(2)
+        cert = build_certificate(n, d, field.zero, b0 ** ell0, Poly.one(field))
+        assert cert.f == compose(reference.f, b0 * X)
 
 
 def test_family_slack1_point_is_a_root():

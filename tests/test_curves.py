@@ -8,11 +8,10 @@ from supertorsion import (
     Poly,
     ReachabilityStatus,
     SuperellipticCurve,
-    mu_d_orbit,
     reachability_status,
     torsion_params,
 )
-from supertorsion.errors import BadParameters, NotOnCurve, UnsupportedField
+from supertorsion.errors import BadParameters, NotOnCurve
 
 
 @pytest.mark.parametrize("n,d,ell0,m0,slack", [
@@ -108,33 +107,6 @@ def test_curve_invariants_enforced():
         SuperellipticCurve(QQ, 2, Poly(QQ, (1, 0, 0, 0, 1)))  # gcd(4, 2) != 1
     with pytest.raises(BadParameters):
         SuperellipticCurve(GF(3), 3, Poly(GF(3), (1, 1, 0, 0, 1)))  # char | d
-
-
-def test_mu_d_orbit_quadratic():
-    curve = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 4, 6, 4)))
-    orbit = mu_d_orbit(curve, curve.point(0, 1))
-    assert {(p.x.value, p.y.value) for p in orbit} == {(0, 1), (0, -1)}
-
-
-def test_mu_d_orbit_f13():
-    F = GF(13)
-    f = Poly(F, (1, 1, 0, 0, 0, 1))  # x^5 + x + 1, f(0) = 1
-    curve = SuperellipticCurve(F, 4, f)
-    orbit = mu_d_orbit(curve, curve.point(0, 1))
-    assert [(p.x.value, p.y.value) for p in orbit] == [(0, 1), (0, 5), (0, 12), (0, 8)]
-    for p in orbit:
-        assert curve.contains(p.x, p.y)
-    assert len(orbit) == 4
-
-
-def test_mu_d_orbit_errors():
-    curve = SuperellipticCurve(QQ, 2, Poly(QQ, (0, 4, 6, 4)) + Poly(QQ, (1,)))
-    ram = curve.point(QQ("-1/2"), 0)
-    with pytest.raises(BadParameters, match="orbit of a ramified point is trivial"):
-        mu_d_orbit(curve, ram)
-    cubic = SuperellipticCurve(QQ, 3, Poly(QQ, (1, 0, 3, 0, 3)))
-    with pytest.raises(UnsupportedField):
-        mu_d_orbit(cubic, cubic.point(0, 1))
 
 
 def test_points_above():

@@ -14,12 +14,9 @@ from supertorsion import (
     kubert_curve,
     to_kubert,
 )
-from supertorsion.elliptic4 import (
-    kubert_model_cubic,
-    reduced_cubic_from_family,
-    reduced_cubic_from_kubert,
-)
 from supertorsion.errors import BadParameters, MathCheckError
+
+from paper_checks import kubert_model_cubic, reduced_cubic_from_family, reduced_cubic_from_kubert
 
 
 def test_build_family_expansion():

@@ -1,7 +1,9 @@
 """The library's invariants are raised checks, never ``assert``s, which
 ``python -O`` removes; the library imports nothing outside the standard
-library; its error classes are the ones the README documents; and every
-name the traced benchmark wraps still exists."""
+library; its error classes are the ones the README documents; every name
+the traced benchmark wraps still exists; and every public function or class
+of the library is reached from the library itself, or wrapped by the
+benchmark, or listed with its reason."""
 
 import ast
 import importlib.util
@@ -10,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from supertorsion import errors
@@ -59,6 +62,13 @@ print("ok")
 def _src_trees():
     for path in sorted((SRC / "supertorsion").glob("*.py")):
         yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_no_assert_in_src():
@@ -122,9 +132,7 @@ def test_bench_spans_wrap_and_restore_src(capsys):
     import supertorsion.cli
     from supertorsion import fields, poly
 
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_spans()
     originals = (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__)
     with spans.LayerTrace() as trace, spans.ElemOpCounter() as counter:
         code = supertorsion.cli.dispatch(["two-packet", "sweep", "--p", "13", "--n", "3"])
@@ -133,6 +141,38 @@ def test_bench_spans_wrap_and_restore_src(capsys):
     assert trace.calls["cli.dispatch"] == 1 and trace.calls["twopacket.build"] > 0
     assert counter.count > 0
     assert (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__) == originals
+
+
+#: public top-level names of src/ that nothing in src/ refers to and the
+#: benchmark does not wrap, each with the reason it stays
+UNREFERENCED_PUBLIC = {
+    "principality_profile": "ROADMAP item 8.4: derived from the order or moved once item 3 lands",
+    "example_m0_equals_nplus1": "the closed-form m0 = n+1 construction the README describes",
+    "curve_to_json": "serialize round-trip pair of curve_from_json, which `order` reads",
+    "point_from_json": "serialize round-trip pair of point_to_json, which the CLI writes",
+    "resultant": "the public face of _resultant_values, which _candidate_lambdas uses",
+}
+
+
+def _names_used(tree):
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_name_in_src_is_reached():
+    # a reference is a Name or an Attribute in src/ outside the definition
+    # itself and __init__.py; a docstring mention is not one
+    spans = _bench_spans()
+    wrapped = {entry[1] for entry in spans.FUNCTIONS + spans.METHODS}
+    trees = [tree for name, tree in _src_trees() if name != "__init__.py"]
+    used = sum(map(_names_used, trees), Counter())
+    unreached = {node.name for tree in trees for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_")
+                 and used[node.name] == _names_used(node)[node.name]} - wrapped
+    assert sorted(unreached - set(UNREFERENCED_PUBLIC)) == []
+    # an entry that something now reaches leaves the list
+    assert sorted(set(UNREFERENCED_PUBLIC) - unreached) == []
 
 
 def test_cli_import_generates_no_dataclass_code():

@@ -23,13 +23,14 @@ from supertorsion import (
     build_certificate,
     order_of_class,
     principality_profile,
-    rr_basis,
     series_dth_root,
     torsion_params,
 )
 from supertorsion.errors import BadParameters, MathCheckError, NotSquarefree
 from supertorsion.fields import is_prime
 from supertorsion.orders import left_kernel_vector
+
+from paper_checks import rr_basis
 
 SMALL_PRIMES = [p for p in range(2, 60) if is_prime(p)]
 

@@ -15,17 +15,15 @@ from supertorsion import (
     elliptic_order,
     family_slack0,
     family_slack1,
-    gap_semigroup_count,
-    genus,
     order_of_class,
-    order_of_ramified,
     principality_profile,
-    rr_basis,
     torsion_params,
     verify_certificate,
 )
 from supertorsion.errors import BadParameters, NotOnCurve
 from supertorsion.orders import left_kernel_vector
+
+from paper_checks import gap_semigroup_count, genus, rr_basis
 
 
 def test_rr_basis_pole_orders_distinct():
@@ -83,18 +81,11 @@ def test_order_of_class_cross_characteristic():
 def test_order_of_class_answers_d_on_ramified():
     curve = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 2, 3, 2)))
     ram = curve.point(-1, 0)
-    assert order_of_class(curve, ram, 8) == order_of_ramified(curve, ram) == 2
+    assert order_of_class(curve, ram, 8) == 2
     assert order_of_class(curve, ram, 1) is None
     assert principality_profile(curve, ram, 7) == [2, 4, 6]
     cubic = SuperellipticCurve(GF(13), 3, Poly(GF(13), (-1, 0, 0, 0, 1)))  # x^4 - 1
     assert order_of_class(cubic, cubic.point(1, 0)) == 3
-
-
-def test_order_of_ramified():
-    curve = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 2, 3, 2)))
-    assert order_of_ramified(curve, curve.point(-1, 0)) == 2
-    with pytest.raises(BadParameters, match="point has y != 0"):
-        order_of_ramified(curve, curve.point(0, 1))
 
 
 def test_principality_profile_is_multiples_of_order():
@@ -284,7 +275,7 @@ def test_oracles_check_point_then_max_k_then_applicability():
 def test_point_entries_reject_points_off_the_curve():
     curve = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 2, 3, 2)))
     with pytest.raises(NotOnCurve):
-        order_of_ramified(curve, (QQ(1), QQ(0)))  # y = 0 but f(1) = 8
+        order_of_class(curve, (QQ(1), QQ(0)), 8)  # y = 0 but f(1) = 8
     with pytest.raises(NotOnCurve):
         MumfordDivisor.from_point(curve, (QQ(0), QQ(2)))
     for oracle in (order_of_class, principality_profile, cantor_order):

@@ -18,14 +18,13 @@ from supertorsion import (
     from_kubert,
     kubert_curve,
     reachability_status,
-    rr_basis,
-    shift_points_to_0_minus1,
     torsion_params,
     two_packet,
     two_packet_admissible,
     verify_certificate,
-    wronskian_degree_audit,
 )
+
+from paper_checks import rr_basis, shift_points_to_0_minus1, wronskian_degree_audit
 
 F13 = GF(13)
 CURVE = SuperellipticCurve(QQ, 2, Poly(QQ, (1, 2, 3, 2)))  # (0, 1) has order 4
@@ -46,6 +45,7 @@ def _shift_map():
 
 
 # one zero-argument builder per record type
+# (RiemannRochBasis, ShiftMap and WronskianAudit come from tests/paper_checks.py)
 BUILDERS = {
     "TorsionParams": lambda: torsion_params(3, 2),
     "ReachabilityReport": lambda: reachability_status(3, 2, 4),

@@ -18,18 +18,13 @@ from supertorsion import (
     confirmed_bad_lambdas,
     elliptic_order,
     example_m0_equals_nplus1,
-    fermat_identity_check,
     is_squarefree,
     order_of_class,
     packet_polynomial,
-    packet_wronskian_triple,
     roots_in_field,
-    shift_points_to_0_minus1,
     sweep_families,
     two_packet,
     two_packet_admissible,
-    wronskian3,
-    wronskian_degree_audit,
 )
 from supertorsion.errors import (
     BadParameters,
@@ -40,9 +35,14 @@ from supertorsion.errors import (
     UsageError,
 )
 from supertorsion.poly import interpolate, resultant
-from supertorsion.twopacket import (
-    nonvanishing_bracket,
-    ratio_root,
+from supertorsion.twopacket import nonvanishing_bracket, ratio_root
+
+from paper_checks import (
+    fermat_identity_check,
+    packet_wronskian_triple,
+    shift_points_to_0_minus1,
+    wronskian3,
+    wronskian_degree_audit,
     wronskian_pair_form,
 )
 
