@@ -23,15 +23,7 @@ from .certificates import (
     normalize_certificate,
     verify_certificate,
 )
-from .elliptic4 import (
-    EllipticFourFamily,
-    KubertCurve,
-    build_family,
-    check_order_structure,
-    from_kubert,
-    kubert_curve,
-    to_kubert,
-)
+from .elliptic4 import check_order_structure, from_kubert, to_kubert
 from .fields import GF, QQ, FieldElement, PrimeField, Rationals
 from .orders import (
     MumfordDivisor,

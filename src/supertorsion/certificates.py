@@ -299,7 +299,9 @@ def family_slack0(n: int, d: int, base_field: Field) -> TorsionCertificate:
 def family_slack1(n: int, d: int, B, B1):
     """The two-parameter family for slack 1: q = B1*x + 1, so
     f = -B^d x^m0 + (B x^ell0 + B1 x + 1)^d.  Returns the certificate and the
-    order-d point (-1/B1, 0)."""
+    order-d point (-1/B1, 0).  At (n, d) = (3, 2) this is the marked 4-torsion
+    elliptic family f = (2B x^2 + B1 x + 1)(B1 x + 1), squarefree exactly
+    when B1^2 - 8B != 0, that ``elliptic4`` checks."""
     params = torsion_params(n, d)
     if params.slack != 1:
         raise BadParameters(f"slack = {params.slack} != 1")

@@ -21,7 +21,7 @@ from .certificates import (
     verify_certificate,
 )
 from .curves import reachability_status
-from .elliptic4 import build_family, check_order_structure, from_kubert, to_kubert
+from .elliptic4 import check_order_structure, from_kubert, to_kubert
 from .errors import DegreeNotNormalized, NotSquarefree, SupertorsionError, UsageError
 from .fields import QQ, Field, PrimeField
 from .orders import cantor_order, elliptic_order, order_of_class
@@ -163,11 +163,11 @@ def _cmd_elliptic4(args) -> int:
         if args.b is None:
             raise UsageError("from-kubert needs --b")
         field = _parse_field(args.field)
-        fam, pmap = from_kubert(serialize.elem_from_str(field, args.b))
+        cert, pmap = from_kubert(serialize.elem_from_str(field, args.b))
         image = pmap(field.zero, field.zero)
         _emit({
-            "B": serialize.elem_to_str(fam.B), "B1": serialize.elem_to_str(fam.B1),
-            "f": serialize.poly_to_json(fam.f),
+            "B": serialize.elem_to_str(cert.B), "B1": serialize.elem_to_str(cert.q[1]),
+            "f": serialize.poly_to_json(cert.f),
             "marked_point_image": {"x": serialize.elem_to_str(image[0]),
                                    "y": serialize.elem_to_str(image[1])},
         })
@@ -177,20 +177,20 @@ def _cmd_elliptic4(args) -> int:
     field = _parse_field(args.field)
     B = serialize.elem_from_str(field, args.B)
     B1 = serialize.elem_from_str(field, args.B1)
-    fam = build_family(B, B1)
+    cert, q2 = family_slack1(3, 2, B, B1)
     if args.action == "to-kubert":
-        b = to_kubert(fam)
+        b = to_kubert(cert)
         _emit({"b": serialize.elem_to_str(b)})
         return EXIT_OK
-    report = check_order_structure(fam)
+    report = check_order_structure(cert, q2)
     doc = {
-        "B": serialize.elem_to_str(fam.B), "B1": serialize.elem_to_str(fam.B1),
-        "f": serialize.poly_to_json(fam.f),
-        "Q0": serialize.point_to_json(fam.q0),
-        "Q2": serialize.point_to_json(fam.q2),
+        "B": serialize.elem_to_str(B), "B1": serialize.elem_to_str(B1),
+        "f": serialize.poly_to_json(cert.f),
+        "Q0": serialize.point_to_json(cert.point()),
+        "Q2": serialize.point_to_json(q2),
         "order_Q0": report.order_q0, "order_Q2": report.order_q2,
         "doubling_ok": report.doubling_ok, "tangent_ok": report.tangent_ok,
-        "b": serialize.elem_to_str(to_kubert(fam)),
+        "b": serialize.elem_to_str(to_kubert(cert)),
     }
     _emit(doc)
     return EXIT_OK if report.passed else EXIT_MATH_FAIL

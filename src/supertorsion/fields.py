@@ -230,10 +230,6 @@ class PrimeField(Field):
         s = 1 if den == 1 else pow(den, -1, p)
         return [c % p for c in ints] if s == 1 else [c * s % p for c in ints]
 
-    def elements(self):
-        for v in range(self.p):
-            yield FieldElement(self, v)
-
     def units(self):
         for v in range(1, self.p):
             yield FieldElement(self, v)

@@ -54,10 +54,6 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def constant(cls, c: FieldElement):
-        return cls(c.field, (c,))
-
-    @classmethod
     def monomial(cls, field, degree: int, coeff=1):
         return cls(field, [0] * degree + [coeff])
 

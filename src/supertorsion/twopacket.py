@@ -141,10 +141,6 @@ class TwoPacket(NamedTuple):
     hc: Poly
     cl: FieldElement  # C^ell0
 
-    def shapes(self, lam, sign: str = "plus"):
-        """(ut, vt) for a nonzero lam; ut is negated for the "minus" sign."""
-        return tuple(Poly._from_values(self.field, c) for c in self._values(lam, sign))
-
     def _values(self, lam, sign: str = "plus"):
         """The residues of (ut, vt) at a nonzero lam, each ell0 + 1 long."""
         if sign not in ("plus", "minus"):

@@ -5,7 +5,8 @@ paper checks, and the polynomial and order-engine tests use them as
 references:
 
 * the Wronskian machinery behind the two-packet admissibility conditions,
-  and the degree-2 Wronskian triple of a built packet family;
+  the degree-2 Wronskian triple of a built packet family, and the packet
+  shapes (ut, vt) as polynomials;
 * moving two packet abscissas to 0 and -1 by an affine change of x;
 * the Riemann-Roch basis of functions with poles only at O, and its
   dimension as a count of the semigroup <d, n>;
@@ -32,7 +33,7 @@ def compose(f: Poly, inner: Poly) -> Poly:
     """f(inner(x)) by Horner on polynomial values."""
     acc = Poly.zero(f.field)
     for c in reversed(f.coeffs):
-        acc = acc * inner + Poly.constant(c)
+        acc = acc * inner + Poly(f.field, (c,))
     return acc
 
 
@@ -119,6 +120,12 @@ def packet_wronskian_triple(fam):
     if not ok or value != fam.A1:
         raise BadParameters("triple does not sum to A1")
     return f1, f2, f3
+
+
+def packet_shapes(pk, lam, sign: str = "plus"):
+    """(ut, vt) of a ``TwoPacket`` at a nonzero lam, as polynomials; ut is
+    negated for the "minus" sign."""
+    return tuple(Poly._from_values(pk.field, c) for c in pk._values(lam, sign))
 
 
 # ---------------------------------------------------------------------------

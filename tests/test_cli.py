@@ -196,8 +196,8 @@ def test_order_point_needs_two_coordinates(capsys, point):
 
 
 def test_inseparable_curve_reports_only_the_error_line(capsys):
-    # f = x^7 + 1 over F_7 has f' = 0: the squarefree test warns, and the
-    # warning leaves dispatch neither as a warning nor on stderr
+    # f = x^7 + 1 over F_7 has f' = 0: the curve is refused with one error
+    # line, and no warning of any kind escapes dispatch
     curve = json.dumps({"d": 3, "field": {"kind": "Fp", "p": 7},
                         "f": ["1", "0", "0", "0", "0", "0", "0", "1"]})
     with warnings.catch_warnings(record=True) as caught:
@@ -267,6 +267,26 @@ def test_elliptic4_build_and_kubert(capsys):
     assert code == EXIT_OK
     assert docs[0]["B"] == "1" and docs[0]["B1"] == "1/2"
     assert docs[0]["marked_point_image"] == {"x": "0", "y": "1"}
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    # B1^2 = 8B: f = (2x + 1)^2 (4x + 1) has a repeated root
+    (["build", "--B", "2", "--B1", "4"], EXIT_MATH_FAIL,
+     "check failed: assembled f has repeated roots\n"),
+    (["build", "--B", "1", "--B1", "1", "--field", "F2"], EXIT_USAGE,
+     "error: characteristic 2 divides d = 2\n"),
+    (["to-kubert", "--B", "1", "--B1", "1", "--field", "F2"], EXIT_USAGE,
+     "error: characteristic 2 divides d = 2\n"),
+    # two faults, B = 0 in F_2 and characteristic 2: the nonzero check comes first
+    (["build", "--B", "2", "--B1", "1", "--field", "F2"], EXIT_USAGE,
+     "error: B and B1 must be nonzero\n"),
+    (["build", "--B", "1", "--B1", "0"], EXIT_USAGE, "error: B and B1 must be nonzero\n"),
+    (["from-kubert", "--b", "1", "--field", "F2"], EXIT_USAGE,
+     "error: needs characteristic != 2\n"),
+    (["from-kubert", "--b=-1/16"], EXIT_USAGE, "error: need b^4 (1 + 16b) != 0\n"),
+])
+def test_elliptic4_error_lines(capsys, argv, code, err):
+    assert run(capsys, "elliptic4", *argv) == (code, [], err)
 
 
 def test_two_packet_admissible(capsys):

@@ -6,33 +6,33 @@ from supertorsion import (
     GF,
     QQ,
     Poly,
-    build_family,
     check_order_structure,
     elliptic_order,
+    family_slack1,
     from_kubert,
     is_squarefree,
-    kubert_curve,
     to_kubert,
+    verify_certificate,
 )
-from supertorsion.errors import BadParameters, MathCheckError
+from supertorsion.errors import BadParameters, NotSquarefree
 
 from paper_checks import kubert_model_cubic, reduced_cubic_from_family, reduced_cubic_from_kubert
 
 
 def test_build_family_expansion():
-    fam = build_family(QQ(1), QQ(1))
-    assert [c.value for c in fam.f.coeffs] == [1, 2, 3, 2]
-    assert fam.q0.x == QQ(0) and fam.q0.y == QQ(1)
-    assert fam.q2.x == QQ(-1) and fam.q2.y == QQ(0)
+    cert, q2 = family_slack1(3, 2, QQ(1), QQ(1))
+    assert [c.value for c in cert.f.coeffs] == [1, 2, 3, 2]
+    assert cert.point().x == QQ(0) and cert.point().y == QQ(1)
+    assert q2.x == QQ(-1) and q2.y == QQ(0)
 
 
 def test_build_family_degenerations():
-    with pytest.raises(MathCheckError, match="the quadratic factor has a double root"):
-        build_family(QQ(2), QQ(4))  # B1^2 - 8B = 0
+    with pytest.raises(NotSquarefree, match="assembled f has repeated roots"):
+        family_slack1(3, 2, QQ(2), QQ(4))  # B1^2 - 8B = 0
     with pytest.raises(BadParameters, match="B and B1 must be nonzero"):
-        build_family(QQ(1), QQ(0))
-    with pytest.raises(BadParameters, match="the family needs characteristic != 2"):
-        build_family(GF(2)(1), GF(2)(1))
+        family_slack1(3, 2, QQ(1), QQ(0))
+    with pytest.raises(BadParameters, match="characteristic 2 divides d = 2"):
+        family_slack1(3, 2, GF(2)(1), GF(2)(1))
 
 
 def test_build_family_is_squarefree():
@@ -43,11 +43,11 @@ def test_build_family_is_squarefree():
             for B1 in map(field, B1s):
                 if B.is_zero() or B1.is_zero() or (B1 * B1 - 8 * B).is_zero():
                     continue
-                assert is_squarefree(build_family(B, B1).f)
+                assert is_squarefree(family_slack1(3, 2, B, B1)[0].f)
 
 
 def test_order_structure_rationals():
-    rep = check_order_structure(build_family(QQ(1), QQ(1)))
+    rep = check_order_structure(*family_slack1(3, 2, QQ(1), QQ(1)))
     assert rep.passed
     assert rep.order_q0 == 4 and rep.order_q2 == 2
     assert rep.doubling_ok and rep.tangent_ok
@@ -55,7 +55,7 @@ def test_order_structure_rationals():
 
 def test_order_structure_mod5():
     F = GF(5)
-    rep = check_order_structure(build_family(F(1), F(1)))
+    rep = check_order_structure(*family_slack1(3, 2, F(1), F(1)))
     assert rep.passed
 
 
@@ -65,14 +65,41 @@ def test_order_structure_random_parameters():
         B, B1 = QQ(rng.randint(-9, 9)), QQ(rng.randint(-9, 9))
         if B.is_zero() or B1.is_zero() or (B1 * B1 - 8 * B).is_zero():
             continue
-        assert check_order_structure(build_family(B, B1)).passed
+        assert check_order_structure(*family_slack1(3, 2, B, B1)).passed
     for _ in range(20):
         p = rng.choice([5, 7, 11, 13])
         F = GF(p)
         B, B1 = F(rng.randrange(1, p)), F(rng.randrange(1, p))
         if (B1 * B1 - 8 * B).is_zero():
             continue
-        assert check_order_structure(build_family(B, B1)).passed
+        assert check_order_structure(*family_slack1(3, 2, B, B1)).passed
+
+
+def test_rr_engine_and_elliptic_law_agree_on_the_certificate():
+    # one certificate, two independent order oracles: the function-space
+    # engine of verify_certificate and the chord/tangent law of
+    # check_order_structure
+    rng = random.Random(4)
+    F = GF(101)
+    pairs = [(QQ(rng.randint(-12, 12)) / QQ(rng.randint(1, 5)),
+              QQ(rng.randint(-12, 12)) / QQ(rng.randint(1, 5))) for _ in range(10)]
+    pairs += [(F(rng.randrange(101)), F(rng.randrange(101))) for _ in range(10)]
+    checked = 0
+    for B, B1 in pairs:
+        if B.is_zero() or B1.is_zero() or (B1 * B1 - 8 * B).is_zero():
+            continue
+        cert, q2 = family_slack1(3, 2, B, B1)
+        report = verify_certificate(cert, run_oracle=True)
+        assert report.passed and report.oracle_order == 4
+        assert check_order_structure(cert, q2).passed
+        checked += 1
+    assert checked >= 15
+    for b in [QQ(v) for v in (-2, "-1/2", 3, "5/7", -40)] + [F(v) for v in (1, 7, 50, 100)]:
+        cert, q2 = family_slack1(3, 2, -2 / b, -1 / b)
+        assert from_kubert(b)[0] == cert
+        report = verify_certificate(cert, run_oracle=True)
+        assert report.passed and report.oracle_order == 4
+        assert check_order_structure(cert, q2).passed
 
 
 def test_linear_factor_root_and_cofactor():
@@ -81,23 +108,23 @@ def test_linear_factor_root_and_cofactor():
         B, B1 = QQ(rng.randint(1, 9)), QQ(rng.randint(1, 9))
         if (B1 * B1 - 8 * B).is_zero():
             continue
-        fam = build_family(B, B1)
+        cert, _ = family_slack1(3, 2, B, B1)
         x0 = -B1.inverse()
-        assert fam.f(x0).is_zero()
+        assert cert.f(x0).is_zero()
         # the quadratic factor stays nonzero at the linear factor's root,
         # so -1/B1 is always a simple root
         quadratic = Poly(QQ, (1, B1, 2 * B))
         assert quadratic(x0) == 2 * B / (B1 * B1)
-        cofactor = fam.f // Poly(QQ, (QQ(1) / B1, QQ(1)))  # f / (x + 1/B1)
+        cofactor = cert.f // Poly(QQ, (QQ(1) / B1, QQ(1)))  # f / (x + 1/B1)
         assert cofactor(x0) == B1 * quadratic(x0)
         assert not cofactor(x0).is_zero()
 
 
 def test_from_kubert_example():
-    fam, pmap = from_kubert(QQ(-2))
-    assert fam.B == QQ(1) and fam.B1 == QQ("1/2")
+    cert, pmap = from_kubert(QQ(-2))
+    assert cert.B == QQ(1) and cert.q[1] == QQ("1/2")
     assert pmap(QQ(0), QQ(0)) == (QQ(0), QQ(1))
-    assert elliptic_order(fam.curve(), pmap(QQ(0), QQ(0)), 8) == 4
+    assert elliptic_order(cert.curve(), pmap(QQ(0), QQ(0)), 8) == 4
 
 
 class _KubertAlgebra:
@@ -129,32 +156,36 @@ def test_kubert_maps_symbolically():
         if b.is_zero() or (1 + 16 * b).is_zero():
             continue
         field = b.field
-        fam, pmap = from_kubert(b)
-        image_y = (pmap.c0, Poly.constant(pmap.c1))
+        cert, pmap = from_kubert(b)
+        image_y = (pmap.c0, Poly(field, (pmap.c1,)))
         square = _KubertAlgebra(b).mul(image_y, image_y)
-        assert square == (fam.f, Poly.zero(field))
+        assert square == (cert.f, Poly.zero(field))
         assert pmap(field.zero, field.zero) == (field.zero, field.one)
-        assert (reduced_cubic_from_family(fam.B, fam.B1)
-                == reduced_cubic_from_kubert(to_kubert(fam), fam.B1))
+        assert (reduced_cubic_from_family(cert.B, cert.q[1])
+                == reduced_cubic_from_kubert(to_kubert(cert), cert.q[1]))
         checked += 1
     assert checked >= 20
 
 
 def test_from_kubert_degenerate():
     with pytest.raises(BadParameters, match=r"need b\^4 \(1 \+ 16b\) != 0"):
-        kubert_curve(QQ("-1/16"))
+        from_kubert(QQ("-1/16"))
     with pytest.raises(BadParameters, match=r"need b\^4 \(1 \+ 16b\) != 0"):
         from_kubert(QQ(0))
+    with pytest.raises(BadParameters, match="b must be a field element"):
+        from_kubert(-2)
+    with pytest.raises(BadParameters, match="needs characteristic != 2"):
+        from_kubert(GF(2)(1))
 
 
 def test_to_kubert_examples():
-    fam = build_family(QQ(1), QQ("1/2"))
-    assert to_kubert(fam) == QQ(-2)
-    fam11 = build_family(QQ(1), QQ(1))
-    assert to_kubert(fam11) == QQ("-1/2")
+    cert, _ = family_slack1(3, 2, QQ(1), QQ("1/2"))
+    assert to_kubert(cert) == QQ(-2)
+    cert11, _ = family_slack1(3, 2, QQ(1), QQ(1))
+    assert to_kubert(cert11) == QQ("-1/2")
     # from_kubert(-1/2) lands on the isomorphic member (B, B1) = (4, 2)
-    fam42, _ = from_kubert(QQ("-1/2"))
-    assert (fam42.B, fam42.B1) == (QQ(4), QQ(2))
+    cert42, _ = from_kubert(QQ("-1/2"))
+    assert (cert42.B, cert42.q[1]) == (QQ(4), QQ(2))
     common = reduced_cubic_from_family(QQ(1), QQ(1))
     assert [c.value for c in common.coeffs] == [16, 16, 12, 4]
     assert common == reduced_cubic_from_kubert(QQ("-1/2"), QQ(1))
@@ -166,8 +197,8 @@ def test_kubert_round_trip_on_parameter():
         b = QQ(rng.randint(-40, 40)) / QQ(rng.randint(1, 7))
         if b.is_zero() or (1 + 16 * b).is_zero():
             continue
-        fam, _ = from_kubert(b)
-        assert to_kubert(fam) == b
+        cert, _ = from_kubert(b)
+        assert to_kubert(cert) == b
 
 
 def test_reduction_chains_agree_for_random_parameters():

@@ -57,12 +57,12 @@ def reference_kth_roots(p, k):
 
 
 def reference_roots(f):
-    return tuple(x.value for x in f.field.elements() if f(x).is_zero())
+    return tuple(x.value for x in map(f.field, range(f.field.p)) if f(x).is_zero())
 
 
 def reference_ys_above(curve, x):
     target = curve.f(x)
-    return [y.value for y in curve.field.elements() if y ** curve.d == target]
+    return [y.value for y in map(curve.field, range(curve.field.p)) if y ** curve.d == target]
 
 
 def linear(F, r):

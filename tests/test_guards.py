@@ -1,9 +1,9 @@
 """The library's invariants are raised checks, never ``assert``s, which
 ``python -O`` removes; the library imports nothing outside the standard
 library; its error classes are the ones the README documents; every name
-the traced benchmark wraps still exists; and every public function or class
-of the library is reached from the library itself, or wrapped by the
-benchmark, or listed with its reason."""
+the traced benchmark wraps still exists; and every public function, class
+or method of the library is reached from the library itself, or wrapped by
+the benchmark, or listed with its reason."""
 
 import ast
 import importlib.util
@@ -25,8 +25,8 @@ GUARDS = """
 import json
 from types import SimpleNamespace
 
-from supertorsion import QQ, Poly, build_certificate, build_family, cli, torsion_params
-from supertorsion.errors import BadParameters, MathCheckError, NotSquarefree, UsageError
+from supertorsion import QQ, Poly, build_certificate, cli, family_slack1, torsion_params
+from supertorsion.errors import BadParameters, NotSquarefree, UsageError
 from supertorsion.serialize import certificate_from_json
 
 if __debug__:
@@ -34,7 +34,7 @@ if __debug__:
 cert = {"n": 3, "d": 2, "field": {"kind": "Q"}, "a": "0", "B": "1", "q": ["1", "1"]}
 cases = [
     (BadParameters, "q(a) = 0", lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (0, 1)))),
-    (MathCheckError, "B1^2 - 8B = 0", lambda: build_family(QQ(2), QQ(4))),
+    (NotSquarefree, "repeated roots", lambda: family_slack1(3, 2, QQ(2), QQ(4))),
     (BadParameters, "need gcd(n, d) = 1", lambda: torsion_params(4, 2)),
     # f = (x^2 + 4x + 2)^2 - x^4 = 4(x + 1)^2 (2x + 1): the modular early exit
     # of is_squarefree must not turn that into a pass
@@ -143,14 +143,18 @@ def test_bench_spans_wrap_and_restore_src(capsys):
     assert (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__) == originals
 
 
-#: public top-level names of src/ that nothing in src/ refers to and the
-#: benchmark does not wrap, each with the reason it stays
+#: public top-level names and methods (as Class.method) of src/ that nothing
+#: in src/ refers to and the benchmark does not wrap, each with the reason it
+#: stays
 UNREFERENCED_PUBLIC = {
     "principality_profile": "ROADMAP item 8.4: derived from the order or moved once item 3 lands",
     "example_m0_equals_nplus1": "the closed-form m0 = n+1 construction the README describes",
     "curve_to_json": "serialize round-trip pair of curve_from_json, which `order` reads",
     "point_from_json": "serialize round-trip pair of point_to_json, which the CLI writes",
     "resultant": "the public face of _resultant_values, which _candidate_lambdas uses",
+    "MumfordDivisor.identity": "the identity divisor the tests pass to cantor_order",
+    "PacketFamily.packet_points": "the README quick start lists the packet points with it",
+    "TruncatedSeries.from_poly": "a constructor of TruncatedSeries, a class bench/ keeps",
 }
 
 
@@ -159,17 +163,29 @@ def _names_used(tree):
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _public_definitions(tree):
+    """(name, node) for each public top-level function and class of a
+    module, and for each public method of its classes as Class.method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        for method in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                yield f"{node.name}.{method.name}", method
+
+
 def test_every_public_name_in_src_is_reached():
     # a reference is a Name or an Attribute in src/ outside the definition
-    # itself and __init__.py; a docstring mention is not one
+    # itself and __init__.py; a docstring mention is not one.  A method is
+    # reached by any attribute of its name, whatever the object
     spans = _bench_spans()
-    wrapped = {entry[1] for entry in spans.FUNCTIONS + spans.METHODS}
+    wrapped = {entry[1] for entry in spans.FUNCTIONS + spans.METHODS} | \
+        {f"{cls}.{attr}" for _, cls, attr, _ in spans.METHODS}
     trees = [tree for name, tree in _src_trees() if name != "__init__.py"]
     used = sum(map(_names_used, trees), Counter())
-    unreached = {node.name for tree in trees for node in tree.body
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                 and not node.name.startswith("_")
-                 and used[node.name] == _names_used(node)[node.name]} - wrapped
+    unreached = {name for tree in trees for name, node in _public_definitions(tree)
+                 if used[node.name] == _names_used(node)[node.name]} - wrapped
     assert sorted(unreached - set(UNREFERENCED_PUBLIC)) == []
     # an entry that something now reaches leaves the list
     assert sorted(set(UNREFERENCED_PUBLIC) - unreached) == []

@@ -9,14 +9,12 @@ from supertorsion import (
     MumfordDivisor,
     Poly,
     SuperellipticCurve,
-    build_family,
     build_two_packet_equal,
     cantor_order,
     check_order_structure,
     example_m0_equals_nplus1,
     family_slack1,
     from_kubert,
-    kubert_curve,
     reachability_status,
     torsion_params,
     two_packet,
@@ -53,9 +51,7 @@ BUILDERS = {
     "TorsionCertificate": _slack1,
     "CheckResult": lambda: verify_certificate(_slack1()).checks[0],
     "VerificationReport": lambda: verify_certificate(_slack1(), run_oracle=True),
-    "EllipticFourFamily": lambda: build_family(QQ(1), QQ(1)),
-    "OrderStructureReport": lambda: check_order_structure(build_family(QQ(1), QQ(1))),
-    "KubertCurve": lambda: kubert_curve(QQ(1)),
+    "OrderStructureReport": lambda: check_order_structure(*family_slack1(3, 2, QQ(1), QQ(1))),
     "PointMap": lambda: from_kubert(QQ(1))[1],
     "RiemannRochBasis": lambda: rr_basis(3, 2, 8),
     "MumfordDivisor": lambda: MumfordDivisor.from_point(CURVE, CURVE.point(0, 1)),
