@@ -1,10 +1,10 @@
 """Torsion certificates: the normal form f = -B^d (x-a)^m0 + v(x)^d that
 witnesses an order-m0 point P = (a, v(a)), with v = B(x-a)^ell0 + q.
 
-``build_certificate`` assembles v and f from (a, B, q) and refuses a
-non-squarefree f.  ``assemble_certificate`` checks only the parameters, and
-the degrees of a declared v and f; it takes declared data as given, so a
-certificate read from JSON is not rebuilt.
+``build_certificate`` assembles v and f from (a, B, q) and refuses, by the
+normal-form lemma, a non-squarefree f.  ``assemble_certificate`` checks only
+the parameters, and the degrees of a declared v and f; it takes declared data
+as given, so a certificate read from JSON is not rebuilt.
 
 ``verify_certificate`` rechecks everything the data claims, each fact once:
 the defining polynomial identity (v^d - f is the norm of v - y, so the same
@@ -21,12 +21,12 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import NamedTuple
 
-from . import poly
+from . import curves, poly
 from .curves import AffinePoint, SuperellipticCurve, TorsionParams, torsion_params
 from .errors import BadParameters, NotSquarefree
 from .fields import Field, FieldElement
 from .orders import order_of_class
-from .poly import Poly, _pow_ints, _shift_ints, _trim, is_squarefree
+from .poly import Poly, _coprime, _pow_ints, _shift_ints, _trim
 
 
 class TorsionCertificate(NamedTuple):
@@ -60,9 +60,20 @@ class TorsionCertificate(NamedTuple):
 def build_certificate(n: int, d: int, a, B, q: Poly) -> TorsionCertificate:
     """Assemble and validate a certificate from (a, B, q)."""
     cert = assemble_certificate(n, d, a, B, q)
-    if not is_squarefree(cert.f):
+    if _normal_form_curve(cert, cert.f, cert.v.values, cert.a.value) is None:
         raise NotSquarefree("assembled f has repeated roots")
     return cert
+
+
+def _normal_form_curve(cert: TorsionCertificate, f: Poly, v, a):
+    """y^d = f, or None if f has a repeated root, for f = v^d - B^d (x-a)^m0 with
+    v(a), B != 0, char prime to d (v, a bare values): gcd(f, (x-a)v' - ell0*v) = 1."""
+    red, ell0 = f.field.reduce, cert.ell0
+    W = _trim([red((k - ell0) * c - a * (k + 1) * w)
+               for k, (c, w) in enumerate(zip_longest(v, v[1:], fillvalue=0))])
+    if _coprime(f.field, f.values, W):
+        curves._PROVEN[0] = f
+        return SuperellipticCurve(f.field, cert.d, f)
 
 
 def assemble_certificate(n: int, d: int, a, B, q: Poly, v: Poly | None = None,
@@ -83,9 +94,7 @@ def assemble_certificate(n: int, d: int, a, B, q: Poly, v: Poly | None = None,
         raise BadParameters(f"deg q = {q.degree}, expected slack = {params.slack}")
     if q(a).is_zero():
         raise BadParameters("q(a) = 0 would make a a repeated root of f")
-    char = field.characteristic()
-    if char != 0 and d % char == 0:
-        raise BadParameters(f"characteristic {char} divides d = {d}")
+    curves._check_char(field.characteristic(), d)
     if v is not None and v.degree != params.ell0:
         raise BadParameters(f"deg v = {v.degree}, expected ell0 = {params.ell0}")
     if f is not None and f.degree != n:
@@ -145,9 +154,9 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
     entries, never exceptions.  The oracle runs to ``max_k`` (default 2*m0),
     which, as for every oracle, must be at least 1.
 
-    Over Q the curve is, when one exists, y^d = f mod q for the first prime q
-    of good reduction in ``poly._GOOD_FIELDS`` (``_good_reduction``): f mod q
-    squarefree of degree n proves f squarefree over Q.  The identity and the
+    Once the identity holds, the normal form proves f squarefree, over Q mod the
+    first good prime q of ``poly._GOOD_FIELDS``, whose curve y^d = f mod q is
+    kept (``_good_reduction``); else ``is_squarefree`` does.  The identity and the
     vanishing order prove m0 principal over Q, and every k principal over Q
     stays principal mod q; so when both pass, the oracle's one pass over F_q
     to min(max_k, m0) is the answer over Q if it finds m0, or no order with
@@ -175,8 +184,11 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
         and cert.q.degree == cert.params.slack and not pt.y.is_zero()
     checks.append(CheckResult("shape", shape_ok,
                               "v = B(x-a)^ell0 + q with the required degrees"))
-    curve = _good_reduction(cert, F, df, pt.y) if field.kind == "Q" else None
-    if curve is None:
+    char = field.characteristic()  # the lemma's hypotheses; identity_ok gives B != 0
+    if identity_ok and not pt.y.is_zero() and (char == 0 or d % char != 0):
+        curve = (field.kind == "Q" and _good_reduction(cert, F, df, V, dv, pt.y)) \
+            or _normal_form_curve(cert, cert.f, cert.v.values, cert.a.value)
+    else:
         try:
             curve = SuperellipticCurve(field, d, cert.f)
         except BadParameters:
@@ -199,7 +211,6 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
     # and x - a is a uniformizer, so ord_P(v - y) is the multiplicity of
     # x = a in R (counted up to m0 + 1, as None beyond).
     vanish_ok = on_curve = False
-    char = field.characteristic()
     if pt.y.is_zero():
         detail = "v(a) = 0: not a valid certificate point"
     elif char != 0 and d % char == 0:
@@ -239,23 +250,22 @@ def _is_monomial(field: Field, G, D, k: int, c: FieldElement) -> bool:
     return len(G) == k + 1 and not any(G[:k]) and field.join((G[k],), D)[0] == c.value
 
 
-def _good_reduction(cert: TorsionCertificate, F, den, y0: FieldElement):
-    """The curve y^d = f mod q, f = F/den over Q, over the first F_q of
-    ``poly._GOOD_FIELDS`` with q > m0 at which f, a and y0 = v(a) are
-    q-integral, y0 is a q-unit, and f mod q has degree n and is squarefree;
-    None if no q qualifies.  q > m0 > d keeps q prime to d, and to the order
-    m0 (prime-to-q torsion injects under good reduction; Katz, Invent. Math.
-    62, 1981)."""
+def _good_reduction(cert: TorsionCertificate, F, den, V, dv, y0: FieldElement):
+    """The curve y^d = f mod q, f = F/den in normal form with v = V/dv over Q, over
+    the first F_q of ``poly._GOOD_FIELDS`` with q > m0 at which f, v, a and
+    y0 = v(a) are q-integral, y0 is a q-unit, and f mod q has degree n (so
+    B mod q != 0) and is squarefree; None if no q qualifies.  q > m0 > d
+    keeps q prime to d, and to the order m0 (prime-to-q torsion injects under
+    good reduction; Katz, Invent. Math. 62, 1981)."""
     a, y = cert.a.value, y0.value
     for fq in poly._GOOD_FIELDS:
-        if fq.p <= cert.m0 or den * a.denominator * y.denominator * y.numerator % fq.p == 0:
+        if fq.p <= cert.m0 or den * dv * a.denominator * y.denominator * y.numerator % fq.p == 0:
             continue
         f_q = Poly._from_values(fq, fq.join(F, den))
         if f_q.degree == cert.n:
-            try:
-                return SuperellipticCurve(fq, cert.d, f_q)
-            except BadParameters:
-                pass
+            curve = _normal_form_curve(cert, f_q, fq.join(V, dv), fq(a).value)
+            if curve is not None:
+                return curve
     return None
 
 
@@ -270,6 +280,7 @@ def _oracle_order(cert: TorsionCertificate, curve: SuperellipticCurve, pt: Affin
             order = order_of_class(curve, (fq(pt.x.value), fq(pt.y.value)), min(max_k, cert.m0))
             if order == cert.m0 or (order is None and max_k < cert.m0):
                 return order
+        curves._PROVEN[0] = cert.f  # f mod q squarefree of degree n proves it
         curve = SuperellipticCurve(cert.field, cert.d, cert.f)
     return order_of_class(curve, pt, max_k)
 

@@ -25,7 +25,6 @@ from .elliptic4 import check_order_structure, from_kubert, to_kubert
 from .errors import DegreeNotNormalized, NotSquarefree, SupertorsionError, UsageError
 from .fields import QQ, Field, PrimeField
 from .orders import cantor_order, elliptic_order, order_of_class
-from .poly import Poly
 from .twopacket import (
     bad_lambda_set,
     build_two_packet_equal,
@@ -98,11 +97,6 @@ def _parse_field(spec: str) -> Field:
     raise UsageError(f"unknown field spec {spec!r}; use Q, F<p> or Fp:<p>")
 
 
-def _parse_poly(field: Field, text: str) -> Poly:
-    return Poly._from_values(field, [serialize.elem_from_str(field, c.strip()).value
-                                     for c in text.split(",")])
-
-
 def _load_json_arg(text: str):
     if text == "-":
         return json.loads(sys.stdin.read())
@@ -114,10 +108,9 @@ def _load_json_arg(text: str):
 
 def _cmd_construct(args) -> int:
     field = _parse_field(args.field)
-    cert = build_certificate(args.n, args.d,
-                             serialize.elem_from_str(field, args.a),
-                             serialize.elem_from_str(field, args.B),
-                             _parse_poly(field, args.q))
+    a, B = (serialize.elem_from_str(field, s) for s in (args.a, args.B))
+    q = serialize.poly_from_json(field, [c.strip() for c in args.q.split(",")])
+    cert = build_certificate(args.n, args.d, a, B, q)
     _emit(serialize.certificate_to_json(cert))
     return EXIT_OK
 

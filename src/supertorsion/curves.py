@@ -17,6 +17,8 @@ from .errors import BadParameters, NotOnCurve
 from .fields import Field, FieldElement, is_prime
 from .poly import Poly, is_squarefree
 
+_PROVEN = [None]  # the f (immutable) that ``certificates`` last proved squarefree
+
 
 class TorsionParams(NamedTuple):
     """Derived constants for a given (n, d)."""
@@ -42,6 +44,11 @@ def _validate_nd(n: int, d: int):
         raise BadParameters(f"need 2 <= d < n, got d={d}, n={n}")
     if gcd(n, d) != 1:
         raise BadParameters(f"need gcd(n, d) = 1, got gcd({n}, {d}) = {gcd(n, d)}")
+
+
+def _check_char(char: int, d: int):
+    if char != 0 and d % char == 0:
+        raise BadParameters(f"characteristic {char} divides d = {d}")
 
 
 class ReachabilityStatus(enum.Enum):
@@ -71,8 +78,7 @@ def reachability_status(n: int, d: int, m: int, char: int = 0) -> ReachabilityRe
     params = torsion_params(n, d)
     if char != 0 and not is_prime(char):
         raise BadParameters(f"characteristic must be 0 or a prime, got {char}")
-    if char != 0 and d % char == 0:
-        raise BadParameters(f"characteristic {char} divides d = {d}")
+    _check_char(char, d)
     if m <= 1:
         raise BadParameters("torsion order m must be > 1")
     if m in (d, n):
@@ -127,18 +133,15 @@ class SuperellipticCurve:
             raise BadParameters("f is not defined over the given field")
         if f.is_zero() or f.is_constant():
             raise BadParameters("f must be nonconstant")
-        n = f.degree
-        _validate_nd(n, d)
-        char = field.characteristic()
-        if char != 0 and d % char == 0:
-            raise BadParameters(f"characteristic {char} divides d = {d}")
-        if not is_squarefree(f):
+        _validate_nd(f.degree, d)
+        _check_char(field.characteristic(), d)
+        if f is not _PROVEN[0] and not is_squarefree(f):
             raise BadParameters("f has repeated roots")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", f.degree)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "params", torsion_params(n, d))
+        object.__setattr__(self, "params", torsion_params(f.degree, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperellipticCurve is immutable")

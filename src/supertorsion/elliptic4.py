@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .certificates import TorsionCertificate, family_slack1
-from .curves import AffinePoint
+from .curves import AffinePoint, _check_char
 from .errors import BadParameters
 from .fields import FieldElement
 from .orders import elliptic_add, elliptic_order
@@ -75,8 +75,7 @@ def from_kubert(b) -> tuple[TorsionCertificate, PointMap]:
     if b.is_zero() or (1 + 16 * b).is_zero():
         raise BadParameters("need b^4 (1 + 16b) != 0")
     field = b.field
-    if field.characteristic() == 2:
-        raise BadParameters("needs characteristic != 2")
+    _check_char(field.characteristic(), 2)
     binv = b.inverse()
     cert, _ = family_slack1(3, 2, -2 * binv, -binv)
     return cert, PointMap(c0=Poly(field, (field.one, -binv)), c1=-2 * binv)

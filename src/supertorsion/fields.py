@@ -63,12 +63,13 @@ def _prime_factors(n: int):
 
 #: "num" or "num/den" between optional whitespace: no decimal point or
 #: exponent, whose expansion (Fraction("1e100000000")) could exhaust memory;
-#: compiled on first use (``re`` caches it), not at import
+#: compiled once, on first use and not at import
 _RATIONAL = r"\s*([-+]?\d+)(?:/(\d+))?\s*"
+_rational_pattern = functools.cache(lambda: re.compile(_RATIONAL))
 
 
 def _parse_rational(text: str) -> Fraction:
-    match = re.fullmatch(_RATIONAL, text)
+    match = _rational_pattern().fullmatch(text)
     try:
         if match is None:
             raise ValueError(text)
@@ -128,13 +129,14 @@ class Rationals(Field):
             if value.field is not self and value.field.kind != "Q":
                 raise BadParameters("cannot coerce a prime-field element into Q")
             return FieldElement(self, value.value)
-        if isinstance(value, (int, Fraction)):
-            return FieldElement(self, Fraction(value))
-        if isinstance(value, str):
-            return FieldElement(self, _parse_rational(value))
+        if isinstance(value, (int, Fraction, str)):
+            return FieldElement(self, self._parse(value))
         if type(value) is tuple and len(value) == 2:  # (num, den); not a record
             return FieldElement(self, Fraction(value[0], value[1]))
         raise BadParameters(f"cannot build a rational from {value!r}")
+
+    def _parse(self, value):  # the bare value of an int, a Fraction or a string
+        return _parse_rational(value) if isinstance(value, str) else Fraction(value)
 
     def reduce(self, v):
         return v
@@ -206,15 +208,18 @@ class PrimeField(Field):
         if isinstance(value, int):
             return FieldElement(self, value % self.p)
         if isinstance(value, str):
-            try:
-                return FieldElement(self, int(value) % self.p)
-            except ValueError as e:
-                raise BadParameters(f"cannot parse scalar {value!r}") from e
+            return FieldElement(self, self._parse(value))
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise MathCheckError(f"denominator divisible by {self.p}")
             return FieldElement(self, self.reduce(value.numerator * self.inv(value.denominator)))
         raise BadParameters(f"cannot build an F_{self.p} element from {value!r}")
+
+    def _parse(self, value):  # the bare residue of an int or a string
+        try:
+            return int(value) % self.p
+        except ValueError as e:
+            raise BadParameters(f"cannot parse scalar {value!r}") from e
 
     def reduce(self, v):
         return v % self.p

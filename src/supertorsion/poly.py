@@ -386,37 +386,37 @@ def interpolate(field: Field, points, values) -> Poly:
 
 
 #: F_q for the three primes just below 2^30, whose residues fit in one
-#: CPython digit.  Over Q, ``is_squarefree`` tries these first, and
+#: CPython digit.  Over Q, ``_coprime`` tries these first, and
 #: ``verify_certificate`` takes the first of good reduction for its curve and
 #: the lower bound of its order oracle.
 _GOOD_FIELDS = tuple(GF(q) for q in (1073741789, 1073741783, 1073741741))
 
 
+def _coprime(field, f, g) -> bool:
+    """gcd(f, g) = 1, for value lists with f trimmed and nonzero.  Over Q, f
+    and g coprime mod a q of ``_GOOD_FIELDS`` that keeps deg f prove it (a
+    common factor would survive); only when every q fails does Euclid run on Q."""
+    if not field.characteristic():
+        (F, _), (G, _) = field.split(f), field.split(g)
+        for fq in _GOOD_FIELDS:
+            f_q = fq.join(F, 1)
+            if f_q[-1] and len(_euclid_values(fq, ((f_q,), (_trim(fq.join(G, 1)),)))[0]) == 1:
+                return True
+    return len(_euclid_values(field, ((f,), (g,)))[0]) == 1
+
+
 def is_squarefree(f: Poly) -> bool:
-    """True iff f has no repeated roots (in an algebraic closure).
+    """True iff f has no repeated roots (in an algebraic closure): gcd(f, f') = 1.
 
     Nonzero constants count as squarefree.  Over F_p a nonconstant f with
     f' = 0 lies in F_p[x^p], so it is g(x)^p for some g, and False is exact.
-
-    Over Q, f mod q squarefree of the same degree, for a prime q of
-    ``_GOOD_FIELDS``, proves f squarefree (a square factor would survive);
-    only when every q fails does the exact Euclid run and may answer False.
     """
     if f.is_zero():
         raise BadParameters("squarefreeness of the zero polynomial is undefined")
     if f.is_constant():
         return True
-    if not f.field.characteristic():
-        ints, _ = f.field.split(f.values)
-        for fq in _GOOD_FIELDS:
-            g = Poly._from_values(fq, fq.join(ints, 1))
-            if g.degree == f.degree and \
-                    len(_euclid_values(fq, ((g.values,), (g.derivative().values,)))[0]) == 1:
-                return True
     fp = f.derivative()
-    if fp.is_zero():
-        return False
-    return len(_euclid_values(f.field, ((f.values,), (fp.values,)))[0]) == 1
+    return not fp.is_zero() and _coprime(f.field, f.values, fp.values)
 
 
 def roots_in_field(f: Poly):

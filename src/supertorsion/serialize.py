@@ -42,9 +42,13 @@ def elem_to_str(x: FieldElement) -> str:
 
 
 def elem_from_str(field: Field, s) -> FieldElement:
+    return FieldElement(field, _value_from_str(field, s))
+
+
+def _value_from_str(field: Field, s):
     if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise BadParameters(f"scalar must be a string: {s!r}")
-    return field(s)  # each field parses its own strings
+    return field._parse(s)  # each field parses its own strings, to a bare value
 
 
 def poly_to_json(f: Poly) -> list:
@@ -54,7 +58,7 @@ def poly_to_json(f: Poly) -> list:
 def poly_from_json(field: Field, doc) -> Poly:
     if not isinstance(doc, list):
         raise BadParameters(f"polynomial must be a list: {doc!r}")
-    return Poly._from_values(field, [elem_from_str(field, c).value for c in doc])
+    return Poly._from_values(field, [_value_from_str(field, c) for c in doc])
 
 
 def curve_to_json(curve: SuperellipticCurve) -> dict:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -9,6 +10,7 @@ from supertorsion import (
     Poly,
     TorsionCertificate,
     build_certificate,
+    certificates,
     family_slack0,
     family_slack1,
     is_squarefree,
@@ -18,6 +20,7 @@ from supertorsion import (
     torsion_params,
     verify_certificate,
 )
+from supertorsion.certificates import assemble_certificate
 from supertorsion.errors import BadParameters, NotSquarefree
 
 from paper_checks import compose
@@ -334,3 +337,54 @@ def test_vanishing_at_P_fails_when_char_divides_d():
     assert checks["oracle_order"].detail.startswith("not run")
     with pytest.raises(BadParameters, match="^characteristic 3 divides 3$"):
         reference_vanishing_detail(cert)
+
+
+def _normal_form_proof(cert):
+    return certificates._normal_form_curve(cert, cert.f, cert.v.values, cert.a.value)
+
+
+def _random_q(rng, field, slack, a, values):
+    while True:
+        q = Poly(field, [rng.choice(values) for _ in range(slack)] + [rng.choice(values[1:])])
+        if not q(a).is_zero():
+            return q
+
+
+def test_the_normal_form_lemma_agrees_with_gcd_f_f_prime():
+    # f = v^d - B^d (x-a)^m0 is squarefree iff gcd(f, (x-a)v' - ell0*v) = 1:
+    # seeded certificates over F_2..F_13, where repeated roots are common,
+    # and over Q; every (n, d) with n <= 13 and slack 0, 1 or 2
+    rng = random.Random(26)
+    shapes = [(n, d) for d in range(2, 6) for n in range(d + 1, 14)
+              if gcd(n, d) == 1 and torsion_params(n, d).slack in (0, 1, 2)]
+    seen = Counter()
+    for field in (GF(2), GF(3), GF(5), GF(7), GF(11), GF(13), QQ):
+        char = field.characteristic()
+        values = [0, 1, -1, 2, -3] if char == 0 else list(range(char))
+        for n, d in shapes:
+            if char and d % char == 0:
+                continue
+            params = torsion_params(n, d)
+            for _ in range(16 if char else 3):
+                a, B = field(rng.choice(values)), field(rng.choice(values[1:]))
+                cert = assemble_certificate(n, d, a, B, _random_q(rng, field, params.slack, a,
+                                                                   values))
+                squarefree = is_squarefree(cert.f)
+                assert (_normal_form_proof(cert) is not None) == squarefree, cert
+                seen[field.kind, params.slack, bool(char) and params.ell0 % char == 0,
+                     squarefree] += 1
+    # f = (x^2 + 4x + 2)^2 - x^4 = 4(x+1)^2(2x+1), and B1^2 = 8B at (3, 2)
+    for cert in (assemble_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (2, 4))),
+                 assemble_certificate(3, 2, QQ(0), QQ(2), Poly(QQ, (1, 4)))):
+        assert _normal_form_proof(cert) is None and not is_squarefree(cert.f)
+        seen["Q", 1, False, False] += 1
+    # repeated roots and char | ell0 at slack 0, 1 and 2, with the two facts
+    # the lemma predicts: at slack 0, W = -ell0*q is 0 exactly when char | ell0;
+    # at slack 1 and char | ell0, W = q'(x-a) vanishes only at a, which f(a) != 0
+    # keeps off f
+    impossible = {("Fp", 0, False, False), ("Fp", 0, True, True), ("Fp", 1, True, False)}
+    assert {key for key in seen if key[0] == "Fp"} == {
+        ("Fp", slack, divides, squarefree) for slack in (0, 1, 2)
+        for divides in (False, True) for squarefree in (False, True)} - impossible
+    assert seen["Q", 0, False, True] and seen["Q", 1, False, True] and seen["Q", 1, False, False]
+    assert sum(seen.values()) > 1000

@@ -281,8 +281,9 @@ def test_elliptic4_build_and_kubert(capsys):
     (["build", "--B", "2", "--B1", "1", "--field", "F2"], EXIT_USAGE,
      "error: B and B1 must be nonzero\n"),
     (["build", "--B", "1", "--B1", "0"], EXIT_USAGE, "error: B and B1 must be nonzero\n"),
+    # one fault, one message: from-kubert refuses F_2 as build does
     (["from-kubert", "--b", "1", "--field", "F2"], EXIT_USAGE,
-     "error: needs characteristic != 2\n"),
+     "error: characteristic 2 divides d = 2\n"),
     (["from-kubert", "--b=-1/16"], EXIT_USAGE, "error: need b^4 (1 + 16b) != 0\n"),
 ])
 def test_elliptic4_error_lines(capsys, argv, code, err):

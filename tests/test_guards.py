@@ -25,21 +25,33 @@ GUARDS = """
 import json
 from types import SimpleNamespace
 
-from supertorsion import QQ, Poly, build_certificate, cli, family_slack1, torsion_params
-from supertorsion.errors import BadParameters, NotSquarefree, UsageError
+from supertorsion import (QQ, Poly, build_certificate, cli, family_slack1, torsion_params,
+                          verify_certificate)
+from supertorsion.errors import BadParameters, MathCheckError, NotSquarefree, UsageError
 from supertorsion.serialize import certificate_from_json
 
 if __debug__:
     raise SystemExit("not running under -O")
 cert = {"n": 3, "d": 2, "field": {"kind": "Q"}, "a": "0", "B": "1", "q": ["1", "1"]}
+
+
+def failed_checks(doc):
+    report = verify_certificate(certificate_from_json(doc))
+    raise MathCheckError(f"failed: {[c.name for c in report if not c.passed]}")
+
+
 cases = [
     (BadParameters, "q(a) = 0", lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (0, 1)))),
     (NotSquarefree, "repeated roots", lambda: family_slack1(3, 2, QQ(2), QQ(4))),
     (BadParameters, "need gcd(n, d) = 1", lambda: torsion_params(4, 2)),
     # f = (x^2 + 4x + 2)^2 - x^4 = 4(x + 1)^2 (2x + 1): the modular early exit
-    # of is_squarefree must not turn that into a pass
+    # of the squarefree proof must not turn that into a pass
     (NotSquarefree, "repeated roots",
      lambda: build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (2, 4)))),
+    # the same f declared: a certificate in every other respect, whose
+    # normal-form proof must not pass it either
+    (MathCheckError, "failed: ['squarefree']",
+     lambda: failed_checks({**cert, "q": ["2", "4"], "f": ["4", "16", "20", "8"]})),
     (BadParameters, "deg v = 3, expected ell0 = 2",
      lambda: certificate_from_json({**cert, "v": ["1", "1", "0", "1"]})),
     (BadParameters, "deg f = 4, expected n = 3",
@@ -141,6 +153,29 @@ def test_bench_spans_wrap_and_restore_src(capsys):
     assert trace.calls["cli.dispatch"] == 1 and trace.calls["twopacket.build"] > 0
     assert counter.count > 0
     assert (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__) == originals
+
+
+def test_only_certificates_vouches_for_a_squarefree_f():
+    # the curve constructor skips is_squarefree for the one f in
+    # curves._PROVEN: only certificates.py, whose normal-form lemma and good
+    # reduction prove f squarefree, may put an f there, and only the
+    # constructor reads it
+    uses = Counter()
+    for name, tree in _src_trees():
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and "_PROVEN" in (node.name, node.asname):
+                uses[name, "import"] += 1
+            if getattr(node, "id", getattr(node, "attr", None)) != "_PROVEN":
+                continue
+            parent = parents[node]
+            if isinstance(parent, ast.Subscript) and isinstance(parent.ctx, ast.Store):
+                uses[name, "vouch"] += 1
+            else:
+                uses[name, "define" if isinstance(node.ctx, ast.Store) else "read"] += 1
+    assert sorted(uses) == [("certificates.py", "vouch"), ("curves.py", "define"),
+                            ("curves.py", "read")]
+    assert uses["curves.py", "define"] == uses["curves.py", "read"] == 1
 
 
 #: public top-level names and methods (as Class.method) of src/ that nothing

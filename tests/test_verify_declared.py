@@ -145,19 +145,79 @@ def _load_bench(monkeypatch):
     return workloads, spans
 
 
+def _spy_proofs(monkeypatch):
+    """(kind, field) for each squarefree proof: "normal form" for each
+    ``_normal_form_curve``, "generic" for each ``is_squarefree`` of a curve."""
+    from supertorsion import certificates, curves
+    proofs = []
+    normal_form, generic = certificates._normal_form_curve, curves.is_squarefree
+
+    def spy_normal_form(cert, f, v, a):
+        proofs.append(("normal form", f.field))
+        return normal_form(cert, f, v, a)
+
+    def spy_generic(f):
+        proofs.append(("generic", f.field))
+        return generic(f)
+
+    monkeypatch.setattr(certificates, "_normal_form_curve", spy_normal_form)
+    monkeypatch.setattr(curves, "is_squarefree", spy_generic)
+    return proofs
+
+
 @pytest.mark.parametrize("workload", ["certify-q", "certify-fp"])
 def test_each_verify_op_tests_squarefree_once_and_builds_nothing(capsys, monkeypatch,
                                                                  workload):
-    # the benchmark's seed-1 round: every certificate declares v and f
+    # the benchmark's seed-1 round: every certificate declares v and f, and
+    # each op proves f squarefree once, from its normal form, never by gcd(f, f')
     workloads, spans = _load_bench(monkeypatch)
     ops = [op for op in workloads.round_ops(workload, 1, 0) if op.kind == "verify"]
+    proofs = _spy_proofs(monkeypatch)
     counts = set()
     with spans.LayerTrace() as trace:
         for op in ops:
-            before = trace.calls["poly.is_squarefree"]
+            before = len(proofs)
             assert dispatch(list(op.argv)) == EXIT_OK
-            counts.add(trace.calls["poly.is_squarefree"] - before)
+            counts.add(tuple(kind for kind, _ in proofs[before:]))
     capsys.readouterr()
-    assert len(ops) == len(workloads.SHAPES) and counts == {1}
+    assert len(ops) == len(workloads.SHAPES) and counts == {("normal form",)}
     assert trace.calls["certificates.build_certificate"] == 0
     assert trace.calls["certificates.verify_certificate"] == len(ops)
+
+
+def _failing_q_cert():
+    # the (3, 2) certificate at a = 1, B = 2, q = 1 + 3x, declared with
+    # f + (x-1)^2: P stays on the curve, the identity fails, f is squarefree
+    x_minus_1 = Poly(QQ, (-1, 1))
+    cert = build_certificate(3, 2, QQ(1), QQ(2), Poly(QQ, (1, 3)))
+    return json.dumps(serialize.certificate_to_json(cert._replace(f=cert.f + x_minus_1 ** 2)))
+
+
+ONE_PROOF = {
+    "verify over F_p": (lambda: ["verify", "--oracle", "--cert", cert_doc(GF(13))], EXIT_OK,
+                        [("normal form", GF(13))]),
+    # over Q the normal form is proven mod the first good prime, where the oracle runs
+    "verify --oracle over Q, passing": (
+        lambda: ["verify", "--oracle", "--cert", cert_doc(QQ)], EXIT_OK,
+        [("normal form", GF(1073741789))]),
+    # a failing certificate has no normal form: one generic test, over Q,
+    # whose curve the oracle then uses
+    "verify --oracle over Q, failing": (
+        lambda: ["verify", "--oracle", "--cert", _failing_q_cert()], EXIT_MATH_FAIL,
+        [("generic", QQ)]),
+    "construct": (lambda: ["construct", "--n", "3", "--d", "2", "--a", "1", "--B", "2",
+                           "--q", "1,3"], EXIT_OK, [("normal form", QQ)]),
+    # the curve that family_slack1 proves is the one the chord/tangent oracle uses
+    "elliptic4 build": (lambda: ["elliptic4", "build", "--B", "1", "--B1", "1"], EXIT_OK,
+                        [("normal form", QQ)]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ONE_PROOF))
+def test_each_path_proves_f_squarefree_once(capsys, monkeypatch, path):
+    argv, code, expected = ONE_PROOF[path]
+    argv = argv()
+    proofs = _spy_proofs(monkeypatch)
+    assert dispatch(argv) == code
+    capsys.readouterr()
+    assert proofs == expected
