@@ -59,10 +59,16 @@ class TorsionCertificate(NamedTuple):
 
 def build_certificate(n: int, d: int, a, B, q: Poly) -> TorsionCertificate:
     """Assemble and validate a certificate from (a, B, q)."""
+    return _built(n, d, a, B, q)[0]
+
+
+def _built(n: int, d: int, a, B, q: Poly):
+    """``build_certificate``'s certificate and the curve y^d = f that proves it."""
     cert = assemble_certificate(n, d, a, B, q)
-    if _normal_form_curve(cert, cert.f, cert.v.values, cert.a.value) is None:
+    curve = _normal_form_curve(cert, cert.f, cert.v.values, cert.a.value)
+    if curve is None:
         raise NotSquarefree("assembled f has repeated roots")
-    return cert
+    return cert, curve
 
 
 def _normal_form_curve(cert: TorsionCertificate, f: Poly, v, a):
@@ -72,8 +78,7 @@ def _normal_form_curve(cert: TorsionCertificate, f: Poly, v, a):
     W = _trim([red((k - ell0) * c - a * (k + 1) * w)
                for k, (c, w) in enumerate(zip_longest(v, v[1:], fillvalue=0))])
     if _coprime(f.field, f.values, W):
-        curves._PROVEN[0] = f
-        return SuperellipticCurve(f.field, cert.d, f)
+        return SuperellipticCurve._proven(f.field, cert.d, f)
 
 
 def assemble_certificate(n: int, d: int, a, B, q: Poly, v: Poly | None = None,
@@ -185,7 +190,7 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
     checks.append(CheckResult("shape", shape_ok,
                               "v = B(x-a)^ell0 + q with the required degrees"))
     char = field.characteristic()  # the lemma's hypotheses; identity_ok gives B != 0
-    if identity_ok and not pt.y.is_zero() and (char == 0 or d % char != 0):
+    if identity_ok and not pt.y.is_zero() and (not char or d % char) and cert.f.degree == cert.n:
         curve = (field.kind == "Q" and _good_reduction(cert, F, df, V, dv, pt.y)) \
             or _normal_form_curve(cert, cert.f, cert.v.values, cert.a.value)
     else:
@@ -280,8 +285,7 @@ def _oracle_order(cert: TorsionCertificate, curve: SuperellipticCurve, pt: Affin
             order = order_of_class(curve, (fq(pt.x.value), fq(pt.y.value)), min(max_k, cert.m0))
             if order == cert.m0 or (order is None and max_k < cert.m0):
                 return order
-        curves._PROVEN[0] = cert.f  # f mod q squarefree of degree n proves it
-        curve = SuperellipticCurve(cert.field, cert.d, cert.f)
+        curve = SuperellipticCurve._proven(cert.field, cert.d, cert.f)  # f mod q proved it
     return order_of_class(curve, pt, max_k)
 
 
@@ -313,6 +317,11 @@ def family_slack1(n: int, d: int, B, B1):
     order-d point (-1/B1, 0).  At (n, d) = (3, 2) this is the marked 4-torsion
     elliptic family f = (2B x^2 + B1 x + 1)(B1 x + 1), squarefree exactly
     when B1^2 - 8B != 0, that ``elliptic4`` checks."""
+    return _family_slack1(n, d, B, B1)[:2]
+
+
+def _family_slack1(n: int, d: int, B, B1):
+    """``family_slack1`` and the curve y^d = f of its certificate."""
     params = torsion_params(n, d)
     if params.slack != 1:
         raise BadParameters(f"slack = {params.slack} != 1")
@@ -321,5 +330,5 @@ def family_slack1(n: int, d: int, B, B1):
     field = B.field
     if B.is_zero() or B1.is_zero():
         raise BadParameters("B and B1 must be nonzero")
-    cert = build_certificate(n, d, field.zero, B, Poly(field, (field.one, B1)))
-    return cert, AffinePoint(-B1.inverse(), field.zero)
+    cert, curve = _built(n, d, field.zero, B, Poly(field, (field.one, B1)))
+    return cert, AffinePoint(-B1.inverse(), field.zero), curve

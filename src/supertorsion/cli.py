@@ -14,6 +14,7 @@ import sys
 
 from . import serialize
 from .certificates import (
+    _family_slack1,
     build_certificate,
     family_slack0,
     family_slack1,
@@ -170,12 +171,12 @@ def _cmd_elliptic4(args) -> int:
     field = _parse_field(args.field)
     B = serialize.elem_from_str(field, args.B)
     B1 = serialize.elem_from_str(field, args.B1)
-    cert, q2 = family_slack1(3, 2, B, B1)
+    cert, q2, curve = _family_slack1(3, 2, B, B1)
     if args.action == "to-kubert":
         b = to_kubert(cert)
         _emit({"b": serialize.elem_to_str(b)})
         return EXIT_OK
-    report = check_order_structure(cert, q2)
+    report = check_order_structure(cert, q2, curve)
     doc = {
         "B": serialize.elem_to_str(B), "B1": serialize.elem_to_str(B1),
         "f": serialize.poly_to_json(cert.f),

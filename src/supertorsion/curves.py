@@ -17,8 +17,6 @@ from .errors import BadParameters, NotOnCurve
 from .fields import Field, FieldElement, is_prime
 from .poly import Poly, is_squarefree
 
-_PROVEN = [None]  # the f (immutable) that ``certificates`` last proved squarefree
-
 
 class TorsionParams(NamedTuple):
     """Derived constants for a given (n, d)."""
@@ -128,20 +126,25 @@ class SuperellipticCurve:
 
     __slots__ = ("field", "d", "n", "f", "params")
 
-    def __init__(self, field: Field, d: int, f: Poly):
+    def __new__(cls, field: Field, d: int, f: Poly):
         if f.field != field:
             raise BadParameters("f is not defined over the given field")
         if f.is_zero() or f.is_constant():
             raise BadParameters("f must be nonconstant")
         _validate_nd(f.degree, d)
         _check_char(field.characteristic(), d)
-        if f is not _PROVEN[0] and not is_squarefree(f):
+        if not is_squarefree(f):
             raise BadParameters("f has repeated roots")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", f.degree)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "params", torsion_params(f.degree, d))
+        return cls._proven(field, d, f)
+
+    @classmethod
+    def _proven(cls, field: Field, d: int, f: Poly) -> SuperellipticCurve:
+        """y^d = f for an f over ``field`` that ``certificates`` has proven
+        squarefree, deg f and char prime to d; ``torsion_params`` checks only (n, d)."""
+        out = object.__new__(cls)
+        for k, v in zip(cls.__slots__, (field, d, f.degree, f, torsion_params(f.degree, d))):
+            object.__setattr__(out, k, v)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperellipticCurve is immutable")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .certificates import TorsionCertificate, family_slack1
-from .curves import AffinePoint, _check_char
+from .curves import AffinePoint, SuperellipticCurve, _check_char
 from .errors import BadParameters
 from .fields import FieldElement
 from .orders import elliptic_add, elliptic_order
@@ -38,11 +38,16 @@ class OrderStructureReport(NamedTuple):
                 and self.doubling_ok and self.tangent_ok)
 
 
-def check_order_structure(cert: TorsionCertificate, q2: AffinePoint) -> OrderStructureReport:
+def check_order_structure(cert: TorsionCertificate, q2: AffinePoint,
+                          curve: SuperellipticCurve | None = None) -> OrderStructureReport:
     """For ``family_slack1(3, 2, B, B1)``'s certificate and order-d point:
     order(Q0) = 4, order(Q2) = 2, 2*Q0 = Q2, and the tangent at Q0 is the
-    line y = B1*x + 1 through Q2."""
-    curve, q0, B1 = cert.curve(), cert.point(), cert.q[1]
+    line y = B1*x + 1 through Q2.  ``curve`` is y^2 = f, if the caller has it
+    (as the build does); else ``cert.curve()`` tests f again."""
+    curve = cert.curve() if curve is None else curve
+    if curve.f != cert.f:
+        raise BadParameters("curve is not y^2 = f of the certificate")
+    q0, B1 = cert.point(), cert.q[1]
     order_q0 = elliptic_order(curve, q0, 8)
     order_q2 = elliptic_order(curve, q2, 8)
     doubled = elliptic_add(curve, q0, q0)

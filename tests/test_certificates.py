@@ -388,3 +388,18 @@ def test_the_normal_form_lemma_agrees_with_gcd_f_f_prime():
         for divides in (False, True) for squarefree in (False, True)} - impossible
     assert seen["Q", 0, False, True] and seen["Q", 1, False, True] and seen["Q", 1, False, False]
     assert sum(seen.values()) > 1000
+
+
+def test_an_f_of_the_wrong_degree_fails_squarefree_without_raising():
+    # built by hand over F_13 at (3, 2): f = v^2 - x^4 with v = 2x^2 + 1 meets
+    # the identity with v(0) != 0, but deg f = 4 = m0, which no curve y^2 = f
+    # of this certificate allows; the lemma is not run, and the report says so
+    F = GF(13)
+    v = Poly(F, (1, 0, 2))
+    f = v * v - Poly.monomial(F, 4)
+    cert = TorsionCertificate(field=F, n=3, d=2, a=F(0), B=F(1), q=Poly(F, (1, 1)), v=v,
+                              f=f, params=torsion_params(3, 2))
+    report = verify_certificate(cert, run_oracle=True)
+    checks = {c.name: c.passed for c in report}
+    assert f.degree == 4 and checks["identity"] and not checks["squarefree"]
+    assert report.oracle_order is None

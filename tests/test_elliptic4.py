@@ -53,6 +53,15 @@ def test_order_structure_rationals():
     assert rep.doubling_ok and rep.tangent_ok
 
 
+def test_order_structure_takes_the_curve_of_its_certificate_only():
+    # the build's curve gives the report cert.curve() gives; another curve is refused
+    cert, q2 = family_slack1(3, 2, QQ(1), QQ(1))
+    assert check_order_structure(cert, q2, cert.curve()) == check_order_structure(cert, q2)
+    other = family_slack1(3, 2, QQ(1), QQ(2))[0].curve()
+    with pytest.raises(BadParameters, match="^curve is not y\\^2 = f of the certificate$"):
+        check_order_structure(cert, q2, other)
+
+
 def test_order_structure_mod5():
     F = GF(5)
     rep = check_order_structure(*family_slack1(3, 2, F(1), F(1)))

@@ -96,7 +96,8 @@ def test_each_condition_on_the_point_is_checked(monkeypatch):
     # a, y0, f and v q-integral and y0 a q-unit: on a certificate that passes
     # its checks these follow from f mod q, so each is tested on its own (f
     # and v stay the same polynomials, over a denominator divisible by 5).
-    # f = 1 + 2x + 3x^2 + 2x^3 is squarefree mod 5 and mod 11, not mod 7.
+    # f = 1 + 2x + 3x^2 + 2x^3 is squarefree of degree 3 mod 5 and mod 11,
+    # not mod 7.
     monkeypatch.setattr(poly, "_GOOD_FIELDS", (GF(5), GF(11)))
     cert = build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (1, 1)))
     (F, den), (V, dv) = QQ.split(cert.f.values), QQ.split(cert.v.values)
@@ -106,13 +107,12 @@ def test_each_condition_on_the_point_is_checked(monkeypatch):
         assert good(cert, F, den, V, dv, y0).field == GF(11)
     assert good(cert, [5 * c for c in F], 5 * den, V, dv, QQ(1)).field == GF(11)
     assert good(cert, F, den, [5 * c for c in V], 5 * dv, QQ(1)).field == GF(11)
-    # a = 2/5 with B = 25: f = 9 - 30x + 11x^2 + 50x^3 and v are integral
-    at_2_5 = build_certificate(3, 2, QQ(Fraction(2, 5)), QQ(25), Poly(QQ, (1, 1)))
-    (F5, den5), (V5, dv5) = QQ.split(at_2_5.f.values), QQ.split(at_2_5.v.values)
-    assert (den5, dv5) == (1, 1)
-    assert good(at_2_5, F5, den5, V5, dv5, QQ(1)).field == GF(11)
     monkeypatch.setattr(poly, "_GOOD_FIELDS", (GF(5), GF(7)))
     assert good(cert, F, den, V, dv, QQ(5)) is None
+    # a = 2/5 alone: f and v are unchanged, so only the condition on a skips
+    # GF(5), where the lemma would otherwise read a mod 5
+    monkeypatch.setattr(poly, "_GOOD_FIELDS", (GF(5),))
+    assert good(cert._replace(a=QQ(Fraction(2, 5))), F, den, V, dv, QQ(1)) is None
 
 
 def test_an_identity_that_holds_only_mod_q_settles_nothing(monkeypatch):

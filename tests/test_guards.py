@@ -155,27 +155,13 @@ def test_bench_spans_wrap_and_restore_src(capsys):
     assert (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__) == originals
 
 
-def test_only_certificates_vouches_for_a_squarefree_f():
-    # the curve constructor skips is_squarefree for the one f in
-    # curves._PROVEN: only certificates.py, whose normal-form lemma and good
-    # reduction prove f squarefree, may put an f there, and only the
-    # constructor reads it
-    uses = Counter()
-    for name, tree in _src_trees():
-        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.alias) and "_PROVEN" in (node.name, node.asname):
-                uses[name, "import"] += 1
-            if getattr(node, "id", getattr(node, "attr", None)) != "_PROVEN":
-                continue
-            parent = parents[node]
-            if isinstance(parent, ast.Subscript) and isinstance(parent.ctx, ast.Store):
-                uses[name, "vouch"] += 1
-            else:
-                uses[name, "define" if isinstance(node.ctx, ast.Store) else "read"] += 1
-    assert sorted(uses) == [("certificates.py", "vouch"), ("curves.py", "define"),
-                            ("curves.py", "read")]
-    assert uses["curves.py", "define"] == uses["curves.py", "read"] == 1
+def test_only_certificates_builds_a_curve_without_is_squarefree():
+    # SuperellipticCurve._proven skips is_squarefree: the constructor calls it
+    # once its checks pass, and otherwise only certificates.py, whose
+    # normal-form lemma and good reduction prove f squarefree
+    callers = Counter(name for name, tree in _src_trees() for node in ast.walk(tree)
+                      if getattr(node, "attr", None) == "_proven")
+    assert sorted(callers) == ["certificates.py", "curves.py"] and callers["curves.py"] == 1
 
 
 #: public top-level names and methods (as Class.method) of src/ that nothing
