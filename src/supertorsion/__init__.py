@@ -32,7 +32,6 @@ from .orders import (
     elliptic_add,
     elliptic_order,
     order_of_class,
-    principality_profile,
 )
 from .poly import NEG_INF, Poly, TruncatedSeries, is_squarefree, poly_gcd, \
     poly_xgcd, roots_in_field, series_dth_root

@@ -153,20 +153,17 @@ class VerificationReport:
         return iter(self.checks)
 
 
-def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
-                       max_k: int | None = None) -> VerificationReport:
+def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False) -> VerificationReport:
     """Re-derive every claim a certificate makes; failures become report
-    entries, never exceptions.  The oracle runs to ``max_k`` (default 2*m0),
-    which, as for every oracle, must be at least 1.
+    entries, never exceptions.  The oracle runs to 2*m0.
 
     Once the identity holds, the normal form proves f squarefree, over Q mod the
     first good prime q of ``poly._GOOD_FIELDS``, whose curve y^d = f mod q is
-    kept (``_good_reduction``); else ``is_squarefree`` does.  The identity and the
-    vanishing order prove m0 principal over Q, and every k principal over Q
-    stays principal mod q; so when both pass, the oracle's one pass over F_q
-    to min(max_k, m0) is the answer over Q if it finds m0, or no order with
-    max_k < m0.  Any other answer, and every certificate that fails those
-    checks, runs the exact engine on the curve over Q.
+    kept (``_good_reduction``); else ``is_squarefree`` does.  The identity
+    proves m0 principal over Q, and every k principal over Q stays principal
+    mod q; so the oracle's one pass over F_q to m0 is the answer over Q if it
+    finds m0.  Any other answer, and every certificate without that curve,
+    runs the exact engine on the curve over Q.
     """
     field, d, m0, red = cert.field, cert.d, cert.m0, cert.field.reduce
     # R = v^d - f is the norm prod_{zeta in mu_d} (v - zeta*y) of v - y, so this
@@ -235,8 +232,7 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False,
         if curve is None or not on_curve:
             detail = "not run: f defines no curve, or P is not a point on it"
         else:
-            oracle_order = _oracle_order(cert, curve, pt, 2 * m0 if max_k is None else max_k,
-                                         identity_ok and vanish_ok)
+            oracle_order = _oracle_order(cert, curve, pt)
             detail = f"independent order oracle returned {oracle_order}"
         checks.append(CheckResult("oracle_order", oracle_order == m0, detail))
     return VerificationReport(checks=tuple(checks), oracle_order=oracle_order)
@@ -274,19 +270,16 @@ def _good_reduction(cert: TorsionCertificate, F, den, V, dv, y0: FieldElement):
     return None
 
 
-def _oracle_order(cert: TorsionCertificate, curve: SuperellipticCurve, pt: AffinePoint,
-                  max_k: int, proven: bool):
-    """``order_of_class`` at P to max_k.  ``curve`` is over the field of the
-    certificate or, over Q, over an F_q of good reduction; ``proven`` says
-    that the identity and the vanishing order hold, so m0 is principal."""
-    fq = curve.field
+def _oracle_order(cert: TorsionCertificate, curve: SuperellipticCurve, pt: AffinePoint):
+    """``order_of_class`` at P to 2*m0.  ``curve`` is over the field of the
+    certificate or, over Q, over an F_q of good reduction, which exists only
+    when the identity holds: then G = B^d t^m0, so m0 is principal."""
+    fq, m0 = curve.field, cert.m0
     if fq != cert.field:
-        if proven:
-            order = order_of_class(curve, (fq(pt.x.value), fq(pt.y.value)), min(max_k, cert.m0))
-            if order == cert.m0 or (order is None and max_k < cert.m0):
-                return order
+        if order_of_class(curve, (fq(pt.x.value), fq(pt.y.value)), m0) == m0:
+            return m0
         curve = SuperellipticCurve._proven(cert.field, cert.d, cert.f)  # f mod q proved it
-    return order_of_class(curve, pt, max_k)
+    return order_of_class(curve, pt, 2 * m0)
 
 
 def normalize_certificate(cert: TorsionCertificate) -> TorsionCertificate:
@@ -313,15 +306,10 @@ def family_slack0(n: int, d: int, base_field: Field) -> TorsionCertificate:
 
 def family_slack1(n: int, d: int, B, B1):
     """The two-parameter family for slack 1: q = B1*x + 1, so
-    f = -B^d x^m0 + (B x^ell0 + B1 x + 1)^d.  Returns the certificate and the
-    order-d point (-1/B1, 0).  At (n, d) = (3, 2) this is the marked 4-torsion
-    elliptic family f = (2B x^2 + B1 x + 1)(B1 x + 1), squarefree exactly
-    when B1^2 - 8B != 0, that ``elliptic4`` checks."""
-    return _family_slack1(n, d, B, B1)[:2]
-
-
-def _family_slack1(n: int, d: int, B, B1):
-    """``family_slack1`` and the curve y^d = f of its certificate."""
+    f = -B^d x^m0 + (B x^ell0 + B1 x + 1)^d.  Returns the certificate, the
+    order-d point (-1/B1, 0) and the curve y^d = f.  At (n, d) = (3, 2) this
+    is the marked 4-torsion elliptic family f = (2B x^2 + B1 x + 1)(B1 x + 1),
+    squarefree exactly when B1^2 - 8B != 0, that ``elliptic4`` checks."""
     params = torsion_params(n, d)
     if params.slack != 1:
         raise BadParameters(f"slack = {params.slack} != 1")

@@ -14,7 +14,6 @@ import sys
 
 from . import serialize
 from .certificates import (
-    _family_slack1,
     build_certificate,
     family_slack0,
     family_slack1,
@@ -91,10 +90,13 @@ def _parse_field(spec: str) -> Field:
     spec = spec.strip()
     if spec in ("Q", "QQ"):
         return QQ
-    if spec.startswith("Fp:"):
-        return PrimeField(int(spec[3:]))
     if spec.startswith("F"):
-        return PrimeField(int(spec[1:]))
+        try:
+            p = int(spec[3:] if spec.startswith("Fp:") else spec[1:])
+        except ValueError:
+            pass
+        else:
+            return PrimeField(p)
     raise UsageError(f"unknown field spec {spec!r}; use Q, F<p> or Fp:<p>")
 
 
@@ -138,6 +140,10 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    if args.kind == "slack0" and (args.B, args.B1) != (None, None):
+        raise UsageError("family slack0 takes no --B or --B1")
+    if args.kind == "slack1" and None in (args.B, args.B1):
+        raise UsageError("family slack1 needs --B and --B1")
     field = _parse_field(args.field)
     if args.kind == "slack0":
         cert = family_slack0(args.n, args.d, field)
@@ -145,7 +151,7 @@ def _cmd_family(args) -> int:
         return EXIT_OK
     B = serialize.elem_from_str(field, args.B)
     B1 = serialize.elem_from_str(field, args.B1)
-    cert, point_d = family_slack1(args.n, args.d, B, B1)
+    cert, point_d, _ = family_slack1(args.n, args.d, B, B1)
     doc = serialize.certificate_to_json(cert)
     doc["order_d_point"] = serialize.point_to_json(point_d)
     _emit(doc)
@@ -154,6 +160,8 @@ def _cmd_family(args) -> int:
 
 def _cmd_elliptic4(args) -> int:
     if args.action == "from-kubert":
+        if (args.B, args.B1) != (None, None):
+            raise UsageError("elliptic4 from-kubert takes no --B or --B1")
         if args.b is None:
             raise UsageError("from-kubert needs --b")
         field = _parse_field(args.field)
@@ -166,12 +174,14 @@ def _cmd_elliptic4(args) -> int:
                                    "y": serialize.elem_to_str(image[1])},
         })
         return EXIT_OK
+    if args.b is not None:
+        raise UsageError(f"elliptic4 {args.action} takes no --b")
     if args.B is None or args.B1 is None:
         raise UsageError(f"{args.action} needs --B and --B1")
     field = _parse_field(args.field)
     B = serialize.elem_from_str(field, args.B)
     B1 = serialize.elem_from_str(field, args.B1)
-    cert, q2, curve = _family_slack1(3, 2, B, B1)
+    cert, q2, curve = family_slack1(3, 2, B, B1)
     if args.action == "to-kubert":
         b = to_kubert(cert)
         _emit({"b": serialize.elem_to_str(b)})

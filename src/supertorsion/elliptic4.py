@@ -39,12 +39,10 @@ class OrderStructureReport(NamedTuple):
 
 
 def check_order_structure(cert: TorsionCertificate, q2: AffinePoint,
-                          curve: SuperellipticCurve | None = None) -> OrderStructureReport:
-    """For ``family_slack1(3, 2, B, B1)``'s certificate and order-d point:
-    order(Q0) = 4, order(Q2) = 2, 2*Q0 = Q2, and the tangent at Q0 is the
-    line y = B1*x + 1 through Q2.  ``curve`` is y^2 = f, if the caller has it
-    (as the build does); else ``cert.curve()`` tests f again."""
-    curve = cert.curve() if curve is None else curve
+                          curve: SuperellipticCurve) -> OrderStructureReport:
+    """For ``family_slack1(3, 2, B, B1)``'s certificate, order-d point and
+    curve y^2 = f: order(Q0) = 4, order(Q2) = 2, 2*Q0 = Q2, and the tangent
+    at Q0 is the line y = B1*x + 1 through Q2."""
     if curve.f != cert.f:
         raise BadParameters("curve is not y^2 = f of the certificate")
     q0, B1 = cert.point(), cert.q[1]
@@ -82,7 +80,7 @@ def from_kubert(b) -> tuple[TorsionCertificate, PointMap]:
     field = b.field
     _check_char(field.characteristic(), 2)
     binv = b.inverse()
-    cert, _ = family_slack1(3, 2, -2 * binv, -binv)
+    cert = family_slack1(3, 2, -2 * binv, -binv)[0]
     return cert, PointMap(c0=Poly(field, (field.one, -binv)), c1=-2 * binv)
 
 

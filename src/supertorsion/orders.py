@@ -10,9 +10,8 @@ point once, by ``curve.point``, then max_k >= 1, then that it applies:
   function has divisor exactly k(P) - k(O), so k is the class order.  The
   search is one incremental exact elimination of the truncated local
   expansions at P of a basis of these functions, one function per pole
-  order, on bare residues or integers (``_principal_orders``, shared with
-  ``principality_profile``).  A ramified point (y = 0) has order d, which
-  it returns without the series.
+  order, on bare residues or integers (``_principal_orders``).  A ramified
+  point (y = 0) has order d, which it returns without the series.
 * ``elliptic_order`` -- chord/tangent group law; needs d = 2, deg f = 3.
 * ``cantor_order``  -- Mumford representation plus composition/reduction
   (Cantor, Math. Comp. 48, 1987); needs d = 2.
@@ -159,23 +158,14 @@ def _check_max_k(max_k: int):
         raise BadParameters("max_k must be >= 1")
 
 
-def principality_profile(curve: SuperellipticCurve, point, max_k: int):
-    """[k in 1..max_k for which k(P) - k(O) is a principal divisor]."""
-    point = curve.point(*point)
-    _check_max_k(max_k)
-    return list(_principal_orders(curve, point, max_k))
-
-
-def order_of_class(curve: SuperellipticCurve, point, max_k: int | None = None):
+def order_of_class(curve: SuperellipticCurve, point, max_k: int):
     """Least k with k(P) - k(O) principal, i.e. the order of [P - O] (d when
-    y(P) = 0); None if it exceeds max_k (default 2*m0).  The engine runs to
+    y(P) = 0); None if it exceeds max_k.  The engine runs to
     min(max_k, m0) first and doubles that bound up to max_k while it finds
     no order.  It is exact at any bound, so one pass settles every order up
     to m0: the order a certificate claims, and d or n, the only orders below
     m0.  A small order costs the same whatever max_k is."""
     point = curve.point(*point)
-    if max_k is None:
-        max_k = 2 * curve.params.m0
     _check_max_k(max_k)
     bound = min(max_k, curve.params.m0)
     while True:
@@ -236,20 +226,6 @@ class MumfordDivisor(NamedTuple):
     v: Poly
 
     @classmethod
-    def validated(cls, curve: SuperellipticCurve, u: Poly, v: Poly):
-        if u.is_zero() or u.leading != curve.field.one:
-            raise BadParameters("u must be monic")
-        if not v.is_zero() and v.degree >= u.degree:
-            raise BadParameters("need deg v < deg u")
-        if not ((v * v - curve.f) % u).is_zero():
-            raise BadParameters("v^2 != f mod u")
-        return cls(u=u, v=v)
-
-    @classmethod
-    def identity(cls, field):
-        return cls(u=Poly.one(field), v=Poly.zero(field))
-
-    @classmethod
     def from_point(cls, curve: SuperellipticCurve, point):
         x0, y0 = curve.point(*point)
         return cls(u=Poly(curve.field, (-x0, curve.field.one)), v=Poly(curve.field, (y0,)))
@@ -286,22 +262,15 @@ def cantor_add(curve: SuperellipticCurve, D1: MumfordDivisor,
     return MumfordDivisor(u=u, v=v)
 
 
-def cantor_order(curve: SuperellipticCurve, divisor, max_k: int):
-    """Least k <= max_k with k*[D] = 0 on Jac(y^2 = f); else None.  D is a
-    point or a ``MumfordDivisor``.
+def cantor_order(curve: SuperellipticCurve, point, max_k: int):
+    """Least k <= max_k with k*[P - O] = 0 on Jac(y^2 = f); else None.
 
     f need not be monic: with deg f = 2g + 1 the reduced divisor of a class
     is still unique, and neither composition nor reduction uses lc(f)."""
-    # a MumfordDivisor is a tuple too, so it is told apart first; as a (u, v)
-    # for y^2 = f it is checked only once d = 2 is known
-    given = isinstance(divisor, MumfordDivisor)
-    if not given:
-        divisor = MumfordDivisor.from_point(curve, divisor)
+    divisor = MumfordDivisor.from_point(curve, point)
     _check_max_k(max_k)
     if curve.d != 2:
         raise BadParameters("Cantor backend needs d = 2")
-    if given:
-        divisor = MumfordDivisor.validated(curve, *divisor)
     acc = divisor
     for k in range(1, max_k + 1):
         if acc.is_identity():

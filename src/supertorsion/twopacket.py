@@ -197,11 +197,11 @@ def two_packet(field, n: int, I, C) -> TwoPacket:
     return TwoPacket(field, n, ell0, I, C, build_H(I, C), build_H(comp, C), C ** ell0)
 
 
-def packet_polynomial(pk: TwoPacket, lam, sign: str = "plus") -> Poly:
-    """x^(n+1) - ut^2: degree n exactly when lam normalizes the leading term,
-    degree n+1 otherwise.  Squarefreeness of this polynomial is what the bad
-    lambda analysis controls."""
-    return Poly._from_values(pk.field, _packet_values(pk, pk._values(lam, sign)[0]))
+def packet_polynomial(pk: TwoPacket, lam) -> Poly:
+    """x^(n+1) - ut^2, the same for either sign of ut: degree n exactly when
+    lam normalizes the leading term, degree n+1 otherwise.  Squarefreeness of
+    this polynomial is what the bad lambda analysis controls."""
+    return Poly._from_values(pk.field, _packet_values(pk, pk._values(lam)[0]))
 
 
 def _packet_values(pk: TwoPacket, ut):

@@ -10,6 +10,8 @@ references:
 * moving two packet abscissas to 0 and -1 by an affine change of x;
 * the Riemann-Roch basis of functions with poles only at O, and its
   dimension as a count of the semigroup <d, n>;
+* every principal k(P) - k(O) up to a bound, and a checked Mumford divisor
+  (u, v), the references for the order oracles, which take points only;
 * the reduced cubics that the marked 4-torsion family and the Kubert curve
   share.
 
@@ -21,8 +23,9 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from supertorsion import AffinePoint, FieldElement, Poly, SuperellipticCurve
+from supertorsion import AffinePoint, FieldElement, MumfordDivisor, Poly, SuperellipticCurve
 from supertorsion.errors import BadParameters, MathCheckError, UnsupportedField
+from supertorsion.orders import _check_max_k, _principal_orders
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +209,28 @@ def gap_semigroup_count(n: int, d: int, k: int) -> int:
 def genus(n: int, d: int) -> int:
     """Number of gaps of the semigroup <d, n> = (n-1)(d-1)/2."""
     return (n - 1) * (d - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# references for the order oracles
+# ---------------------------------------------------------------------------
+
+def principality_profile(curve: SuperellipticCurve, point, max_k: int):
+    """[k in 1..max_k for which k(P) - k(O) is a principal divisor]."""
+    point = curve.point(*point)
+    _check_max_k(max_k)
+    return list(_principal_orders(curve, point, max_k))
+
+
+def validated_divisor(curve: SuperellipticCurve, u: Poly, v: Poly) -> MumfordDivisor:
+    """(u, v) on y^2 = f, checked: u monic, deg v < deg u and u | v^2 - f."""
+    if u.is_zero() or u.leading != curve.field.one:
+        raise BadParameters("u must be monic")
+    if not v.is_zero() and v.degree >= u.degree:
+        raise BadParameters("need deg v < deg u")
+    if not ((v * v - curve.f) % u).is_zero():
+        raise BadParameters("v^2 != f mod u")
+    return MumfordDivisor(u=u, v=v)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_criterion_2_slack1_equals_elliptic_family():
         B1 = QQ(rng.randint(-20, 20))
         if B.is_zero() or B1.is_zero() or (B1 * B1 - 8 * B).is_zero():
             continue
-        cert, point_d = family_slack1(3, 2, B, B1)
+        cert, point_d, _ = family_slack1(3, 2, B, B1)
         factored = Poly(QQ, (1, B1, 2 * B)) * Poly(QQ, (1, B1))
         assert cert.f == factored
         curve = cert.curve()
@@ -123,7 +123,7 @@ def test_criterion_3_kubert_correspondence():
         B1 = QQ(rng.randint(-15, 15))
         if B.is_zero() or B1.is_zero() or (B1 * B1 - 8 * B).is_zero():
             continue
-        cert, _ = family_slack1(3, 2, B, B1)
+        cert, _, _ = family_slack1(3, 2, B, B1)
         b = to_kubert(cert)
         assert reduced_cubic_from_family(B, B1) == reduced_cubic_from_kubert(b, B1)
         back, _ = from_kubert(b)

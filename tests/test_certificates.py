@@ -112,7 +112,7 @@ def test_family_slack0_f11():
 
 
 def test_family_slack1_examples():
-    cert, point_d = family_slack1(3, 2, QQ(1), QQ(1))
+    cert, point_d, _ = family_slack1(3, 2, QQ(1), QQ(1))
     assert [c.value for c in cert.f.coeffs] == [1, 2, 3, 2]
     assert (point_d.x.value, point_d.y.value) == (-1, 0)
     assert cert.f(point_d.x).is_zero()
@@ -130,7 +130,7 @@ def test_family_slack1_matches_factored_cubic():
         B, B1 = QQ(rng.randint(1, 9)), QQ(rng.randint(1, 9))
         if (B1 * B1 - 8 * B).is_zero():
             continue
-        cert, _ = family_slack1(3, 2, B, B1)
+        cert, _, _ = family_slack1(3, 2, B, B1)
         factored = Poly(QQ, (1, B1, 2 * B)) * Poly(QQ, (1, B1))
         assert cert.f == factored
 
@@ -194,7 +194,7 @@ def test_family_slack1_point_is_a_root():
     for n, d in _shapes(1):
         for _ in range(3):
             try:
-                cert, point_d = family_slack1(n, d, F(rng.randrange(1, 1009)),
+                cert, point_d, _ = family_slack1(n, d, F(rng.randrange(1, 1009)),
                                               F(rng.randrange(1, 1009)))
             except NotSquarefree:
                 continue
@@ -213,7 +213,7 @@ def test_oracle_order_is_exactly_m0(n, d, field):
     if params.slack == 0:
         cert = family_slack0(n, d, field)
     else:
-        cert, _ = family_slack1(n, d, field(1), field(1))
+        cert, _, _ = family_slack1(n, d, field(1), field(1))
     order = order_of_class(cert.curve(), cert.point(), 2 * params.m0)
     assert order == params.m0
 

@@ -361,6 +361,37 @@ def test_two_packet_refuses_flags_its_action_ignores(capsys, monkeypatch, argv, 
     assert calls == []  # refused before any packet is built
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["family", "slack1", "--n", "3", "--d", "2"], "family slack1 needs --B and --B1"),
+    (["family", "slack1", "--n", "3", "--d", "2", "--B", "1"], "family slack1 needs --B and --B1"),
+    (["family", "slack0", "--n", "4", "--d", "3", "--B", "1"],
+     "family slack0 takes no --B or --B1"),
+    (["family", "slack0", "--n", "4", "--d", "3", "--B1", "1"],
+     "family slack0 takes no --B or --B1"),
+    (["elliptic4", "from-kubert", "--b", "1", "--B", "2"],
+     "elliptic4 from-kubert takes no --B or --B1"),
+    (["elliptic4", "build", "--B", "1", "--B1", "2", "--b", "3"],
+     "elliptic4 build takes no --b"),
+    (["elliptic4", "to-kubert", "--B", "1", "--B1", "2", "--b", "3"],
+     "elliptic4 to-kubert takes no --b"),
+], ids=["slack1-none", "slack1-B", "slack0-B", "slack0-B1", "from-kubert-B", "build-b",
+        "to-kubert-b"])
+def test_family_and_elliptic4_refuse_flags_their_action_ignores(capsys, monkeypatch, argv,
+                                                                 message):
+    def unreachable(*args):
+        raise AssertionError("a refused command built a certificate")
+
+    for name in ("family_slack0", "family_slack1", "from_kubert"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert run(capsys, *argv) == (EXIT_USAGE, [], f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["F", "Fx", "Fp:x", "Fp:", "R"])
+def test_a_field_spec_that_names_no_prime_is_usage_error(capsys, spec):
+    assert run(capsys, "family", "slack0", "--n", "4", "--d", "3", "--field", spec) == (
+        EXIT_USAGE, [], f"error: unknown field spec {spec!r}; use Q, F<p> or Fp:<p>\n")
+
+
 def test_two_packet_accepts_the_default_sign_and_d_everywhere(capsys):
     plain = run(capsys, "two-packet", "sweep", "--p", "13", "--n", "3")
     assert plain[0] == EXIT_OK and plain[1]

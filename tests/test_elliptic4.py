@@ -20,7 +20,7 @@ from paper_checks import kubert_model_cubic, reduced_cubic_from_family, reduced_
 
 
 def test_build_family_expansion():
-    cert, q2 = family_slack1(3, 2, QQ(1), QQ(1))
+    cert, q2, _ = family_slack1(3, 2, QQ(1), QQ(1))
     assert [c.value for c in cert.f.coeffs] == [1, 2, 3, 2]
     assert cert.point().x == QQ(0) and cert.point().y == QQ(1)
     assert q2.x == QQ(-1) and q2.y == QQ(0)
@@ -55,9 +55,10 @@ def test_order_structure_rationals():
 
 def test_order_structure_takes_the_curve_of_its_certificate_only():
     # the build's curve gives the report cert.curve() gives; another curve is refused
-    cert, q2 = family_slack1(3, 2, QQ(1), QQ(1))
-    assert check_order_structure(cert, q2, cert.curve()) == check_order_structure(cert, q2)
-    other = family_slack1(3, 2, QQ(1), QQ(2))[0].curve()
+    cert, q2, curve = family_slack1(3, 2, QQ(1), QQ(1))
+    assert curve.f == cert.f
+    assert check_order_structure(cert, q2, cert.curve()) == check_order_structure(cert, q2, curve)
+    other = family_slack1(3, 2, QQ(1), QQ(2))[2]
     with pytest.raises(BadParameters, match="^curve is not y\\^2 = f of the certificate$"):
         check_order_structure(cert, q2, other)
 
@@ -97,18 +98,18 @@ def test_rr_engine_and_elliptic_law_agree_on_the_certificate():
     for B, B1 in pairs:
         if B.is_zero() or B1.is_zero() or (B1 * B1 - 8 * B).is_zero():
             continue
-        cert, q2 = family_slack1(3, 2, B, B1)
+        cert, q2, curve = family_slack1(3, 2, B, B1)
         report = verify_certificate(cert, run_oracle=True)
         assert report.passed and report.oracle_order == 4
-        assert check_order_structure(cert, q2).passed
+        assert check_order_structure(cert, q2, curve).passed
         checked += 1
     assert checked >= 15
     for b in [QQ(v) for v in (-2, "-1/2", 3, "5/7", -40)] + [F(v) for v in (1, 7, 50, 100)]:
-        cert, q2 = family_slack1(3, 2, -2 / b, -1 / b)
+        cert, q2, curve = family_slack1(3, 2, -2 / b, -1 / b)
         assert from_kubert(b)[0] == cert
         report = verify_certificate(cert, run_oracle=True)
         assert report.passed and report.oracle_order == 4
-        assert check_order_structure(cert, q2).passed
+        assert check_order_structure(cert, q2, curve).passed
 
 
 def test_linear_factor_root_and_cofactor():
@@ -117,7 +118,7 @@ def test_linear_factor_root_and_cofactor():
         B, B1 = QQ(rng.randint(1, 9)), QQ(rng.randint(1, 9))
         if (B1 * B1 - 8 * B).is_zero():
             continue
-        cert, _ = family_slack1(3, 2, B, B1)
+        cert, _, _ = family_slack1(3, 2, B, B1)
         x0 = -B1.inverse()
         assert cert.f(x0).is_zero()
         # the quadratic factor stays nonzero at the linear factor's root,
@@ -189,9 +190,9 @@ def test_from_kubert_degenerate():
 
 
 def test_to_kubert_examples():
-    cert, _ = family_slack1(3, 2, QQ(1), QQ("1/2"))
+    cert, _, _ = family_slack1(3, 2, QQ(1), QQ("1/2"))
     assert to_kubert(cert) == QQ(-2)
-    cert11, _ = family_slack1(3, 2, QQ(1), QQ(1))
+    cert11, _, _ = family_slack1(3, 2, QQ(1), QQ(1))
     assert to_kubert(cert11) == QQ("-1/2")
     # from_kubert(-1/2) lands on the isomorphic member (B, B1) = (4, 2)
     cert42, _ = from_kubert(QQ("-1/2"))

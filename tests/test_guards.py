@@ -1,12 +1,14 @@
 """The library's invariants are raised checks, never ``assert``s, which
 ``python -O`` removes; the library imports nothing outside the standard
 library; its error classes are the ones the README documents; every name
-the traced benchmark wraps still exists; and every public function, class
-or method of the library is reached from the library itself, or wrapped by
-the benchmark, or listed with its reason."""
+the traced benchmark wraps still exists; the order oracles share one
+signature; and every public function, class or method of the library is
+reached from the library itself, or wrapped by the benchmark, or listed
+with its reason."""
 
 import ast
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -15,7 +17,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from supertorsion import errors
+from supertorsion import cantor_order, elliptic_order, errors, order_of_class, verify_certificate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -155,6 +157,20 @@ def test_bench_spans_wrap_and_restore_src(capsys):
     assert (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__) == originals
 
 
+def _parameters(fn):
+    return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+
+def test_every_order_oracle_takes_curve_point_and_max_k_without_defaults():
+    # one contract: a point, never a divisor, and a bound every caller states;
+    # verify's oracle runs to 2*m0, with no bound to set
+    empty = inspect.Parameter.empty
+    for oracle in (order_of_class, cantor_order, elliptic_order):
+        assert _parameters(oracle) == [("curve", empty), ("point", empty), ("max_k", empty)], \
+            oracle.__name__
+    assert _parameters(verify_certificate) == [("cert", empty), ("run_oracle", False)]
+
+
 def test_only_certificates_builds_a_curve_without_is_squarefree():
     # SuperellipticCurve._proven skips is_squarefree: the constructor calls it
     # once its checks pass, and otherwise only certificates.py, whose
@@ -168,12 +184,10 @@ def test_only_certificates_builds_a_curve_without_is_squarefree():
 #: in src/ refers to and the benchmark does not wrap, each with the reason it
 #: stays
 UNREFERENCED_PUBLIC = {
-    "principality_profile": "ROADMAP item 8.4: derived from the order or moved once item 3 lands",
     "example_m0_equals_nplus1": "the closed-form m0 = n+1 construction the README describes",
     "curve_to_json": "serialize round-trip pair of curve_from_json, which `order` reads",
     "point_from_json": "serialize round-trip pair of point_to_json, which the CLI writes",
     "resultant": "the public face of _resultant_values, which _candidate_lambdas uses",
-    "MumfordDivisor.identity": "the identity divisor the tests pass to cantor_order",
     "PacketFamily.packet_points": "the README quick start lists the packet points with it",
     "TruncatedSeries.from_poly": "a constructor of TruncatedSeries, a class bench/ keeps",
 }

@@ -22,7 +22,6 @@ from supertorsion import (
     TruncatedSeries,
     build_certificate,
     order_of_class,
-    principality_profile,
     series_dth_root,
     torsion_params,
 )
@@ -30,7 +29,7 @@ from supertorsion.errors import BadParameters, MathCheckError, NotSquarefree
 from supertorsion.fields import is_prime
 from supertorsion.orders import left_kernel_vector
 
-from paper_checks import rr_basis
+from paper_checks import principality_profile, rr_basis
 
 SMALL_PRIMES = [p for p in range(2, 60) if is_prime(p)]
 

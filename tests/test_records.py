@@ -10,7 +10,6 @@ from supertorsion import (
     Poly,
     SuperellipticCurve,
     build_two_packet_equal,
-    cantor_order,
     check_order_structure,
     example_m0_equals_nplus1,
     family_slack1,
@@ -92,17 +91,6 @@ def test_record_reprs_name_their_fields():
                            "detail='f + B^d (x-a)^m0 == v^d')")
     assert repr(verify_certificate(_slack1())).startswith(
         "VerificationReport(checks=(CheckResult(name='identity'")
-
-
-def test_cantor_order_of_a_mumford_divisor_matches_its_point():
-    # a MumfordDivisor is a tuple of two polynomials, a point one of two
-    # field elements; cantor_order must take each for what it is
-    for curve, x, y, order in ((CURVE, 0, 1, 4), (CURVE, -1, 0, 2),
-                               (SuperellipticCurve(F13, 2, Poly(F13, (1, 0, 0, 1))), 2, 3, 6)):
-        point = curve.point(x, y)
-        divisor = MumfordDivisor.from_point(curve, point)
-        assert cantor_order(curve, divisor, 8) == cantor_order(curve, point, 8) == order
-        assert cantor_order(curve, tuple(point), 8) == order
 
 
 def test_iterating_a_verification_report_yields_its_checks():

@@ -55,7 +55,7 @@ def test_poly_round_trip():
 
 
 def test_certificate_round_trip_fieldwise():
-    cert, _ = family_slack1(3, 2, QQ(2), QQ(3))
+    cert, _, _ = family_slack1(3, 2, QQ(2), QQ(3))
     doc = ser.certificate_to_json(cert)
     back = ser.certificate_from_json(doc)
     assert back == cert

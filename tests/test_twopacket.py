@@ -207,7 +207,7 @@ def test_entry_points_take_a_prime_or_its_field():
     calls = (
         lambda pk: pk.normalizing_lambdas(),
         lambda pk: packet_shapes(pk, 6),
-        lambda pk: packet_polynomial(pk, 6, "minus"),
+        lambda pk: packet_polynomial(pk, 6),
         lambda pk: bad_lambda_set(pk),
         lambda pk: bad_lambda_members(pk, range(13)),
         lambda pk: confirmed_bad_lambdas(pk),
@@ -231,7 +231,7 @@ def test_two_packet_validates_its_inputs():
     with pytest.raises(BadParameters, match="need p odd"):
         two_packet(GF(3), 5, (), 1)
     with pytest.raises(BadParameters, match="sign"):
-        packet_polynomial(two_packet(F, 3, mu[:2], 1), 6, "up")
+        build_two_packet_equal(two_packet(F, 3, mu[:2], 1), 6, sign="up")
 
 
 def test_general_case_build_and_twist():

@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from supertorsion import GF, QQ, Poly, cli, serialize, verify_certificate
+from supertorsion import GF, QQ, Poly, cli, serialize
 from supertorsion.certificates import assemble_certificate, build_certificate
 from supertorsion.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, dispatch
-from supertorsion.errors import BadParameters
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 FIELDS = (QQ, GF(13))
@@ -114,17 +113,6 @@ def test_a_declared_polynomial_of_the_wrong_degree_is_refused_at_parse(
         code, out, err = run(capsys, command, "--cert", doc)
         assert (code, out, err) == (EXIT_USAGE, "", f"error: invalid certificate: {message}\n")
         assert time.perf_counter() - start < 2.0
-
-
-def test_verify_oracle_honours_max_k():
-    cert = build_certificate(3, 2, QQ(0), QQ(1), Poly(QQ, (1, 1)))
-    assert verify_certificate(cert, run_oracle=True).oracle_order == 4
-    assert verify_certificate(cert, run_oracle=True, max_k=4).oracle_order == 4
-    report = verify_certificate(cert, run_oracle=True, max_k=1)
-    assert report.oracle_order is None and not report.passed
-    for max_k in (0, -1):
-        with pytest.raises(BadParameters, match="max_k must be >= 1"):
-            verify_certificate(cert, run_oracle=True, max_k=max_k)
 
 
 def test_manifest_is_written_for_a_tampered_verify(tmp_path, capsys):
