@@ -5,6 +5,10 @@ SHA-256 of stdout and of stderr of each command of ``runs()``:
 
 * ``two-packet bad-lambdas`` for n = 3 at p in {13, 29, 37} and n = 5 at
   p in {13, 31, 37}, for every subset and C in {1, 2, p - 1};
+* ``two-packet bad-lambdas`` for the degenerate subsets (the eliminant
+  vanishes identically, so every abscissa is scanned) at p = 241, the
+  benchmark's largest, with C in {1, 2, 240}, and ``--n 3 --I 0,2 --C 5``
+  at p = 65521, the largest prime below the scan's 2^16 guard;
 * ``two-packet build`` with ``--equal``, with ``--A1 16 --A2 1``, and with
   ``--A1 2^(n+1) --A2 1 --C 2 --sign minus``, for every subset and
   lambda in {2, 3, 5, 6, p - 1} at (n, p) in {(3, 13), (3, 29), (5, 13)};
@@ -30,6 +34,9 @@ from supertorsion.cli import dispatch
 FIXTURE = Path(__file__).parent / "fixtures" / "twopacket_stdout_sha256.json"
 
 BAD_LAMBDA_GRID = ((3, 13), (3, 29), (3, 37), (5, 13), (5, 31), (5, 37))
+DEGENERATE_GRID = ((3, 241, ("0,2", "1,3"), (1, 2, 240)),
+                   (5, 241, ("0,2,4", "1,3,5"), (1, 2, 240)),
+                   (3, 65521, ("0,2",), (5,)))
 BUILD_GRID = ((3, 13), (3, 29), (5, 13))
 LAMBDAS = (2, 3, 5, 6, -1)  # -1 stands for p - 1
 
@@ -59,6 +66,11 @@ def runs():
     for n, p in BAD_LAMBDA_GRID:
         for I in _subsets(n):
             for C in (1, 2, p - 1):
+                record(["two-packet", "bad-lambdas", "--p", str(p), "--n", str(n),
+                        "--I", I, "--C", str(C)])
+    for n, p, subsets, Cs in DEGENERATE_GRID:
+        for I in subsets:
+            for C in Cs:
                 record(["two-packet", "bad-lambdas", "--p", str(p), "--n", str(n),
                         "--I", I, "--C", str(C)])
     for n, p in BUILD_GRID:
