@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import serialize
@@ -90,13 +91,11 @@ def _parse_field(spec: str) -> Field:
     spec = spec.strip()
     if spec in ("Q", "QQ"):
         return QQ
-    if spec.startswith("F"):
-        try:
-            p = int(spec[3:] if spec.startswith("Fp:") else spec[1:])
-        except ValueError:
-            pass
-        else:
-            return PrimeField(p)
+    # ASCII digits only, as in JSON field specs: int() would also take
+    # "1_3", " 13", "+13" and non-ASCII digits
+    digits = spec[3:] if spec.startswith("Fp:") else spec[1:]
+    if spec.startswith("F") and re.fullmatch(r"[0-9]+", digits):
+        return PrimeField(int(digits))
     raise UsageError(f"unknown field spec {spec!r}; use Q, F<p> or Fp:<p>")
 
 

@@ -395,15 +395,54 @@ def bad_lambda_set(pk: TwoPacket) -> frozenset:
 
     The result is a deliberate superset of the truly bad values; compare with
     ``confirmed_bad_lambdas``.  When the eliminant vanishes identically the
-    analysis localizes nothing and every abscissa is scanned, for p <= 2^16.
+    analysis localizes nothing and every abscissa is scanned, for p <= 2^16:
+    ``_scan_roots`` reads the roots in lam from a table of x0^ell0 and a
+    table of inverses, both built once per call.
     """
     sieve, field, p = _sieve(pk), pk.field, pk.field.p
-    if sieve is None and p > 2 ** 16:  # about p/2 candidates
-        raise BadParameters(f"the eliminant vanishes identically for I = {pk.I!r}, so about "
-                            f"p/2 lambda are candidates: listed for p <= {2 ** 16}, not p = {p}")
-    bad = {1}.union(*(_quadratic_roots(a, -b % p, -c % p, field)
-                      for a, b, c in _q_coefficients(pk, sieve)))
+    if sieve is None:
+        if p > 2 ** 16:  # about p/2 candidates
+            raise BadParameters(f"the eliminant vanishes identically for I = {pk.I!r}, so "
+                                f"about p/2 lambda are candidates: listed for p <= {2 ** 16}, "
+                                f"not p = {p}")
+        bad = _scan_roots(pk)
+    else:
+        bad = set().union(*(_quadratic_roots(a, -b % p, -c % p, field)
+                            for a, b, c in _q_coefficients(pk, sieve)))
+    bad.add(1)
     return frozenset(field(lam) for lam in bad | {p - lam for lam in bad} if lam % p)
+
+
+def _scan_roots(pk: TwoPacket) -> set:
+    """The roots lam in F_p of Q(x0, lam) = a lam^2 - b lam - c, with
+    (a, b, c) = (H_I(x0), 2 C^ell0 x0^ell0, H_comp(x0)), at every x0 of F_p.
+
+    H_I H_comp = (1 + x)^(n+1) - (C x)^(n+1), so the discriminant
+    b^2 + 4ac is 4 (1 + x0)^(n+1) = (2 t(x0 + 1))^2 with t(x) = x^ell0: it is
+    a square at every x0, and for a != 0 the roots are
+    (C^ell0 t(x0) +- t(x0 + 1)) / a, one at x0 = -1.  a = 0 leaves the
+    linear b lam = -c, where b != 0 since H_I(0) = 1.  H_I, H_comp and t
+    come by Horner over all x0 at once, and the inverses from a table built
+    once, inv[i] = -(p // i) inv[p mod i]."""
+    p, cl = pk.field.p, pk.cl.value
+
+    def horner(coeffs):
+        values = [0] * p
+        for c in reversed(coeffs):
+            values = [(v * x + c) % p for v, x in zip(values, range(p))]
+        return values
+
+    inv = [0, 1]
+    for i in range(2, p):
+        inv.append(-(p // i) * inv[p % i] % p)
+    t, bad = horner([0] * pk.ell0 + [1]), set()
+    for a, c, tx, w in zip(horner(pk.hi.values), horner(pk.hc.values), t, t[1:] + t[:1]):
+        u = cl * tx  # b/2, and w = t(x0 + 1) is half a root of the discriminant
+        if a:
+            bad.update(((u + w) * inv[a] % p, (u - w) * inv[a] % p))
+        else:
+            bad.add(-c * inv[2 * u % p] % p)
+    return bad
 
 
 def bad_lambda_members(pk: TwoPacket, lams) -> frozenset:
@@ -441,9 +480,9 @@ def _sieve(pk: TwoPacket):
 
 def _q_coefficients(pk: TwoPacket, sieve):
     """The residues (H_I(x0), 2 C^ell0 x0^ell0, H_comp(x0)) of Q(x0, lam) at the
-    roots x0 of the factors of ``sieve``, each split once (every x0 for None)."""
+    roots x0 of the factors of ``sieve``, each split once."""
     p, ell0, two_cl = pk.field.p, pk.ell0, 2 * pk.cl.value
-    for x0 in range(p) if sieve is None else {r.value for s in sieve for r in roots_in_field(s)}:
+    for x0 in {r.value for s in sieve for r in roots_in_field(s)}:
         powers = [pow(x0, i, p) for i in range(ell0 + 1)]  # deg H_I, deg H_comp <= ell0
         yield (sum(map(mul, pk.hi.values, powers)) % p, two_cl * powers[ell0] % p,
                sum(map(mul, pk.hc.values, powers)) % p)

@@ -7,6 +7,8 @@ references:
 * the Wronskian machinery behind the two-packet admissibility conditions,
   the degree-2 Wronskian triple of a built packet family, and the packet
   shapes (ut, vt) as polynomials;
+* the bad lambda set of a packet whose eliminant vanishes identically,
+  one abscissa at a time;
 * moving two packet abscissas to 0 and -1 by an affine change of x;
 * the Riemann-Roch basis of functions with poles only at O, and its
   dimension as a count of the semigroup <d, n>;
@@ -21,11 +23,13 @@ The module has no ``test_`` prefix, so pytest does not collect it.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from supertorsion import AffinePoint, FieldElement, MumfordDivisor, Poly, SuperellipticCurve
 from supertorsion.errors import BadParameters, MathCheckError, UnsupportedField
 from supertorsion.orders import _check_max_k, _principal_orders
+from supertorsion.poly import _quadratic_roots
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +133,28 @@ def packet_shapes(pk, lam, sign: str = "plus"):
     """(ut, vt) of a ``TwoPacket`` at a nonzero lam, as polynomials; ut is
     negated for the "minus" sign."""
     return tuple(Poly._from_values(pk.field, c) for c in pk._values(lam, sign))
+
+
+def q_coefficients_everywhere(pk):
+    """The residues (H_I(x0), 2 C^ell0 x0^ell0, H_comp(x0)) of
+    Q(x0, lam) = H_I(x0) lam^2 - 2 C^ell0 x0^ell0 lam - H_comp(x0) at every
+    x0 of F_p, from the powers of each x0."""
+    p, ell0, two_cl = pk.field.p, pk.ell0, 2 * pk.cl.value
+    for x0 in range(p):
+        powers = [pow(x0, i, p) for i in range(ell0 + 1)]
+        yield (sum(map(mul, pk.hi.values, powers)) % p, two_cl * powers[ell0] % p,
+               sum(map(mul, pk.hc.values, powers)) % p)
+
+
+def reference_degenerate_bad_lambdas(pk):
+    """``bad_lambda_set`` of a packet whose eliminant vanishes identically,
+    one abscissa at a time: the roots in lam of Q(x0, lam) at every x0, each
+    solved by ``_quadratic_roots`` (a modular square root and inverse per
+    x0), with 1, closed under negation and without 0."""
+    field, p = pk.field, pk.field.p
+    bad = {1}.union(*(_quadratic_roots(a, -b % p, -c % p, field)
+                      for a, b, c in q_coefficients_everywhere(pk)))
+    return frozenset(field(lam) for lam in bad | {p - lam for lam in bad} if lam % p)
 
 
 # ---------------------------------------------------------------------------

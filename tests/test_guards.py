@@ -2,9 +2,9 @@
 ``python -O`` removes; the library imports nothing outside the standard
 library; its error classes are the ones the README documents; every name
 the traced benchmark wraps still exists; the order oracles share one
-signature; and every public function, class or method of the library is
+signature; every public function, class or method of the library is
 reached from the library itself, or wrapped by the benchmark, or listed
-with its reason."""
+with its reason; and so is every loop over a whole prime field."""
 
 import ast
 import importlib.util
@@ -224,6 +224,56 @@ def test_every_public_name_in_src_is_reached():
     assert sorted(unreached - set(UNREFERENCED_PUBLIC)) == []
     # an entry that something now reaches leaves the list
     assert sorted(set(UNREFERENCED_PUBLIC) - unreached) == []
+
+
+#: every loop of src/ over a whole prime field, keyed by module and by
+#: top-level function or Class.method, with the reason its cost is not a
+#: hidden O(p): a for or comprehension over range(...) of p or .p, or a
+#: .units() call
+WHOLE_FIELD_LOOPS = {
+    "fields.PrimeField.units": "the API itself: its callers ask for every unit",
+    "fields.PrimeField._element_of_order": "expected O(1) tries: c^((p-1)/m) has order m "
+                                           "for a share phi(m)/m of the units c",
+    "poly._split_linear": "expected few shifts a: by a character-sum bound, gcd((x+a)^((p-1)/2)"
+                          " - 1, g) splits g for about half of the a",
+    "twopacket._candidate_lambdas": "its first 2n+1 units, and every unit only when "
+                                    "p < 2n+4 or R vanishes identically",
+    "twopacket._scan_roots": "the degenerate bad-lambda listing of about p/2 values, "
+                             "refused above the 2^16 guard",
+}
+
+
+def _scopes(tree):
+    """(name, node) for each top-level function, each method as
+    Class.method, and <module> for the statements outside them; a nested
+    function belongs to the definition around it."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield (f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                       else node.name), item
+        else:
+            yield node.name if isinstance(node, ast.FunctionDef) else "<module>", node
+
+
+def _loops_over_the_field(node):
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", None) == "units"
+    if not isinstance(node, (ast.For, ast.comprehension)):
+        return False
+    return any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "range"
+               and any(getattr(name, "id", getattr(name, "attr", None)) == "p"
+                       for arg in call.args for name in ast.walk(arg))
+               for call in ast.walk(node.iter))
+
+
+def test_every_whole_field_loop_is_listed():
+    # a loop over F_p that no entry names is a hidden O(p) per call
+    sites = {f"{module[:-3]}.{scope}" for module, tree in _src_trees()
+             for scope, node in _scopes(tree) if any(map(_loops_over_the_field, ast.walk(node)))}
+    assert sorted(sites - set(WHOLE_FIELD_LOOPS)) == []
+    # an entry whose loop is gone leaves the list
+    assert sorted(set(WHOLE_FIELD_LOOPS) - sites) == []
 
 
 def test_cli_import_generates_no_dataclass_code():

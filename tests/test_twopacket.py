@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -41,6 +42,8 @@ from paper_checks import (
     fermat_identity_check,
     packet_shapes,
     packet_wronskian_triple,
+    q_coefficients_everywhere,
+    reference_degenerate_bad_lambdas,
     shift_points_to_0_minus1,
     wronskian3,
     wronskian_degree_audit,
@@ -423,6 +426,40 @@ def test_degenerate_bad_lambda_set_refused_above_the_scan_bound():
     lams = pk.normalizing_lambdas()
     assert {F(1), F(-1)} <= bad_lambda_members(pk, lams + (F(1), F(-1)))
     assert {F(1), F(-1)} <= confirmed_bad_lambdas(pk)
+
+
+# every subset whose eliminant vanishes identically, at every p = 1 mod (n+1)
+# below 400 with C in {1, 2, p - 1} and two seeded C, and at p = 65521 for
+# n = 3, against the scan one abscissa at a time.  The discriminant
+# b^2 + 4ac of Q(x0, lam) is always 4 (1 + x0)^(n+1), a square, because
+# H_I H_comp = (1 + x)^(n+1) - (C x)^(n+1): the grid reaches a linear Q
+# (H_I(x0) = 0), a zero discriminant and two roots, and never a Q whose
+# discriminant is not a square
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_degenerate_bad_lambda_set_matches_the_per_abscissa_scan(n):
+    rng, branches, cases = random.Random(2029 + n), Counter(), []
+    for p in range(5, 400):
+        if (p - 1) % (n + 1) or not all(p % q for q in range(2, p)):
+            continue
+        F = GF(p)
+        Cs = {1, 2, p - 1, *rng.sample(range(2, p), 2)}
+        for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
+            cases += [pk for pk in (two_packet(F, n, I, C) for C in sorted(Cs))
+                      if twopacket._sieve(pk) is None]
+    assert cases
+    for pk in cases:
+        assert bad_lambda_set(pk) == reference_degenerate_bad_lambdas(pk), (pk.field, pk.I, pk.C)
+        p = pk.field.p
+        for x0, (a, b, c) in enumerate(q_coefficients_everywhere(pk)):
+            disc = (b * b + 4 * a * c) % p
+            assert disc == 4 * pow(1 + x0, n + 1, p) % p
+            branches["linear" if not a else "double" if not disc else "two roots"] += 1
+    assert set(branches) == {"linear", "double", "two roots"}, branches
+    if n == 3:  # the largest prime below the scan's 2^16 guard
+        F = GF(65521)
+        pk = two_packet(F, 3, F.roots_of_unity(4)[::2], 5)
+        assert twopacket._sieve(pk) is None
+        assert bad_lambda_set(pk) == reference_degenerate_bad_lambdas(pk)
 
 
 def test_nonvanishing_bracket():
