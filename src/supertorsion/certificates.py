@@ -168,21 +168,19 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False) -> Ve
     field, d, m0, red = cert.field, cert.d, cert.m0, cert.field.reduce
     # R = v^d - f is the norm prod_{zeta in mu_d} (v - zeta*y) of v - y, so this
     # one identity also puts the whole zero divisor of v - y above x = a.  It
-    # is checked as R(a + t) == B^d t^m0 on numerators: with v = V/dv and
+    # is checked as R == B^d (x-a)^m0 on numerators: with v = V/dv and
     # f = F/df, R = (V^d df - F dv^d) / (dv^d df).
     (V, dv), (F, df) = field.split(cert.v.values), field.split(cert.f.values)
     dv_d = dv ** d
-    G, den = _at_a(cert, [red(u * df - w * dv_d) for u, w in zip_longest(
-        _pow_ints(field, V, d), F, fillvalue=0)], dv_d * df)
-    identity_ok = _is_monomial(field, G, den, m0, cert.B ** d)
+    R = [red(u * df - w * dv_d) for u, w in zip_longest(_pow_ints(field, V, d), F, fillvalue=0)]
+    identity_ok = _is_binomial(cert, R, dv_d * df, m0, cert.B ** d)
     checks = [CheckResult("identity", identity_ok, "f + B^d (x-a)^m0 == v^d")]
-    # v - q == B (x-a)^ell0, likewise at a + t, on numerators over one
-    # denominator; deg q = slack < ell0 then gives deg v = ell0, lc(v) = B,
-    # and v(a) = q(a)
+    # v - q == B (x-a)^ell0, likewise on numerators over one denominator;
+    # deg q = slack < ell0 then gives deg v = ell0, lc(v) = B, and v(a) = q(a)
     ints, den_vq = field.split(cert.v.values + cert.q.values)
     nv, pt = len(cert.v.values), cert.point()
     W = [red(u - w) for u, w in zip_longest(ints[:nv], ints[nv:], fillvalue=0)]
-    shape_ok = _is_monomial(field, *_at_a(cert, W, den_vq), cert.ell0, cert.B) \
+    shape_ok = _is_binomial(cert, W, den_vq, cert.ell0, cert.B) \
         and cert.q.degree == cert.params.slack and not pt.y.is_zero()
     checks.append(CheckResult("shape", shape_ok,
                               "v = B(x-a)^ell0 + q with the required degrees"))
@@ -211,13 +209,15 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False) -> Ve
     # local vanishing: ord_P(v - y) = m0 exactly, read off R.  At P the
     # factors v - zeta*y with zeta != 1 take the value v(a)(1 - zeta) != 0,
     # and x - a is a uniformizer, so ord_P(v - y) is the multiplicity of
-    # x = a in R (counted up to m0 + 1, as None beyond).
+    # x = a in R (up to m0 + 1, as None beyond): t^m0 in R(a + t) if identity_ok.
     vanish_ok = on_curve = False
     if pt.y.is_zero():
         detail = "v(a) = 0: not a valid certificate point"
     elif char != 0 and d % char == 0:
         detail = f"characteristic {char} divides {d}"
     else:
+        (A,), s = field.split((cert.a.value,))
+        G = [0] * m0 + [1] if identity_ok else _shift_ints(field, _trim(R), A, s)[0]
         on_curve = not G or not G[0]
         if not on_curve:
             detail = "v(a)^d != f(a): P is not on y^d = f"
@@ -238,17 +238,14 @@ def verify_certificate(cert: TorsionCertificate, run_oracle: bool = False) -> Ve
     return VerificationReport(checks=tuple(checks), oracle_order=oracle_order)
 
 
-def _at_a(cert: TorsionCertificate, ints, den):
-    """(G, D) with P(a + t) = G(t)/D for P = ints/den, given on ``split``
-    numerators (residues and den = 1 over F_p)."""
-    (A,), s = cert.field.split((cert.a.value,))
-    G, scale = _shift_ints(cert.field, _trim(ints), A, s)
-    return G, den * scale
-
-
-def _is_monomial(field: Field, G, D, k: int, c: FieldElement) -> bool:
-    """G(t)/D == c t^k."""
-    return len(G) == k + 1 and not any(G[:k]) and field.join((G[k],), D)[0] == c.value
+def _is_binomial(cert: TorsionCertificate, ints, den, k: int, c: FieldElement) -> bool:
+    """ints/den == c (x-a)^k with c != 0, on ``split`` numerators (residues and
+    den = 1 over F_p): with a = A/s and c = C/e, ints * e * s^k is
+    den * C * (s x - A)^k term by term, O(k) against an O(k^2) Taylor shift."""
+    ((A,), s), ((C,), e) = cert.field.split((cert.a.value,)), cert.field.split((c.value,))
+    red, scale, ints = cert.field.reduce, e * s ** k, _trim(ints)
+    return len(ints) == k + 1 and not any(
+        red(u * scale - den * C * w) for u, w in zip(ints, _pow_ints(cert.field, [-A, s], k)))
 
 
 def _good_reduction(cert: TorsionCertificate, F, den, V, dv, y0: FieldElement):
@@ -273,7 +270,7 @@ def _good_reduction(cert: TorsionCertificate, F, den, V, dv, y0: FieldElement):
 def _oracle_order(cert: TorsionCertificate, curve: SuperellipticCurve, pt: AffinePoint):
     """``order_of_class`` at P to 2*m0.  ``curve`` is over the field of the
     certificate or, over Q, over an F_q of good reduction, which exists only
-    when the identity holds: then G = B^d t^m0, so m0 is principal."""
+    when the identity holds: then R = B^d (x-a)^m0, so m0 is principal."""
     fq, m0 = curve.field, cert.m0
     if fq != cert.field:
         if order_of_class(curve, (fq(pt.x.value), fq(pt.y.value)), m0) == m0:
@@ -286,9 +283,14 @@ def normalize_certificate(cert: TorsionCertificate) -> TorsionCertificate:
     """The certificate with the marked point moved to (0, 1): the one built
     from a = 0, B/v(a) and q(x+a)/v(a), whose f is v(a)^-d f(x+a) and whose
     v is v(a)^-1 v(x+a), so v(0) = 1."""
+    return build_certificate(*_normal_parameters(cert))
+
+
+def _normal_parameters(cert: TorsionCertificate):
+    """(n, d, a, B, q) of ``normalize_certificate``.  Its f, a shift and a unit
+    scaling of cert.f, is squarefree if cert.f is: a proof of cert.f covers it."""
     va_inv = cert.v(cert.a).inverse()
-    return build_certificate(cert.n, cert.d, cert.field.zero, cert.B * va_inv,
-                             cert.q.shift(cert.a) * va_inv)
+    return cert.n, cert.d, cert.field.zero, cert.B * va_inv, cert.q.shift(cert.a) * va_inv
 
 
 def family_slack0(n: int, d: int, base_field: Field) -> TorsionCertificate:

@@ -13,12 +13,11 @@ import json
 import re
 import sys
 
-from . import serialize
+from . import certificates, serialize
 from .certificates import (
     build_certificate,
     family_slack0,
     family_slack1,
-    normalize_certificate,
     verify_certificate,
 )
 from .curves import reachability_status
@@ -131,7 +130,7 @@ def _cmd_normalize(args) -> int:
     failed = [c.name for c in verify_certificate(cert) if not c.passed]
     if failed:
         raise UsageError(f"invalid certificate: {', '.join(failed)} failed")
-    norm = normalize_certificate(cert)
+    norm = certificates.assemble_certificate(*certificates._normal_parameters(cert))
     doc = serialize.certificate_to_json(norm)
     doc["b_tilde"] = serialize.elem_to_str(norm.B)
     _emit(doc)

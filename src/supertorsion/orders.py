@@ -103,29 +103,35 @@ def _principal_orders(curve: SuperellipticCurve, point: AffinePoint, max_k: int)
     lead is k.  Rows hold bare values over max_k + 2 columns: residues mod
     p, kept with lead 1, or over Q integer rows divided by their content, in
     the variable t/C of ``_series_root_powers``.  Scaling a row, or column
-    t^c by C^c, moves no lead.  A ramified point (y = 0) has order d, since
-    x - x(P) has divisor d(P) - d(O) (f is squarefree at x(P)), so its
-    principal k are the multiples of d.
+    t^c by C^c, moves no lead.  Only the y^j with n*j <= max_k are solved,
+    and t^i at a free column is an implicit unit row: one entry to clear.  A
+    ramified point (y = 0) has order d, since x - x(P) has divisor d(P) - d(O)
+    (f is squarefree at x(P)), so its principal k are the multiples of d.
     """
     if point.y.is_zero():
         yield from range(curve.d, max_k + 1, curve.d)
         return
     n, d, ncols = curve.n, curve.d, max_k + 2
     p = curve.field.characteristic()
-    powers, _ = _series_root_powers(curve.f, d, point.x, point.y, ncols)
-    ys = powers[:d] if p else [_content_free(row) for row in powers[:d]]
+    powers, _ = _series_root_powers(curve.f, d, point.x, point.y, ncols, min(d - 1, max_k // n))
+    ys = powers if p else [_content_free(row) for row in powers]
     n_inv = pow(n, -1, d)
-    kept = {}  # lead column -> echelon row
+    kept = {}  # lead column -> echelon row, or None for the unit row t^lead
     for k in range(max_k + 1):
         j = k * n_inv % d  # the only j with n*j = k mod d
         if n * j > k:
             continue
         i = (k - n * j) // d
+        if j == 0 and i not in kept:
+            kept[i] = None
+            continue
         row = [0] * i + ys[j][:ncols - i]
         lead = _lead(row, i)
         while lead in kept:
             pivot, c = kept[lead], row[lead]
-            if p:
+            if pivot is None:
+                row[lead] = 0
+            elif p:
                 row = [(u - c * v) % p for u, v in zip(row, pivot)]
             else:
                 row = _content_free([pivot[lead] * u - c * v for u, v in zip(row, pivot)])

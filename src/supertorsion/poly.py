@@ -12,6 +12,7 @@ splitting run in kernels on value lists (``_divmod_values`` and the like);
 from __future__ import annotations
 
 from itertools import zip_longest
+from math import gcd
 from operator import add, mul, sub
 
 from .errors import BadParameters, MathCheckError, UnsupportedField
@@ -236,7 +237,8 @@ def _convolve(a, b, n):
 def _pow_ints(field, ints, e):
     """F^e for the integer coefficients F of ``field.split`` (residues over
     F_p).  A linear F = c0 + c1*x expands by the binomial theorem; any other
-    F by left-to-right squaring, each product reduced mod p over F_p."""
+    F by left-to-right squaring with ``_packed_product``, reduced mod p over
+    F_p after each product, so that slots do not grow with e."""
     mod = field.characteristic() or None
     if len(ints) == 2:
         (c0, c1), out, binom = ints, [], 1
@@ -244,16 +246,35 @@ def _pow_ints(field, ints, e):
             out.append(binom * pow(c0, e - k, mod) * pow(c1, k, mod))
             binom = binom * (e - k) // (k + 1)
         return out
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _convolve(out, out, 2 * len(out) - 1)
-        if mod:
-            out = [c % mod for c in out]
+    out = ints if e else [1]
+    for bit in bin(e)[3:]:
+        out = _packed_product(out, out, mod)
         if bit == "1":
-            out = _convolve(out, ints, len(out) + len(ints) - 1)
-            if mod:
-                out = [c % mod for c in out]
+            out = _packed_product(out, ints, mod)
     return out
+
+
+def _packed_product(a, b, mod):
+    """The product of the integer lists a and b, reduced mod ``mod`` if given,
+    from one product of CPython integers (Kronecker substitution; von zur
+    Gathen & Gerhard, *Modern Computer Algebra*, §8.4) in w-byte slots; over
+    Q, where coefficients have signs, each slot is read with 256^w / 2 added."""
+    if not a or not b:
+        return []
+    w = (min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))).bit_length() // 8 + 1
+    m, half, x = len(a) + len(b) - 1, 0 if mod else 1 << (8 * w - 1), _pack(a, w)
+    x *= x if a is b else _pack(b, w)
+    raw = (x + half * _pack([1] * m, w) if half else x).to_bytes(w * m, "little")
+    if mod:
+        return [int.from_bytes(raw[i:i + w], "little") % mod for i in range(0, w * m, w)]
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * m, w)]
+
+
+def _pack(ints, w):
+    """sum ints[i] * 256^(w*i), for |ints[i]| < 256^w / 2."""
+    if min(ints) < 0:
+        return _pack([max(c, 0) for c in ints], w) - _pack([max(-c, 0) for c in ints], w)
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in ints), "little")
 
 
 def _shift_ints(field, ints, A, s):
@@ -571,27 +592,27 @@ def series_dth_root(f: Poly, d: int, center, y0, precision: int) -> TruncatedSer
     coefficients come from ``_series_root_powers``.
     """
     field = f.field
-    powers, scale = _series_root_powers(f, d, center, y0, precision)
+    powers, scale = _series_root_powers(f, d, center, y0, precision, 1)
     y, c = field(y0).value, field.inv(field(scale).value)
     # s_k = y0 * r_k / C^k; over F_p, C = 1
     return TruncatedSeries._from_values(
         field, [field.reduce(y * r * c ** k) for k, r in enumerate(powers[1])], precision)
 
 
-def _series_root_powers(f: Poly, d: int, center, y0, precision: int):
+def _series_root_powers(f: Poly, d: int, center, y0, precision: int, top: int):
     """(powers, C): powers[j][k] = C^k * (coefficient k of (s/y0)^j) for
-    j = 0..d and the s of ``series_dth_root``, as bare values: integers over
+    j = 0..top and the s of ``series_dth_root``, as bare values: integers over
     Q, residues mod p over F_p, where C = 1.
 
-    r = s/y0 has r(0) = 1 and r^d = h := g/g(0) with g = f(center + t).  Let
-    R_j be coefficient k of r^j computed with r_k set to 0; the true
-    coefficient is R_j + j*r_k, and r^d = h gives r_k = (h_k - R_d)/d.  R_j
-    is one convolution of r^(j-1) with r plus R_(j-1), so the powers fill
-    together in O(d*precision^2) operations.  Only d is ever inverted, so
-    every characteristic not dividing d works, p <= precision included.
+    With g = f(center + t), r = (s/y0)^j = (g/g_0)^(j/d) has r_0 = 1 and
+    d*g*r' = j*g'*r (Knuth, TAOCP vol. 2, §4.7), so, in O(n*precision),
+    k*d*g_0*r_k = S := sum_(i=1..min(k,n)) g_i*(j*i - d*(k-i))*r_(k-i).
+    Over F_p, p divides some k when p < precision, so this runs mod p^E,
+    E = 1 + v_p((precision-1)!): r is p-integral, and S / (k*d*g_0) taken
+    as (S / p^v) * w^-1, k*d*g_0 = p^v*w, loses v digits, E - 1 in all.
     Over Q the series is taken in u = t/C with C = c*d^2, where c clears the
-    denominators of h: then every coefficient is an integer (because
-    d^(2m) * binomial(1/d, m) is one) and the division by d is exact.
+    denominators of g/g_0: then every coefficient is an integer (because
+    d^(2m) * binomial(j/d, m) is one) and the division by k*d is exact.
     """
     field, red = f.field, f.field.reduce
     char = field.characteristic()
@@ -600,26 +621,27 @@ def _series_root_powers(f: Poly, d: int, center, y0, precision: int):
     if precision < 1:
         raise BadParameters("precision must be >= 1")
     y = field(y0).value
-    g = (list(f.shift(center).values) + [0] * precision)[:precision]
+    g = list(f.shift(center).values[:precision]) or [0]
     if red(y ** d) != g[0]:
         raise BadParameters("y0^d != f(center)")
     if y == 0:
         raise BadParameters("y0 must be nonzero: the series is y0 * (f/y0^d)^(1/d)")
-    if char:
-        scale, inv_d, inv_g0 = 1, pow(d, -1, char), pow(g[0], -1, char)
-        h = [v * inv_g0 % char for v in g]
+    if char:  # p^v = gcd(k, p^E), as v = v_p(k) < E
+        scale, mod = 1, char ** (1 + sum((precision - 1) // char ** i
+                                         for i in range(1, precision.bit_length())))
+        steps = [None] + [(gcd(k, mod), pow(k * d * g[0] // gcd(k, mod), -1, mod))
+                          for k in range(1, precision)]
     else:
         h, den = field.split([v / g[0] for v in g])
         scale = den * d * d
-        h = [c * scale ** k // den for k, c in enumerate(h)]
-    powers = [[1] + [0] * (precision - 1) for _ in range(d)] + [h]
-    r = powers[1]
-    for k in range(1, precision):
-        tail = r[k - 1:0:-1]  # r_(k-1), ..., r_1
-        partial = [0, 0]      # R_0 (unused), R_1
-        for j in range(2, d + 1):
-            partial.append(red(sum(map(mul, powers[j - 1][1:k], tail)) + partial[-1]))
-        r[k] = (h[k] - partial[d]) * inv_d % char if char else (h[k] - partial[d]) // d
-        for j in range(2, d):
-            powers[j][k] = red(partial[j] + j * r[k])
+        g = [c * scale ** k // den for k, c in enumerate(h)]
+    g1, ig1 = g[1:], [i * c for i, c in enumerate(g)][1:]
+    powers = [[1] + [0] * (precision - 1)]
+    for j in range(1, top + 1):
+        r = [1]
+        for k in range(1, precision):
+            tail = r[::-1]  # r_(k-1), ..., r_0, against g_1, g_2, ...
+            S = (j + d) * sum(map(mul, ig1, tail)) - k * d * sum(map(mul, g1, tail))
+            r.append(S % mod // steps[k][0] * steps[k][1] % mod if char else S // (k * d))
+        powers.append([v % char for v in r] if char else r)
     return powers, scale

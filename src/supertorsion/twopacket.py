@@ -395,9 +395,8 @@ def bad_lambda_set(pk: TwoPacket) -> frozenset:
 
     The result is a deliberate superset of the truly bad values; compare with
     ``confirmed_bad_lambdas``.  When the eliminant vanishes identically the
-    analysis localizes nothing and every abscissa is scanned, for p <= 2^16:
-    ``_scan_roots`` reads the roots in lam from a table of x0^ell0 and a
-    table of inverses, both built once per call.
+    analysis localizes nothing and every abscissa is scanned (``_scan_roots``),
+    for p <= 2^16.  ``_q_roots`` solves each Q(x0, lam) with no square root.
     """
     sieve, field, p = _sieve(pk), pk.field, pk.field.p
     if sieve is None:
@@ -407,23 +406,30 @@ def bad_lambda_set(pk: TwoPacket) -> frozenset:
                                 f"not p = {p}")
         bad = _scan_roots(pk)
     else:
-        bad = set().union(*(_quadratic_roots(a, -b % p, -c % p, field)
-                            for a, b, c in _q_coefficients(pk, sieve)))
+        rows = list(_q_coefficients(pk, sieve))
+        inv = {v: pow(v, -1, p) for a, u, _, _ in rows for v in (a, 2 * u % p) if v}
+        bad = _q_roots(rows, inv, p)
     bad.add(1)
     return frozenset(field(lam) for lam in bad | {p - lam for lam in bad} if lam % p)
 
 
-def _scan_roots(pk: TwoPacket) -> set:
-    """The roots lam in F_p of Q(x0, lam) = a lam^2 - b lam - c, with
-    (a, b, c) = (H_I(x0), 2 C^ell0 x0^ell0, H_comp(x0)), at every x0 of F_p.
+def _q_roots(rows, inv, p: int) -> set:
+    """The roots lam in F_p of Q(x0, lam) = a lam^2 - 2u lam - c for each row
+    (a, u, c, w) = (H_I(x0), C^ell0 x0^ell0, H_comp(x0), (1 + x0)^ell0), inv[v] = 1/v:
+    H_I H_comp = (1 + x)^(n+1) - (C x)^(n+1) makes the discriminant (2w)^2, so
+    no square root: (u +- w)/a, or -c/(2u) for a = 0 (u != 0 as H_I(0) = 1)."""
+    bad = set()
+    for a, u, c, w in rows:
+        if a:
+            bad.update(((u + w) * (a := inv[a]) % p, (u - w) * a % p))
+        else:
+            bad.add(-c * inv[2 * u % p] % p)
+    return bad
 
-    H_I H_comp = (1 + x)^(n+1) - (C x)^(n+1), so the discriminant
-    b^2 + 4ac is 4 (1 + x0)^(n+1) = (2 t(x0 + 1))^2 with t(x) = x^ell0: it is
-    a square at every x0, and for a != 0 the roots are
-    (C^ell0 t(x0) +- t(x0 + 1)) / a, one at x0 = -1.  a = 0 leaves the
-    linear b lam = -c, where b != 0 since H_I(0) = 1.  H_I, H_comp and t
-    come by Horner over all x0 at once, and the inverses from a table built
-    once, inv[i] = -(p // i) inv[p mod i]."""
+
+def _scan_roots(pk: TwoPacket) -> set:
+    """``_q_roots`` at every x0 of F_p: H_I, H_comp and t(x) = x^ell0 (so
+    w = t(x0 + 1)) by Horner over all x0 at once, inv[i] = -(p // i) inv[p % i]."""
     p, cl = pk.field.p, pk.cl.value
 
     def horner(coeffs):
@@ -435,14 +441,9 @@ def _scan_roots(pk: TwoPacket) -> set:
     inv = [0, 1]
     for i in range(2, p):
         inv.append(-(p // i) * inv[p % i] % p)
-    t, bad = horner([0] * pk.ell0 + [1]), set()
-    for a, c, tx, w in zip(horner(pk.hi.values), horner(pk.hc.values), t, t[1:] + t[:1]):
-        u = cl * tx  # b/2, and w = t(x0 + 1) is half a root of the discriminant
-        if a:
-            bad.update(((u + w) * inv[a] % p, (u - w) * inv[a] % p))
-        else:
-            bad.add(-c * inv[2 * u % p] % p)
-    return bad
+    t = horner([0] * pk.ell0 + [1])
+    return _q_roots(zip(horner(pk.hi.values), map(cl.__mul__, t), horner(pk.hc.values),
+                        t[1:] + t[:1]), inv, p)
 
 
 def bad_lambda_members(pk: TwoPacket, lams) -> frozenset:
@@ -455,7 +456,7 @@ def bad_lambda_members(pk: TwoPacket, lams) -> frozenset:
     qs = None if sieve is None else list(_q_coefficients(pk, sieve))
     for lam in map(field, lams):
         m = lam.value ** 2 % p  # lam^2: 1 for lam = +-1, 0 for lam = 0
-        if m == 1 or m and (any(((a * m - c) ** 2 - b * b * m) % p == 0 for a, b, c in qs)
+        if m == 1 or m and (any(((a * m - c) ** 2 - 4 * u * u * m) % p == 0 for a, u, c, _ in qs)
                             if qs is not None else roots_in_field((pk.hi * m - pk.hc) ** 2
                             - Poly.monomial(field, pk.n + 1, 4 * pk.cl.value ** 2 * m))):
             out.add(lam)
@@ -479,13 +480,13 @@ def _sieve(pk: TwoPacket):
 
 
 def _q_coefficients(pk: TwoPacket, sieve):
-    """The residues (H_I(x0), 2 C^ell0 x0^ell0, H_comp(x0)) of Q(x0, lam) at the
-    roots x0 of the factors of ``sieve``, each split once."""
-    p, ell0, two_cl = pk.field.p, pk.ell0, 2 * pk.cl.value
+    """The rows of ``_q_roots``, as residues, at the roots x0 of the factors
+    of ``sieve``, each split once."""
+    p, ell0, cl = pk.field.p, pk.ell0, pk.cl.value
     for x0 in {r.value for s in sieve for r in roots_in_field(s)}:
         powers = [pow(x0, i, p) for i in range(ell0 + 1)]  # deg H_I, deg H_comp <= ell0
-        yield (sum(map(mul, pk.hi.values, powers)) % p, two_cl * powers[ell0] % p,
-               sum(map(mul, pk.hc.values, powers)) % p)
+        yield (sum(map(mul, pk.hi.values, powers)) % p, cl * powers[ell0] % p,
+               sum(map(mul, pk.hc.values, powers)) % p, pow(x0 + 1, ell0, p))
 
 
 def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:

@@ -14,6 +14,8 @@ references:
   dimension as a count of the semigroup <d, n>;
 * every principal k(P) - k(O) up to a bound, and a checked Mumford divisor
   (u, v), the references for the order oracles, which take points only;
+* the powers of the d-th root of f(a + t) by the coupled recurrence over
+  all d powers, the reference for the first-order one of the order engine;
 * the reduced cubics that the marked 4-torsion family and the Kubert curve
   share.
 
@@ -246,6 +248,37 @@ def principality_profile(curve: SuperellipticCurve, point, max_k: int):
     point = curve.point(*point)
     _check_max_k(max_k)
     return list(_principal_orders(curve, point, max_k))
+
+
+def coupled_root_powers(f: Poly, d: int, center, y0, precision: int):
+    """``poly._series_root_powers`` for every j = 0..d by the coupled
+    recurrence, O(d*precision^2): with r = s/y0, r^d = h := g/g(0) for
+    g = f(center + t).  Let R_j be coefficient k of r^j computed with r_k
+    set to 0; the true coefficient is R_j + j*r_k, and r^d = h gives
+    r_k = (h_k - R_d)/d.  R_j is one convolution of r^(j-1) with r plus
+    R_(j-1).  Only d is inverted.  Over Q the series is in u = t/C with
+    C = c*d^2, c clearing the denominators of h, as there."""
+    field, red = f.field, f.field.reduce
+    char = field.characteristic()
+    g = (list(f.shift(center).values) + [0] * precision)[:precision]
+    if char:
+        scale, inv_d, inv_g0 = 1, pow(d, -1, char), pow(g[0], -1, char)
+        h = [v * inv_g0 % char for v in g]
+    else:
+        h, den = field.split([v / g[0] for v in g])
+        scale = den * d * d
+        h = [c * scale ** k // den for k, c in enumerate(h)]
+    powers = [[1] + [0] * (precision - 1) for _ in range(d)] + [h]
+    r = powers[1]
+    for k in range(1, precision):
+        tail = r[k - 1:0:-1]  # r_(k-1), ..., r_1
+        partial = [0, 0]      # R_0 (unused), R_1
+        for j in range(2, d + 1):
+            partial.append(red(sum(map(mul, powers[j - 1][1:k], tail)) + partial[-1]))
+        r[k] = (h[k] - partial[d]) * inv_d % char if char else (h[k] - partial[d]) // d
+        for j in range(2, d):
+            powers[j][k] = red(partial[j] + j * r[k])
+    return powers, scale
 
 
 def validated_divisor(curve: SuperellipticCurve, u: Poly, v: Poly) -> MumfordDivisor:

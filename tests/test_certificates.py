@@ -322,6 +322,35 @@ def test_identity_and_shape_match_the_polynomial_route(field):
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+IDENTITY = ("identity", False, "f + B^d (x-a)^m0 == v^d")
+NORM = ("norm", False, "v^d - f == B^d (x-a)^m0 (symbolic norm of v - y)")
+OFF_CURVE = ("vanishing_at_P", False, "v(a)^d != f(a): P is not on y^d = f")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(13)], ids=["Q", "F13"])
+@pytest.mark.parametrize("label,change,vanishing,oracle", [
+    ("f + 1", lambda c: c._replace(f=c.f + 1), OFF_CURVE, None),
+    ("f + 1 at a = 3", lambda c: c._replace(a=c.field(3), v=c.v.shift(-3), f=c.f.shift(-3) + 1),
+     OFF_CURVE, None),
+    # a = 0 and m0 = n + 1: R - x^5 vanishes at a to order m0 - 1
+    ("f + x^5", lambda c: c._replace(f=c.f + Poly.monomial(c.field, 5)),
+     ("vanishing_at_P", False, "ord_P(v - y) = 5, expected 6"), None),
+    ("B = 0", lambda c: c._replace(B=c.field.zero),
+     ("vanishing_at_P", True, "ord_P(v - y) = 6, expected 6"), 6),
+    # R = 0 = B^d (x-a)^m0, yet identity fails, as it did on the Taylor shift
+    ("B = 0, v = q", lambda c: c._replace(B=c.field.zero, v=c.q, f=c.q ** 2),
+     ("vanishing_at_P", False, "ord_P(v - y) = None, expected 6"), None),
+])
+def test_failing_certificates_report_what_the_taylor_shift_reported(field, label, change,
+                                                                    vanishing, oracle):
+    cert = change(build_certificate(5, 2, field(0), field(2), Poly(field, (1, -3, 1))))
+    report = verify_certificate(cert, run_oracle=True)
+    entries = {c.name: (c.name, c.passed, c.detail) for c in report}
+    assert (entries["identity"], entries["norm"], entries["vanishing_at_P"]) == \
+        (IDENTITY, NORM, vanishing)
+    assert report.oracle_order == oracle and not report.passed
+
+
 def test_vanishing_at_P_fails_when_char_divides_d():
     F = GF(3)
     x = Poly.x(F)

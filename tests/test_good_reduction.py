@@ -219,14 +219,14 @@ def _certificate_m0_320():
 
 def test_m0_320_over_q_solves_no_series_over_q(monkeypatch):
     cert = _certificate_m0_320()
-    fields = []
+    calls = []
 
-    def recording(f, d, a, b, precision):
-        fields.append(f.field)
-        return series_root_powers(f, d, a, b, precision)
+    def recording(f, d, a, b, precision, top):
+        calls.append((f.field, top))
+        return series_root_powers(f, d, a, b, precision, top)
 
     series_root_powers = orders._series_root_powers
     monkeypatch.setattr(orders, "_series_root_powers", recording)
     report = verify_certificate(cert, run_oracle=True)
     assert report.passed and report.oracle_order == 320
-    assert fields == [poly._GOOD_FIELDS[0]]
+    assert calls == [(poly._GOOD_FIELDS[0], 1)]  # the pass to m0 solves y^1 only

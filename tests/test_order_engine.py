@@ -2,7 +2,8 @@
 d-th root with the algorithms they replaced.
 
 The references below are the earlier implementations, kept here only as
-oracles: Newton iteration for the series root, and the k-loop that
+oracles: Newton iteration for the series root, the coupled recurrence
+over all d powers of it (in ``paper_checks``), and the k-loop that
 eliminates the truncated expansions of the whole basis afresh for every k
 with ``left_kernel_vector``.  Their expansions are memoized per monomial,
 which changes their cost but not their answers.
@@ -28,8 +29,9 @@ from supertorsion import (
 from supertorsion.errors import BadParameters, MathCheckError, NotSquarefree
 from supertorsion.fields import is_prime
 from supertorsion.orders import left_kernel_vector
+from supertorsion.poly import _series_root_powers
 
-from paper_checks import principality_profile, rr_basis
+from paper_checks import coupled_root_powers, principality_profile, rr_basis
 
 SMALL_PRIMES = [p for p in range(2, 60) if is_prime(p)]
 
@@ -134,6 +136,28 @@ def test_series_root_matches_newton(field):
             # same value types as before: Fractions over Q, residues mod p
             assert [type(c.value) for c in s.coeffs] == \
                    [type(c.value) for c in reference[:precision]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7), GF(13), GF(1009)], ids=repr)
+def test_first_order_powers_match_the_coupled_recurrence(field):
+    """Every power j <= d-1 of the first-order recurrence (mod p^E over F_p)
+    against the coupled one, to precision up to 45, so p < precision over
+    the small fields; d odd over F_2."""
+    rng, p = random.Random(f"powers:{field!r}"), field.characteristic()
+    for _ in range(40 if p else 12):
+        d = rng.choice([d for d in range(2, 9) if not p or d % p])
+        precision, n = rng.randint(1, 45), rng.randint(d + 1, 12)
+        if p:
+            center, y0 = field(rng.randrange(p)), field(rng.randrange(1, p))
+            f = Poly(field, [rng.randrange(p) for _ in range(n)] + [1])
+        else:
+            center = field(rng.choice((0, 1, (1, 2), (-2, 3))))
+            y0 = field(rng.choice((1, -3, (5, 2), (-1, 3))))
+            f = Poly(field, [(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)] + [1])
+        f = f + (y0 ** d - f(center))
+        powers, scale = _series_root_powers(f, d, center, y0, precision, d - 1)
+        reference, ref_scale = coupled_root_powers(f, d, center, y0, precision)
+        assert (powers, scale) == (reference[:d], ref_scale), (d, precision, f)
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,12 @@ def test_point_entries_reject_points_off_the_curve():
 
 
 def _record_series(monkeypatch):
-    """The (field, precision) of every ``_series_root_powers`` call."""
+    """The (field, precision, top power) of every ``_series_root_powers`` call."""
     calls = []
 
-    def recording(f, d, a, b, precision):
-        calls.append((f.field, precision))
-        return series_root_powers(f, d, a, b, precision)
+    def recording(f, d, a, b, precision, top):
+        calls.append((f.field, precision, top))
+        return series_root_powers(f, d, a, b, precision, top)
 
     series_root_powers = orders._series_root_powers
     monkeypatch.setattr(orders, "_series_root_powers", recording)
@@ -309,7 +309,7 @@ def test_rr_precision_does_not_grow_with_max_k(monkeypatch):
     curve = SuperellipticCurve(F, 2, Poly(F, (1, 0, 0, 1)))
     calls = _record_series(monkeypatch)
     assert order_of_class(curve, (F(0), F(1)), 10 ** 5) == 3
-    assert calls == [(F, curve.params.m0 + 2)]
+    assert calls == [(F, curve.params.m0 + 2, 1)]
 
 
 def test_rr_doubles_its_bound_only_while_no_order_is_found(monkeypatch):
@@ -319,13 +319,13 @@ def test_rr_doubles_its_bound_only_while_no_order_is_found(monkeypatch):
     curve = SuperellipticCurve(F, 2, Poly(F, (7, 0, 0, 1)))
     assert order_of_class(curve, (F(6), F(18)), 100) == 17 == elliptic_order(
         curve, (F(6), F(18)), 100)
-    assert calls == [(F, 6), (F, 10), (F, 18), (F, 34)]
+    assert calls == [(F, 6, 1), (F, 10, 1), (F, 18, 1), (F, 34, 1)]
     calls.clear()
     assert order_of_class(curve, (F(6), F(18)), 12) is None
-    assert calls == [(F, 6), (F, 10), (F, 14)]
+    assert calls == [(F, 6, 1), (F, 10, 1), (F, 14, 1)]
     calls.clear()
     assert order_of_class(curve, (F(6), F(18)), 8) is None  # max_k = 2*m0
-    assert calls == [(F, 6), (F, 10)]
+    assert calls == [(F, 6, 1), (F, 10, 1)]
 
 
 @pytest.mark.parametrize("n,d,field", [(4, 3, QQ), (3, 2, QQ), (13, 4, QQ), (7, 4, GF(29)),
@@ -340,4 +340,5 @@ def test_verify_oracle_solves_the_series_once_at_m0_plus_2(monkeypatch, n, d, fi
         cert = family_slack1(n, d, field(2), field(-3))[0]
     report = verify_certificate(cert, run_oracle=True)
     assert report.passed and report.oracle_order == m0
-    assert calls == [(poly._GOOD_FIELDS[0] if field == QQ else field, m0 + 2)]
+    # the pass to m0 solves y^1 only: m0 < n + d <= 2n
+    assert calls == [(poly._GOOD_FIELDS[0] if field == QQ else field, m0 + 2, 1)]

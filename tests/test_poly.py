@@ -356,8 +356,11 @@ def kernel_cases(field, rng):
     return polys, points
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(1009)], ids=repr)
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(1009), GF(1073741789)], ids=repr)
 def test_mul_pow_shift_match_reference_kernels(field):
+    """Products, shifts and evaluations; and powers to e = 40, so the packed
+    product of ``_pow_ints`` meets signed numerators over Q, residues near
+    2^30, and the empty and linear F (the binomial branch)."""
     rng = random.Random(f"kernels:{field!r}")
     polys, points = kernel_cases(field, rng)
     for f in polys:
@@ -366,7 +369,7 @@ def test_mul_pow_shift_match_reference_kernels(field):
             assert h == reference_mul(f, g), (f, g)
             assert_canonical(h)
         expected = Poly.one(field)
-        for e in range(12):
+        for e in range(41):
             assert f ** e == expected, (f, e)
             assert_canonical(f ** e)
             expected = reference_mul(expected, f)

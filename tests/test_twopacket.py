@@ -413,6 +413,31 @@ def test_bad_lambda_roots_taken_once_per_sieve_factor(n, monkeypatch):
     assert len(calls) <= 3 and all(f in factors for f in calls)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_bad_lambda_set_takes_no_square_root_on_a_sieve(n, monkeypatch):
+    # Q(x0, lam) has the square discriminant 4 (1 + x0)^(n+1) at every root
+    # x0 of the sieve, so its roots need no nth_root; the sieve is split by a
+    # brute-force root scan here, so every nth_root call would be the set's own
+    cases = [two_packet(F, n, I, C) for F in (GF(13), GF(37), GF(61))
+             for I in list(combinations(F.roots_of_unity(n + 1), (n + 1) // 2))[:4]
+             for C in (1, 3)]
+    cases = [(pk, bad_lambda_set(pk)) for pk in cases if twopacket._sieve(pk) is not None]
+    assert len(cases) >= 10
+    calls = []
+    nth_root = type(GF(13)).nth_root
+
+    def counting(self, x, k):
+        calls.append((x, k))
+        return nth_root(self, x, k)
+
+    monkeypatch.setattr(type(GF(13)), "nth_root", counting)
+    monkeypatch.setattr(twopacket, "roots_in_field",
+                        lambda f: tuple(f.field(x) for x in range(f.field.p) if f(x).is_zero()))
+    for pk, expected in cases:
+        assert bad_lambda_set(pk) == expected, (pk.field, pk.I, pk.C)
+    assert calls == []
+
+
 def test_degenerate_bad_lambda_set_refused_above_the_scan_bound():
     # {0, 2} alternates mu_4: the eliminant vanishes identically, and at
     # p = 65537 > 2^16 listing the set would scan every abscissa

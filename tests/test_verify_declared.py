@@ -15,7 +15,11 @@ from pathlib import Path
 import pytest
 
 from supertorsion import GF, QQ, Poly, cli, serialize
-from supertorsion.certificates import assemble_certificate, build_certificate
+from supertorsion.certificates import (
+    assemble_certificate,
+    build_certificate,
+    normalize_certificate,
+)
 from supertorsion.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, dispatch
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -181,6 +185,12 @@ def _failing_q_cert():
     return json.dumps(serialize.certificate_to_json(cert._replace(f=cert.f + x_minus_1 ** 2)))
 
 
+def _shifted_q_cert():
+    # the (3, 2) certificate at a = 1, B = 2, q = 1 + 3x: normalize moves a and v(a)
+    return json.dumps(serialize.certificate_to_json(
+        build_certificate(3, 2, QQ(1), QQ(2), Poly(QQ, (1, 3)))))
+
+
 ONE_PROOF = {
     "verify over F_p": (lambda: ["verify", "--oracle", "--cert", cert_doc(GF(13))], EXIT_OK,
                         [("normal form", GF(13))]),
@@ -195,6 +205,11 @@ ONE_PROOF = {
         [("generic", QQ)]),
     "construct": (lambda: ["construct", "--n", "3", "--d", "2", "--a", "1", "--B", "2",
                            "--q", "1,3"], EXIT_OK, [("normal form", QQ)]),
+    # verify proves f; the normalized f, a shift and unit scaling of it, is not proven again
+    "normalize over F_p": (lambda: ["normalize", "--cert", cert_doc(GF(13), q=(3, 1))], EXIT_OK,
+                           [("normal form", GF(13))]),
+    "normalize over Q": (lambda: ["normalize", "--cert", _shifted_q_cert()], EXIT_OK,
+                         [("normal form", GF(1073741789))]),
     # the curve that family_slack1 proves is the one the chord/tangent oracle uses
     "elliptic4 build": (lambda: ["elliptic4", "build", "--B", "1", "--B1", "1"], EXIT_OK,
                         [("normal form", QQ)]),
@@ -209,3 +224,14 @@ def test_each_path_proves_f_squarefree_once(capsys, monkeypatch, path):
     assert dispatch(argv) == code
     capsys.readouterr()
     assert proofs == expected
+
+
+@pytest.mark.parametrize("doc", [lambda: cert_doc(GF(13), q=(3, 1)), _shifted_q_cert],
+                         ids=["F13", "Q"])
+def test_normalize_prints_the_certificate_that_normalize_certificate_builds(capsys, doc):
+    doc = doc()
+    norm = normalize_certificate(serialize.certificate_from_json(json.loads(doc)))
+    expected = {**serialize.certificate_to_json(norm), "b_tilde": serialize.elem_to_str(norm.B)}
+    code, out, err = run(capsys, "normalize", "--cert", doc)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
