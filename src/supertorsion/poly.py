@@ -283,13 +283,13 @@ def _shift_ints(field, ints, A, s):
     gives H(x + A) for H_i = F_i * s^(n-i), and G_k = s^k * (H(x + A))_k."""
     if not A:
         return list(ints), 1
-    red = field.reduce
+    p, g = field.characteristic(), []
     n = max(len(ints) - 1, 0)
     if s != 1:
         ints = [c * s ** (n - i) for i, c in enumerate(ints)]
-    g = []
-    for c in reversed(ints):  # g <- g*(x + A) + c
-        g = [red(A * u + v) for u, v in zip(g + [0], [c] + g)]
+    for c in reversed(ints):  # g <- g*(x + A) + c, reduced mod p over F_p only
+        g = ([(A * u + v) % p for u, v in zip(g + [0], [c] + g)] if p else
+             [A * u + v for u, v in zip(g + [0], [c] + g)])
     if s == 1:
         return g, 1
     return [c * s ** k for k, c in enumerate(g)], s ** n

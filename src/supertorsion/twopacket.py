@@ -24,7 +24,8 @@ complementary subsets: ut(-lam) = -ut(lam), and swapping I with its
 complement at -1/lam keeps ut and negates vt.
 
 Only finitely many lam make x^(n+1) - ut^2 non-squarefree; ``bad_lambda_set``
-assembles that exclusion set from the multiple-root analysis, and
+assembles that exclusion set from the multiple-root analysis, whose quadratics
+in lam all have square discriminants and go through one solver, and
 ``confirmed_bad_lambdas`` recomputes it independently: an exact squarefree
 test of each lam that a resultant in lam of the factor x^ell0 - ut leaves as
 a candidate, or of every unit when p is too small for that resultant.
@@ -38,9 +39,8 @@ are checked by the test suite; the package does not compute them.
 
 from __future__ import annotations
 
-from itertools import combinations, islice, zip_longest
+from itertools import combinations, islice, repeat, zip_longest
 from math import comb
-from operator import mul
 from typing import NamedTuple
 
 from .curves import SuperellipticCurve, torsion_params
@@ -51,8 +51,8 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import Field, FieldElement, PrimeField
-from .poly import (Poly, _convolve, _quadratic_roots, _resultant_values, interpolate,
-                   is_squarefree, roots_in_field)
+from .poly import (Poly, _convolve, _resultant_values, interpolate, is_squarefree,
+                   roots_in_field)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +157,15 @@ class TwoPacket(NamedTuple):
 
     def normalizing_lambdas(self):
         """The lam with leading(ut) = +-1, i.e. the only lam for which
-        x^(n+1) - ut^2 has degree n.  At most four values."""
-        p, ell0, out = self.field.p, self.ell0, []
+        x^(n+1) - ut^2 has degree n: the roots of a lam^2 -+ 2 C^ell0 lam - b,
+        a and b the x^ell0 coefficients of H_I, H_comp.  As a*b = 1 - C^(n+1),
+        the discriminant is 4, so lam = (+-C^ell0 +- 1)/a, or -+b/(2 C^ell0)
+        when a = 0: at most four values."""
+        p, ell0, cl = self.field.p, self.ell0, self.cl.value
         # a is 0 when the H_I factor for eps with C*eps = 1 dropped degree
-        a, b, two_cl = self.hi[ell0].value, self.hc[ell0].value, (2 * self.cl).value
-        for target in (two_cl, p - two_cl):
-            # lam*a - (1/lam)*b = target  <=>  a*lam^2 - target*lam - b = 0
-            for lam in map(self.field, _quadratic_roots(a, p - target, -b % p, self.field)):
-                if lam and lam not in out:
-                    out.append(lam)
-        return tuple(out)
+        a, b = self.hi[ell0].value, self.hc[ell0].value
+        nums, inv = (cl + 1, cl - 1, 1 - cl, -cl - 1) if a else (-b, b), pow(a or 2 * cl, -1, p)
+        return tuple(self.field(lam) for lam in dict.fromkeys(v * inv % p for v in nums) if lam)
 
 
 def two_packet(field, n: int, I, C) -> TwoPacket:
@@ -251,19 +250,22 @@ class PacketFamily(NamedTuple):
 
 
 def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
-    """The family u = B1*ut, v = B2*vt of one packet and lam, for square
-    roots B1, B2 of A1, A2 (all four are 1 in the equal case), checked on
-    residues.  When a root is missing, it falls back to the normalized model
+    """The family u = B1*ut, v = B2*vt of one packet and lam, for the
+    smallest square roots B1, B2 of A1, A2 (all four are 1 in the equal case),
+    checked on residues.  A1 = (C^ell0)^2 A2, so one square root gives both,
+    and when A2 has none (nor has A1), it falls back to the normalized model
     f = x^(n+1) - ut^2 (A1 = 1, A2 = C^-(n+1)), whose roots always exist."""
     field, n, p, one = pk.field, pk.n, pk.field.p, pk.field.one
     lam = field(lam)
     ut, vt = pk._values(lam, sign)
     B1, B2, twisted = one, one, False
     if (A1, A2) != (one, one):
-        B1, B2 = field.nth_root(A1, 2), field.nth_root(A2, 2)
-        if B1 is None or B2 is None:
+        B2 = field.nth_root(A2, 2)
+        if B2 is None:
             cl_inv = pk.cl.inverse()
             A1, A2, B1, B2, twisted = one, cl_inv * cl_inv, one, cl_inv, True
+        else:
+            B1 = field(min(pk.cl.value * B2.value % p, -pk.cl.value * B2.value % p))
     u, v = [B1.value * c % p for c in ut], [B2.value * c % p for c in vt]
     # f = A1 (x^(n+1) - ut^2) = A1 x^(n+1) - u^2, as B1^2 = A1 in every branch;
     # checked against A2 (x+1)^(n+1) - v^2, both n + 2 long
@@ -394,71 +396,78 @@ def bad_lambda_set(pk: TwoPacket) -> frozenset:
       under negation.
 
     The result is a deliberate superset of the truly bad values; compare with
-    ``confirmed_bad_lambdas``.  When the eliminant vanishes identically the
-    analysis localizes nothing and every abscissa is scanned (``_scan_roots``),
-    for p <= 2^16.  ``_q_roots`` solves each Q(x0, lam) with no square root.
+    ``confirmed_bad_lambdas``.  ``_q_roots`` solves Q at the roots of
+    ``_sieve``, or, when the eliminant vanishes identically and the analysis
+    localizes nothing, at every abscissa, for p <= 2^16.
     """
-    sieve, field, p = _sieve(pk), pk.field, pk.field.p
-    if sieve is None:
-        if p > 2 ** 16:  # about p/2 candidates
-            raise BadParameters(f"the eliminant vanishes identically for I = {pk.I!r}, so "
-                                f"about p/2 lambda are candidates: listed for p <= {2 ** 16}, "
-                                f"not p = {p}")
-        bad = _scan_roots(pk)
-    else:
-        rows = list(_q_coefficients(pk, sieve))
-        inv = {v: pow(v, -1, p) for a, u, _, _ in rows for v in (a, 2 * u % p) if v}
-        bad = _q_roots(rows, inv, p)
-    bad.add(1)
-    return frozenset(field(lam) for lam in bad | {p - lam for lam in bad} if lam % p)
+    sieve, p = _sieve(pk), pk.field.p
+    if sieve is None and p > 2 ** 16:  # about p/2 candidates
+        raise BadParameters(f"the eliminant vanishes identically for I = {pk.I!r}, so "
+                            f"about p/2 lambda are candidates: listed for p <= {2 ** 16}, "
+                            f"not p = {p}")
+    return _q_roots(pk, range(p) if sieve is None else
+                    {r.value for s in sieve for r in roots_in_field(s)})
 
 
-def _q_roots(rows, inv, p: int) -> set:
-    """The roots lam in F_p of Q(x0, lam) = a lam^2 - 2u lam - c for each row
-    (a, u, c, w) = (H_I(x0), C^ell0 x0^ell0, H_comp(x0), (1 + x0)^ell0), inv[v] = 1/v:
-    H_I H_comp = (1 + x)^(n+1) - (C x)^(n+1) makes the discriminant (2w)^2, so
-    no square root: (u +- w)/a, or -c/(2u) for a = 0 (u != 0 as H_I(0) = 1)."""
-    bad = set()
-    for a, u, c, w in rows:
-        if a:
-            bad.update(((u + w) * (a := inv[a]) % p, (u - w) * a % p))
-        else:
-            bad.add(-c * inv[2 * u % p] % p)
-    return bad
-
-
-def _scan_roots(pk: TwoPacket) -> set:
-    """``_q_roots`` at every x0 of F_p: H_I, H_comp and t(x) = x^ell0 (so
-    w = t(x0 + 1)) by Horner over all x0 at once, inv[i] = -(p // i) inv[p % i]."""
-    p, cl = pk.field.p, pk.cl.value
+def _q_roots(pk: TwoPacket, xs) -> frozenset:
+    """The roots lam in F_p of Q(x0, lam) = a lam^2 - 2u lam - c at the residues
+    x0 in xs (a = H_I(x0), u = C^ell0 x0^ell0, c = H_comp(x0)), with 1, closed
+    under negation, without 0.  The discriminant is (2w)^2, w = (1 + x0)^ell0, as
+    H_I H_comp = (1 + x)^(n+1) - (C x)^(n+1): the roots are (u +- w)/a, or
+    -c/(2u) for a = 0 (u != 0 as H_I(0) = 1), evaluated over all of xs at once
+    with every denominator inverted by one ``_batch_inverse``."""
+    p, ell0, cl, xs = pk.field.p, pk.ell0, pk.cl.value, list(xs)
 
     def horner(coeffs):
-        values = [0] * p
-        for c in reversed(coeffs):
-            values = [(v * x + c) % p for v, x in zip(values, range(p))]
+        values = [coeffs[-1]] * len(xs)
+        for c in reversed(coeffs[:-1]):
+            values = [(v * x + c) % p for v, x in zip(values, xs)]
         return values
 
-    inv = [0, 1]
-    for i in range(2, p):
-        inv.append(-(p // i) * inv[p % i] % p)
-    t = horner([0] * pk.ell0 + [1])
-    return _q_roots(zip(horner(pk.hi.values), map(cl.__mul__, t), horner(pk.hc.values),
-                        t[1:] + t[:1]), inv, p)
+    a, c = horner(pk.hi.values), horner(pk.hc.values)
+    u = [cl * t % p for t in map(pow, xs, repeat(ell0), repeat(p))]
+    w = map(pow, [x + 1 for x in xs], repeat(ell0), repeat(p))
+    bad = {1}
+    for ai, ui, ci, wi, inv in zip(a, u, c, w, _batch_inverse(
+            [ai or 2 * ui for ai, ui in zip(a, u)], p)):
+        if ai:
+            bad.add((ui + wi) * inv % p)
+            bad.add((ui - wi) * inv % p)
+        else:
+            bad.add(-ci * inv % p)
+    return frozenset(pk.field(lam) for lam in bad | {p - lam for lam in bad} if lam % p)
+
+
+def _batch_inverse(values, p: int) -> list:
+    """[pow(v, -1, p) for v in values], for units v mod p, from one ``pow``:
+    with prefix products P_k = v_0 ... v_(k-1), 1/v_k = P_k / P_(k+1)
+    (Montgomery's simultaneous inversion, Math. Comp. 48, 1987)."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
+    inv, out = pow(prefix.pop(), -1, p), []
+    for v, P in zip(reversed(values), reversed(prefix)):  # inv = 1/P_(k+1)
+        out.append(P * inv % p)
+        inv = inv * v % p
+    return out[::-1]
 
 
 def bad_lambda_members(pk: TwoPacket, lams) -> frozenset:
-    """The lams in ``bad_lambda_set(pk)``, found in polylog(p) without
-    building that set.  Apart from +-1, a lam != 0 is in it iff
+    """The lams in ``bad_lambda_set(pk)``, found in polylog(p).  With a
+    ``_sieve``, that set is built from its roots, found once.  When the
+    eliminant vanishes, apart from +-1 a lam != 0 is in it iff
     R = Q(x, lam) Q(x, -lam) = (lam^2 H_I - H_comp)^2 - 4 C^(2 ell0) lam^2 x^(n+1),
-    nonzero at x = 0, has a root in F_p that the analysis draws lambdas from:
-    a root of ``_sieve``, found once, or any root if the eliminant vanishes."""
-    sieve, field, p, out = _sieve(pk), pk.field, pk.field.p, set()
-    qs = None if sieve is None else list(_q_coefficients(pk, sieve))
+    nonzero at x = 0, has a root in F_p: one ``roots_in_field`` per lam."""
+    sieve, field, p = _sieve(pk), pk.field, pk.field.p
+    if sieve is not None:
+        xs = {r.value for s in sieve for r in roots_in_field(s)}
+        return _q_roots(pk, xs).intersection(map(field, lams))
+    out = set()
     for lam in map(field, lams):
         m = lam.value ** 2 % p  # lam^2: 1 for lam = +-1, 0 for lam = 0
-        if m == 1 or m and (any(((a * m - c) ** 2 - 4 * u * u * m) % p == 0 for a, u, c, _ in qs)
-                            if qs is not None else roots_in_field((pk.hi * m - pk.hc) ** 2
-                            - Poly.monomial(field, pk.n + 1, 4 * pk.cl.value ** 2 * m))):
+        if m == 1 or m and roots_in_field((pk.hi * m - pk.hc) ** 2
+                                          - Poly.monomial(field, pk.n + 1,
+                                                          4 * pk.cl.value ** 2 * m)):
             out.add(lam)
     return frozenset(out)
 
@@ -477,16 +486,6 @@ def _sieve(pk: TwoPacket):
     eliminant = [red(u - v) for u, v in zip_longest(
         [0] * (n - 1) + [four_c * c for c in bcbi], _convolve(wh, wh, 2 * m - 1), fillvalue=0)]
     return (Poly._from_values(pk.field, eliminant), bi, bc) if any(eliminant) else None
-
-
-def _q_coefficients(pk: TwoPacket, sieve):
-    """The rows of ``_q_roots``, as residues, at the roots x0 of the factors
-    of ``sieve``, each split once."""
-    p, ell0, cl = pk.field.p, pk.ell0, pk.cl.value
-    for x0 in {r.value for s in sieve for r in roots_in_field(s)}:
-        powers = [pow(x0, i, p) for i in range(ell0 + 1)]  # deg H_I, deg H_comp <= ell0
-        yield (sum(map(mul, pk.hi.values, powers)) % p, cl * powers[ell0] % p,
-               sum(map(mul, pk.hc.values, powers)) % p, pow(x0 + 1, ell0, p))
 
 
 def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:

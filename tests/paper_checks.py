@@ -8,7 +8,8 @@ references:
   the degree-2 Wronskian triple of a built packet family, and the packet
   shapes (ut, vt) as polynomials;
 * the bad lambda set of a packet whose eliminant vanishes identically,
-  one abscissa at a time;
+  one abscissa at a time, and its normalizing lambdas, each by a modular
+  square root;
 * moving two packet abscissas to 0 and -1 by an affine change of x;
 * the Riemann-Roch basis of functions with poles only at O, and its
   dimension as a count of the semigroup <d, n>;
@@ -152,11 +153,26 @@ def reference_degenerate_bad_lambdas(pk):
     """``bad_lambda_set`` of a packet whose eliminant vanishes identically,
     one abscissa at a time: the roots in lam of Q(x0, lam) at every x0, each
     solved by ``_quadratic_roots`` (a modular square root and inverse per
-    x0), with 1, closed under negation and without 0."""
+    x0), with 1, closed under negation and without 0.  On any other packet,
+    the same union over every abscissa, not only the sieve's."""
     field, p = pk.field, pk.field.p
     bad = {1}.union(*(_quadratic_roots(a, -b % p, -c % p, field)
                       for a, b, c in q_coefficients_everywhere(pk)))
     return frozenset(field(lam) for lam in bad | {p - lam for lam in bad} if lam % p)
+
+
+def reference_normalizing_lambdas(pk):
+    """The lam with a lam^2 -+ 2 C^ell0 lam - b = 0 for the x^ell0
+    coefficients a, b of H_I and H_comp, in order: the roots of the "-"
+    equation, then of the "+" one, each pair solved by ``_quadratic_roots``
+    (a modular square root), without 0 and repeats."""
+    field, p, ell0, out = pk.field, pk.field.p, pk.ell0, []
+    a, b, two_cl = pk.hi[ell0].value, pk.hc[ell0].value, 2 * pk.cl.value % p
+    for target in (two_cl, p - two_cl):
+        for lam in _quadratic_roots(a, p - target, -b % p, field):
+            if lam and field(lam) not in out:
+                out.append(field(lam))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -230,8 +230,8 @@ def test_every_public_name_in_src_is_reached():
 
 #: every loop of src/ over a whole prime field, keyed by module and by
 #: top-level function or Class.method, with the reason its cost is not a
-#: hidden O(p): a for or comprehension over range(...) of p or .p, or a
-#: .units() call
+#: hidden O(p): a for or comprehension over range(...) of p or .p, such a
+#: range passed to a call (which may loop over it), or a .units() call
 WHOLE_FIELD_LOOPS = {
     "fields.PrimeField.units": "the API itself: its callers ask for every unit",
     "fields.PrimeField._element_of_order": "expected O(1) tries: c^((p-1)/m) has order m "
@@ -240,8 +240,8 @@ WHOLE_FIELD_LOOPS = {
                           " - 1, g) splits g for about half of the a",
     "twopacket._candidate_lambdas": "its first 2n+1 units, and every unit only when "
                                     "p < 2n+4 or R vanishes identically",
-    "twopacket._scan_roots": "the degenerate bad-lambda listing of about p/2 values, "
-                             "refused above the 2^16 guard",
+    "twopacket.bad_lambda_set": "the degenerate bad-lambda listing of about p/2 values, "
+                                "refused above the 2^16 guard",
 }
 
 
@@ -260,13 +260,17 @@ def _scopes(tree):
 
 def _loops_over_the_field(node):
     if isinstance(node, ast.Call):
-        return getattr(node.func, "attr", None) == "units"
-    if not isinstance(node, (ast.For, ast.comprehension)):
+        if getattr(node.func, "attr", None) == "units":
+            return True
+        iters = node.args + [keyword.value for keyword in node.keywords]
+    elif isinstance(node, (ast.For, ast.comprehension)):
+        iters = [node.iter]
+    else:
         return False
     return any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "range"
                and any(getattr(name, "id", getattr(name, "attr", None)) == "p"
                        for arg in call.args for name in ast.walk(arg))
-               for call in ast.walk(node.iter))
+               for it in iters for call in ast.walk(it))
 
 
 def test_every_whole_field_loop_is_listed():

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from supertorsion import twopacket
+from supertorsion import poly, twopacket
 from supertorsion import (
     GF,
     QQ,
@@ -44,6 +44,7 @@ from paper_checks import (
     packet_wronskian_triple,
     q_coefficients_everywhere,
     reference_degenerate_bad_lambdas,
+    reference_normalizing_lambdas,
     shift_points_to_0_minus1,
     wronskian3,
     wronskian_degree_audit,
@@ -270,6 +271,42 @@ def test_general_case_build_and_twist():
     assert fam2.f.degree == 3
 
 
+def test_general_case_takes_one_square_root(monkeypatch):
+    # A1 = (C^ell0)^2 A2, so B1 = +-C^ell0 B2: one square root still gives the
+    # smallest roots B1, B2, and the twist exactly when A2 is a non-square
+    nth_root, calls, branches = type(GF(13)).nth_root, [], Counter()
+
+    def counting(self, x, k):
+        calls.append((x, k))
+        return nth_root(self, x, k)
+
+    monkeypatch.setattr(type(GF(13)), "nth_root", counting)
+    for p in (13, 29, 41):
+        F = GF(p)
+        for C, A2, I in ((C, F(A2), I) for C in (2, 3, p - 2) for A2 in (1, 2, 3, 5, 7)
+                         for I in combinations(F.roots_of_unity(4), 2)):
+            pk = two_packet(F, 3, I, C)
+            A1 = pk.cl * pk.cl * A2
+            if A1 == A2:
+                continue
+            for lam in pk.normalizing_lambdas():
+                calls.clear()
+                try:
+                    fam = build_two_packet_general(pk, lam, A1, A2)
+                except (NotSquarefree, DegreeNotNormalized):  # f = 0 at some lam
+                    fam = None
+                assert len(calls) == 1
+                if fam is None:
+                    continue
+                roots = nth_root(F, A1, 2), nth_root(F, A2, 2)
+                if fam.twisted:
+                    assert roots == (None, None), (p, C, A2, I, lam)
+                else:
+                    assert (fam.B1, fam.B2) == roots, (p, C, A2, I, lam)
+                branches[fam.twisted] += 1
+    assert set(branches) == {False, True}
+
+
 def test_general_case_requires_root_of_unity_structure():
     F = GF(5)
     with pytest.raises(BadParameters, match=r"A1/A2 = 4 has no \(n\+1\)-th root in F_5"):
@@ -436,6 +473,74 @@ def test_bad_lambda_set_takes_no_square_root_on_a_sieve(n, monkeypatch):
     for pk, expected in cases:
         assert bad_lambda_set(pk) == expected, (pk.field, pk.I, pk.C)
     assert calls == []
+
+
+# every subset of each grid field, C in {1, 2, p - 1} (p - 1 has
+# C^(n+1) = 1 as n + 1 is even) and a primitive (n+1)-th root of unity;
+# C = 1 leaves H_I without its top term (a = 0) whenever eps = 1 is in I
+def test_normalizing_lambdas_match_the_square_root_solution():
+    branches = Counter()
+    for p, n in ((p, n) for p in (5, 13, 17, 29, 41, 241) for n in (3, 5, 7)
+                 if (p - 1) % (n + 1) == 0):
+        F = GF(p)
+        mu = F.roots_of_unity(n + 1)
+        for I, C in ((I, C) for I in combinations(mu, (n + 1) // 2)
+                     for C in dict.fromkeys((F.one, F(2), F(-1), mu[1]))):
+            pk = two_packet(F, n, I, C)
+            lams = pk.normalizing_lambdas()
+            assert lams == reference_normalizing_lambdas(pk), (p, n, I, C)
+            branches["a = 0" if pk.hi[pk.ell0].is_zero() else len(lams)] += 1
+    assert {"a = 0", 2, 4} <= set(branches), branches
+
+
+def test_normalizing_lambdas_and_degenerate_bad_lambdas_take_no_square_root(monkeypatch):
+    # the normalizing lambdas are in closed form, and the discriminant of
+    # Q(x0, lam) is a square at every abscissa; the sieve case is above
+    cases = [two_packet(F, n, I, C) for F in (GF(13), GF(37), GF(61)) for n in (3, 5)
+             for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2) for C in (1, 3)]
+    expected = [(pk.normalizing_lambdas(), twopacket._sieve(pk) is None and bad_lambda_set(pk))
+                for pk in cases]
+    assert sum(bool(bad) for _, bad in expected) >= 10
+    calls, nth_root, quadratic = [], type(GF(13)).nth_root, poly._quadratic_roots
+
+    def counting(self, x, k):
+        calls.append((x, k))
+        return nth_root(self, x, k)
+
+    def counting_quadratic(*args):
+        calls.append(args)
+        return quadratic(*args)
+
+    monkeypatch.setattr(type(GF(13)), "nth_root", counting)
+    monkeypatch.setattr(poly, "_quadratic_roots", counting_quadratic)
+    assert [(pk.normalizing_lambdas(), twopacket._sieve(pk) is None and bad_lambda_set(pk))
+            for pk in cases] == expected
+    assert calls == [] and not hasattr(twopacket, "_quadratic_roots")
+
+
+def test_batch_inverse_matches_pow():
+    # the denominators of _q_roots may be unreduced, up to 2p
+    rng, p = random.Random(32), 65521
+    values = [v for v in (rng.randrange(1, 2 * p) for _ in range(500)) if v % p]
+    for vs in ([], [7], values):
+        assert twopacket._batch_inverse(vs, p) == [pow(v, -1, p) for v in vs]
+
+
+# the one solver at every abscissa, on packets that have a sieve, against the
+# reference's per-abscissa union, which the degenerate set is checked with
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_q_roots_at_every_abscissa_match_the_per_abscissa_scan(n):
+    count = 0
+    for p in (p for p in range(5, 80) if (p - 1) % (n + 1) == 0
+              and all(p % q for q in range(2, p))):
+        F = GF(p)
+        for I, C in ((I, C) for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2)
+                     for C in sorted({1, 2, p - 1})):
+            pk = two_packet(F, n, I, C)
+            if twopacket._sieve(pk) is not None:
+                assert twopacket._q_roots(pk, range(p)) == reference_degenerate_bad_lambdas(pk)
+                count += 1
+    assert count >= 10
 
 
 def test_degenerate_bad_lambda_set_refused_above_the_scan_bound():
