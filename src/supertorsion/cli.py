@@ -13,28 +13,7 @@ import json
 import re
 import sys
 
-from . import certificates, serialize
-from .certificates import (
-    build_certificate,
-    family_slack0,
-    family_slack1,
-    verify_certificate,
-)
-from .curves import reachability_status
-from .elliptic4 import check_order_structure, from_kubert, to_kubert
 from .errors import DegreeNotNormalized, NotSquarefree, SupertorsionError, UsageError
-from .fields import QQ, Field, PrimeField
-from .orders import cantor_order, elliptic_order, order_of_class
-from .twopacket import (
-    bad_lambda_set,
-    build_two_packet_equal,
-    build_two_packet_general,
-    confirmed_bad_lambdas,
-    ratio_root,
-    sweep_families,
-    two_packet,
-    two_packet_admissible,
-)
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -86,15 +65,17 @@ def _emit(doc):
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _parse_field(spec: str) -> Field:
+def _parse_field(spec: str):
+    from . import fields
+
     spec = spec.strip()
     if spec in ("Q", "QQ"):
-        return QQ
+        return fields.QQ
     # ASCII digits only, as in JSON field specs: int() would also take
     # "1_3", " 13", "+13" and non-ASCII digits
     digits = spec[3:] if spec.startswith("Fp:") else spec[1:]
     if spec.startswith("F") and re.fullmatch(r"[0-9]+", digits):
-        return PrimeField(int(digits))
+        return fields.PrimeField(int(digits))
     raise UsageError(f"unknown field spec {spec!r}; use Q, F<p> or Fp:<p>")
 
 
@@ -108,26 +89,32 @@ def _load_json_arg(text: str):
 
 
 def _cmd_construct(args) -> int:
+    from . import certificates, serialize
+
     field = _parse_field(args.field)
     a, B = (serialize.elem_from_str(field, s) for s in (args.a, args.B))
     q = serialize.poly_from_json(field, [c.strip() for c in args.q.split(",")])
-    cert = build_certificate(args.n, args.d, a, B, q)
+    cert = certificates.build_certificate(args.n, args.d, a, B, q)
     _emit(serialize.certificate_to_json(cert))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from . import certificates, serialize
+
     cert = serialize.certificate_from_json(_load_json_arg(args.cert))
-    report = verify_certificate(cert, run_oracle=args.oracle)
+    report = certificates.verify_certificate(cert, run_oracle=args.oracle)
     _emit(serialize.report_to_json(report))
     return EXIT_OK if report.passed else EXIT_MATH_FAIL
 
 
 def _cmd_normalize(args) -> int:
+    from . import certificates, serialize
+
     cert = serialize.certificate_from_json(_load_json_arg(args.cert))
     # the normal form depends only on (a, B, q), so declared data that
     # fails any check is refused rather than silently replaced
-    failed = [c.name for c in verify_certificate(cert) if not c.passed]
+    failed = [c.name for c in certificates.verify_certificate(cert) if not c.passed]
     if failed:
         raise UsageError(f"invalid certificate: {', '.join(failed)} failed")
     norm = certificates.assemble_certificate(*certificates._normal_parameters(cert))
@@ -138,18 +125,20 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from . import certificates, serialize
+
     if args.kind == "slack0" and (args.B, args.B1) != (None, None):
         raise UsageError("family slack0 takes no --B or --B1")
     if args.kind == "slack1" and None in (args.B, args.B1):
         raise UsageError("family slack1 needs --B and --B1")
     field = _parse_field(args.field)
     if args.kind == "slack0":
-        cert = family_slack0(args.n, args.d, field)
+        cert = certificates.family_slack0(args.n, args.d, field)
         _emit(serialize.certificate_to_json(cert))
         return EXIT_OK
     B = serialize.elem_from_str(field, args.B)
     B1 = serialize.elem_from_str(field, args.B1)
-    cert, point_d, _ = family_slack1(args.n, args.d, B, B1)
+    cert, point_d, _ = certificates.family_slack1(args.n, args.d, B, B1)
     doc = serialize.certificate_to_json(cert)
     doc["order_d_point"] = serialize.point_to_json(point_d)
     _emit(doc)
@@ -157,13 +146,15 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_elliptic4(args) -> int:
+    from . import certificates, elliptic4, serialize
+
     if args.action == "from-kubert":
         if (args.B, args.B1) != (None, None):
             raise UsageError("elliptic4 from-kubert takes no --B or --B1")
         if args.b is None:
             raise UsageError("from-kubert needs --b")
         field = _parse_field(args.field)
-        cert, pmap = from_kubert(serialize.elem_from_str(field, args.b))
+        cert, pmap = elliptic4.from_kubert(serialize.elem_from_str(field, args.b))
         image = pmap(field.zero, field.zero)
         _emit({
             "B": serialize.elem_to_str(cert.B), "B1": serialize.elem_to_str(cert.q[1]),
@@ -179,12 +170,12 @@ def _cmd_elliptic4(args) -> int:
     field = _parse_field(args.field)
     B = serialize.elem_from_str(field, args.B)
     B1 = serialize.elem_from_str(field, args.B1)
-    cert, q2, curve = family_slack1(3, 2, B, B1)
+    cert, q2, curve = certificates.family_slack1(3, 2, B, B1)
     if args.action == "to-kubert":
-        b = to_kubert(cert)
+        b = elliptic4.to_kubert(cert)
         _emit({"b": serialize.elem_to_str(b)})
         return EXIT_OK
-    report = check_order_structure(cert, q2, curve)
+    report = elliptic4.check_order_structure(cert, q2, curve)
     doc = {
         "B": serialize.elem_to_str(B), "B1": serialize.elem_to_str(B1),
         "f": serialize.poly_to_json(cert.f),
@@ -192,23 +183,34 @@ def _cmd_elliptic4(args) -> int:
         "Q2": serialize.point_to_json(q2),
         "order_Q0": report.order_q0, "order_Q2": report.order_q2,
         "doubling_ok": report.doubling_ok, "tangent_ok": report.tangent_ok,
-        "b": serialize.elem_to_str(to_kubert(cert)),
+        "b": serialize.elem_to_str(elliptic4.to_kubert(cert)),
     }
     _emit(doc)
     return EXIT_OK if report.passed else EXIT_MATH_FAIL
 
 
+#: the largest explicit --max-k of each order backend.  The search grows with
+#: max_k itself, not its bit size; each cap takes about 2 s in-process at (0, 1)
+#: on y^2 = x^5 + x + 1 (rr, cantor) or x^3 + x + 1 (elliptic) mod 1073741789
+MAX_K_BUDGET = {"rr": 380, "cantor": 10_000, "elliptic": 100_000}
+
+
 def _cmd_order(args) -> int:
+    from . import orders, serialize
+
+    budget = MAX_K_BUDGET[args.backend]
+    if args.max_k is not None and args.max_k > budget:
+        raise UsageError(f"--max-k {args.max_k} is above the {args.backend} backend's "
+                         f"budget of {budget}: its search grows with max_k")
     curve = serialize.curve_from_json(_load_json_arg(args.curve))
     coords = args.point.split(",")
     if len(coords) != 2:
         raise UsageError("point must be x,y")
     point = [serialize.elem_from_str(curve.field, c.strip()) for c in coords]
     max_k = 2 * curve.params.m0 if args.max_k is None else args.max_k
-    # the oracle checks the point, then max_k, then that it applies; the dict
-    # is built per call, so a rebound module-level name (as in a layer trace) is used
-    oracle = {"rr": order_of_class, "cantor": cantor_order,
-              "elliptic": elliptic_order}[args.backend]
+    # the oracle checks the point, then max_k, then that it applies
+    oracle = {"rr": orders.order_of_class, "cantor": orders.cantor_order,
+              "elliptic": orders.elliptic_order}[args.backend]
     order = oracle(curve, point, max_k)
     if order is None:
         _emit({"order": None, "note": f"exceeds max {max_k}"})
@@ -242,6 +244,8 @@ _TWO_PACKET_FLAGS = {
 
 
 def _cmd_two_packet(args) -> int:
+    from . import fields, serialize, twopacket
+
     # flags the action would ignore are refused, not dropped silently
     if args.action != "admissible" and args.d != 2:
         raise UsageError(f"two-packet {args.action} builds d = 2 curves; --d is for admissible")
@@ -250,21 +254,21 @@ def _cmd_two_packet(args) -> int:
             readers = " and ".join((", ".join(users[:-1]), users[-1]) if users[1:] else users)
             raise UsageError(f"two-packet {args.action} takes no {flag}; {flag} is for {readers}")
     if args.action == "admissible":
-        verdict = two_packet_admissible(args.n, args.d)
+        verdict = twopacket.two_packet_admissible(args.n, args.d)
         _emit(serialize.admissibility_to_json(verdict))
         return EXIT_OK
     if args.action == "build" and args.equal and (args.C, args.A1, args.A2) != (None,) * 3:
         raise UsageError("two-packet build --equal takes no --C, --A1 or --A2")
     if args.p is None:
         raise UsageError(f"two-packet {args.action} needs --p")
-    field = PrimeField(args.p)
+    field = fields.PrimeField(args.p)
     if args.action in ("build", "bad-lambdas") and args.I is None:
         raise UsageError(f"two-packet {args.action} needs --I")
     if args.action == "bad-lambdas":
         I = _parse_subset(field, args.n, args.I)
-        pk = two_packet(field, args.n, I,
-                        serialize.elem_from_str(field, args.C if args.C is not None else "1"))
-        bad, confirmed = bad_lambda_set(pk), confirmed_bad_lambdas(pk)
+        C = serialize.elem_from_str(field, args.C if args.C is not None else "1")
+        pk = twopacket.two_packet(field, args.n, I, C)
+        bad, confirmed = twopacket.bad_lambda_set(pk), twopacket.confirmed_bad_lambdas(pk)
         _emit({"candidate_bad": sorted(x.value for x in bad),
                "confirmed_bad": sorted(x.value for x in confirmed),
                "contained": confirmed <= bad})
@@ -276,23 +280,24 @@ def _cmd_two_packet(args) -> int:
         lam = serialize.elem_from_str(field, getattr(args, "lambda"))
         try:
             if args.equal:
-                fam = build_two_packet_equal(two_packet(field, args.n, I, field.one), lam,
-                                             sign=args.sign)
+                pk = twopacket.two_packet(field, args.n, I, field.one)
+                fam = twopacket.build_two_packet_equal(pk, lam, sign=args.sign)
             else:
                 if args.A1 is None or args.A2 is None:
                     raise UsageError("two-packet build needs --A1/--A2 or --equal")
                 C = None if args.C is None else serialize.elem_from_str(field, args.C)
                 A1 = serialize.elem_from_str(field, args.A1)
                 A2 = serialize.elem_from_str(field, args.A2)
-                pk = two_packet(field, args.n, I, ratio_root(args.n, A1, A2) if C is None else C)
-                fam = build_two_packet_general(pk, lam, A1, A2, sign=args.sign)
+                C = twopacket.ratio_root(args.n, A1, A2) if C is None else C
+                pk = twopacket.two_packet(field, args.n, I, C)
+                fam = twopacket.build_two_packet_general(pk, lam, A1, A2, sign=args.sign)
         except (NotSquarefree, DegreeNotNormalized) as e:
             _emit({"error": type(e).__name__, "detail": str(e)})
             return EXIT_MATH_FAIL
         _emit(serialize.packet_family_to_json(fam))
         return EXIT_OK
     built = 0
-    for fam, bad in sweep_families(field, args.n, args.C.split(",") if args.C else (1,)):
+    for fam, bad in twopacket.sweep_families(field, args.n, args.C.split(",") if args.C else (1,)):
         doc = serialize.packet_family_to_json(fam)
         doc["candidate_bad"] = bad
         _emit(doc)
@@ -302,7 +307,9 @@ def _cmd_two_packet(args) -> int:
 
 
 def _cmd_reachability(args) -> int:
-    report = reachability_status(args.n, args.d, args.m, args.char)
+    from . import curves
+
+    report = curves.reachability_status(args.n, args.d, args.m, args.char)
     _emit({
         "n": args.n, "d": args.d, "m": args.m, "char": args.char,
         "status": report.status.value, "reason": report.reason,

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import orders
 from .certificates import TorsionCertificate, family_slack1
 from .curves import AffinePoint, SuperellipticCurve, _check_char
 from .errors import BadParameters
 from .fields import FieldElement
-from .orders import elliptic_add, elliptic_order
 from .poly import Poly
 
 
@@ -46,9 +46,9 @@ def check_order_structure(cert: TorsionCertificate, q2: AffinePoint,
     if curve.f != cert.f:
         raise BadParameters("curve is not y^2 = f of the certificate")
     q0, B1 = cert.point(), cert.q[1]
-    order_q0 = elliptic_order(curve, q0, 8)
-    order_q2 = elliptic_order(curve, q2, 8)
-    doubled = elliptic_add(curve, q0, q0)
+    order_q0 = orders.elliptic_order(curve, q0, 8)
+    order_q2 = orders.elliptic_order(curve, q2, 8)
+    doubled = orders.elliptic_add(curve, q0, q0)
     doubling_ok = doubled == q2
     # tangent slope at Q0 is f'(0)/2 = B1, and Q2 lies on y = B1 x + 1
     slope = cert.f.derivative()(cert.field.zero) / cert.field(2)

@@ -3,19 +3,18 @@
 Conventions: rationals as "num/den" strings (plain "num" when integral),
 prime-field elements as decimal residue strings, polynomial coefficient
 arrays ascending by degree, field specs as {"kind": "Q"} or
-{"kind": "Fp", "p": <int>}.
+{"kind": "Fp", "p": <int>}.  The certificate and packet classes are named in
+annotations only, never imported, so `order` and `two-packet` load neither.
 """
 
 from __future__ import annotations
 
 import re
 
-from .certificates import TorsionCertificate, VerificationReport, assemble_certificate
 from .curves import AffinePoint, SuperellipticCurve
 from .errors import BadParameters, SupertorsionError
 from .fields import QQ, Field, FieldElement, PrimeField
 from .poly import Poly
-from .twopacket import AdmissibilityVerdict, PacketFamily
 
 
 def field_to_json(field: Field) -> dict:
@@ -104,6 +103,8 @@ def certificate_from_json(doc) -> TorsionCertificate:
     taken as declared, and assembled from (a, B, q) only when absent.
     Whether they agree with (a, B, q), and whether f is squarefree, is for
     ``verify_certificate`` to report."""
+    from .certificates import assemble_certificate
+
     _need_keys(doc, ("n", "d", "field", "a", "B", "q"), "certificate")
     field = field_from_json(doc["field"])
     n, d = _int_from_json(doc, "n"), _int_from_json(doc, "d")

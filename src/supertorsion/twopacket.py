@@ -50,9 +50,9 @@ from .errors import (
     NotSquarefree,
     UnsupportedField,
 )
+from . import poly
 from .fields import Field, FieldElement, PrimeField
-from .poly import (Poly, _convolve, _resultant_values, interpolate, is_squarefree,
-                   roots_in_field)
+from .poly import Poly, _convolve, _resultant_values, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
             f"lambda = {lam!r} leaves deg f = {f.degree}, not n = {n}; "
             f"normalizing lambdas: {pk.normalizing_lambdas()!r}",
             lam=lam, polynomial=f)
-    if not is_squarefree(f):
+    if not poly.is_squarefree(f):
         raise NotSquarefree(f"bad lambda = {lam!r}: f has a repeated root")
     return PacketFamily(field=field, p=p, n=n, ell0=pk.ell0, m0=n + 1, I=pk.I,
                         lam=lam, C=pk.C, A1=A1, A2=A2, B1=B1, B2=B2,
@@ -406,7 +406,7 @@ def bad_lambda_set(pk: TwoPacket) -> frozenset:
                             f"about p/2 lambda are candidates: listed for p <= {2 ** 16}, "
                             f"not p = {p}")
     return _q_roots(pk, range(p) if sieve is None else
-                    {r.value for s in sieve for r in roots_in_field(s)})
+                    {r.value for s in sieve for r in poly.roots_in_field(s)})
 
 
 def _q_roots(pk: TwoPacket, xs) -> frozenset:
@@ -460,12 +460,12 @@ def bad_lambda_members(pk: TwoPacket, lams) -> frozenset:
     nonzero at x = 0, has a root in F_p: one ``roots_in_field`` per lam."""
     sieve, field, p = _sieve(pk), pk.field, pk.field.p
     if sieve is not None:
-        xs = {r.value for s in sieve for r in roots_in_field(s)}
+        xs = {r.value for s in sieve for r in poly.roots_in_field(s)}
         return _q_roots(pk, xs).intersection(map(field, lams))
     out = set()
     for lam in map(field, lams):
         m = lam.value ** 2 % p  # lam^2: 1 for lam = +-1, 0 for lam = 0
-        if m == 1 or m and roots_in_field((pk.hi * m - pk.hc) ** 2
+        if m == 1 or m and poly.roots_in_field((pk.hi * m - pk.hc) ** 2
                                           - Poly.monomial(field, pk.n + 1,
                                                           4 * pk.cl.value ** 2 * m)):
             out.add(lam)
@@ -500,7 +500,7 @@ def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:
     field, p, out = pk.field, pk.field.p, set()
     for lam in {min(lam.value, p - lam.value) for lam in _candidate_lambdas(pk)}:
         f = Poly._from_values(field, _packet_values(pk, pk._values(lam)[0]))
-        if f.is_zero() or not is_squarefree(f):
+        if f.is_zero() or not poly.is_squarefree(f):
             out.update((lam, p - lam))
     return frozenset(map(field, out))
 
@@ -539,7 +539,7 @@ def _candidate_lambdas(pk: TwoPacket):
             values.append(_resultant_values(field, f, [red(k * c) for k, c in enumerate(f)][1:]))
         r = interpolate(field, lams, values)
         if not r.is_zero():
-            roots = {x.value for x in roots_in_field(r)} | {1}
+            roots = {x.value for x in poly.roots_in_field(r)} | {1}
             return {field(v) for v in roots | {-v % p for v in roots} if v}
     return field.units()
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from supertorsion import SuperellipticCurve, cli, errors, orders, twopacket
+from supertorsion import (SuperellipticCurve, certificates, cli, elliptic4, errors, orders,
+                          twopacket)
 from supertorsion.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, dispatch
 
 
@@ -81,6 +82,23 @@ def test_order_max_k_below_one_is_usage_error(capsys, backend, max_k):
     assert err == "error: max_k must be >= 1\n"
 
 
+@pytest.mark.parametrize("backend", ["rr", "cantor", "elliptic"])
+def test_order_max_k_above_the_backend_budget_is_usage_error(capsys, backend):
+    # each search grows with max_k itself, not its bit size: an explicit bound
+    # above the documented cap is refused before the curve is read
+    budget = cli.MAX_K_BUDGET[backend]
+    curve = json.dumps({"d": 2, "field": {"kind": "Fp", "p": 1009},
+                        "f": ["1", "0", "0", "1"]})
+    for max_k in (budget + 1, 10 ** 9):
+        assert run(capsys, "order", "--curve", "not json", "--point", "0,1",
+                   "--backend", backend, "--max-k", str(max_k)) == (
+            EXIT_USAGE, [], f"error: --max-k {max_k} is above the {backend} backend's "
+                            f"budget of {budget}: its search grows with max_k\n")
+    # the cap itself is taken, and stops at the order like any bound
+    assert run(capsys, "order", "--curve", curve, "--point", "0,1",
+               "--backend", backend, "--max-k", str(budget)) == (EXIT_OK, [{"order": 3}], "")
+
+
 @pytest.mark.parametrize("point,max_k", [("0,1", "8"), ("0,12", "8"), ("2,3", "8"),
                                          ("6,10", "8"), ("2,3", "5")])
 def test_order_backends_agree_through_dispatch(capsys, point, max_k):
@@ -139,7 +157,6 @@ def _count_packets(monkeypatch):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(cli, "two_packet", counting)
     monkeypatch.setattr(twopacket, "two_packet", counting)
     return calls
 
@@ -381,8 +398,9 @@ def test_family_and_elliptic4_refuse_flags_their_action_ignores(capsys, monkeypa
     def unreachable(*args):
         raise AssertionError("a refused command built a certificate")
 
-    for name in ("family_slack0", "family_slack1", "from_kubert"):
-        monkeypatch.setattr(cli, name, unreachable)
+    for module, name in ((certificates, "family_slack0"), (certificates, "family_slack1"),
+                         (elliptic4, "from_kubert")):
+        monkeypatch.setattr(module, name, unreachable)
     assert run(capsys, *argv) == (EXIT_USAGE, [], f"error: {message}\n")
 
 

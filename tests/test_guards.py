@@ -1,9 +1,11 @@
 """The library's invariants are raised checks, never ``assert``s, which
 ``python -O`` removes; the library imports nothing outside the standard
 library; its error classes are the ones the README documents; every name
-the traced benchmark wraps still exists; the order oracles share one
-signature; every public function, class or method of the library is
-reached from the library itself, or wrapped by the benchmark, or listed
+the traced benchmark wraps still exists, and entering and leaving its trace
+leaves no wrapper behind; the CLI loads only the modules a command runs,
+and every package name resolves to its defining module; the order oracles
+share one signature; every public function, class or method of the library
+is reached from the library itself, or wrapped by the benchmark, or listed
 with its reason; and so is every loop over a whole prime field."""
 
 import ast
@@ -140,6 +142,22 @@ def test_input_guards_raise_under_python_O():
     assert run.stdout.strip() == "ok"
 
 
+TRACE_RESTORES = """
+import importlib.util, json, sys, types
+import supertorsion.cli
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+with spans.LayerTrace():
+    pass
+modules = {name: m for name, m in list(sys.modules.items())
+           if name.split(".")[0] == "supertorsion"}
+print(json.dumps([sorted(modules), sorted(
+    f"{name}.{attr}" for name, m in modules.items() for attr, value in vars(m).items()
+    if isinstance(value, types.FunctionType) and hasattr(value, "__wrapped__"))]))
+"""
+
+
 def test_bench_spans_wrap_and_restore_src(capsys):
     # a renamed or removed function or method would make ``bench/run.py
     # --trace 1`` fail with an AttributeError or KeyError on entering
@@ -155,6 +173,18 @@ def test_bench_spans_wrap_and_restore_src(capsys):
     assert trace.calls["cli.dispatch"] == 1 and trace.calls["twopacket.build"] > 0
     assert counter.count > 0
     assert (poly.poly_gcd, poly.Poly.__divmod__, fields.FieldElement.__mul__) == originals
+    # entering the trace imports every spanned module not yet loaded; one
+    # that bound a spanned function by name at that moment would keep the
+    # wrapper after exit and count calls outside the trace
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-S", "-c", TRACE_RESTORES, str(BENCH / "spans.py")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    loaded, wrapped = json.loads(run.stdout)
+    assert loaded == sorted(["supertorsion"] + [f"supertorsion.{path.stem}" for path in
+                                                (SRC / "supertorsion").glob("*.py")
+                                                if path.stem not in ("__init__", "__main__")])
+    assert wrapped == []
 
 
 def _parameters(fn):
@@ -293,6 +323,89 @@ def test_cli_import_generates_no_dataclass_code():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+FOOTPRINT = """
+import contextlib, io, json, sys
+import supertorsion.cli as cli
+cli.build_parser()
+loaded = [sorted(m for m in sys.modules if m.split(".")[0] == "supertorsion")]
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded.append(cli.dispatch(argv))
+    loaded.append(sorted(m[13:] for m in sys.modules if m.startswith("supertorsion.")))
+print(json.dumps(loaded))
+"""
+
+_CERT = json.dumps({"n": 4, "d": 3, "field": {"kind": "Q"}, "a": "0", "B": "1", "q": ["1"]})
+_CURVE = json.dumps({"d": 2, "field": {"kind": "Fp", "p": 13}, "f": ["1", "0", "0", "1"]})
+
+#: command line -> the modules it must not load
+COMMAND_FOOTPRINT = (
+    (["reachability", "--n", "4", "--d", "3", "--m", "6"],
+     {"serialize", "certificates", "orders", "twopacket", "elliptic4"}),
+    (["two-packet", "bad-lambdas", "--p", "37", "--n", "3", "--I", "0,1"],
+     {"certificates", "orders", "elliptic4"}),
+    (["order", "--curve", _CURVE, "--point", "0,1"], {"certificates", "twopacket", "elliptic4"}),
+    (["verify", "--oracle", "--cert", _CERT], {"twopacket", "elliptic4"}),
+)
+
+#: every name the package exported when it imported all its modules eagerly
+EXPORTS = {
+    "curves": "AffinePoint ReachabilityStatus SuperellipticCurve TorsionParams "
+              "reachability_status torsion_params",
+    "certificates": "TorsionCertificate VerificationReport build_certificate family_slack0 "
+                    "family_slack1 normalize_certificate verify_certificate",
+    "elliptic4": "check_order_structure from_kubert to_kubert",
+    "fields": "GF QQ FieldElement PrimeField Rationals",
+    "orders": "MumfordDivisor cantor_add cantor_order elliptic_add elliptic_order "
+              "order_of_class",
+    "poly": "NEG_INF Poly TruncatedSeries is_squarefree poly_gcd poly_xgcd roots_in_field "
+            "series_dth_root",
+    "twopacket": "AdmissibilityVerdict PacketFamily TwoPacket bad_lambda_members bad_lambda_set "
+                 "build_H build_two_packet_equal build_two_packet_general confirmed_bad_lambdas "
+                 "example_m0_equals_nplus1 packet_polynomial sweep_families two_packet "
+                 "two_packet_admissible",
+}
+
+
+def _footprint(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, json.dumps(argv)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_cli_loads_only_the_modules_a_command_runs():
+    # the import and the parser load no mathematics; each command loads what
+    # it calls, so --help or reachability does not compile the whole package
+    assert _footprint([]) == [["supertorsion", "supertorsion.cli", "supertorsion.errors"]]
+    for argv, absent in COMMAND_FOOTPRINT:
+        before, code, loaded = _footprint(argv)
+        assert before == ["supertorsion", "supertorsion.cli", "supertorsion.errors"]
+        assert code == 0 and sorted(absent & set(loaded)) == [], argv[:2]
+
+
+def test_package_names_resolve_to_their_defining_module():
+    import importlib
+
+    import supertorsion
+
+    listed = dir(supertorsion)
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"supertorsion.{module}")
+        for name in names.split():
+            assert getattr(supertorsion, name) is getattr(home, name), name
+            assert name in listed, name
+        assert getattr(supertorsion, module) is home and module in listed
+    try:
+        supertorsion.no_such_name
+    except AttributeError as e:
+        assert "no_such_name" in str(e)
+    else:
+        raise AssertionError("an unknown name resolved")
 
 
 PARSER_COUNT = """

@@ -436,7 +436,7 @@ def test_bad_lambda_roots_taken_once_per_sieve_factor(n, monkeypatch):
         calls.append(f)
         return roots_in_field(f)
 
-    monkeypatch.setattr(twopacket, "roots_in_field", counting)
+    monkeypatch.setattr(poly, "roots_in_field", counting)
     F = GF(10009)
     pk = two_packet(F, n, F.roots_of_unity(n + 1)[:(n + 1) // 2], 2)
     factors = twopacket._sieve(pk)
@@ -468,7 +468,7 @@ def test_bad_lambda_set_takes_no_square_root_on_a_sieve(n, monkeypatch):
         return nth_root(self, x, k)
 
     monkeypatch.setattr(type(GF(13)), "nth_root", counting)
-    monkeypatch.setattr(twopacket, "roots_in_field",
+    monkeypatch.setattr(poly, "roots_in_field",
                         lambda f: tuple(f.field(x) for x in range(f.field.p) if f(x).is_zero()))
     for pk, expected in cases:
         assert bad_lambda_set(pk) == expected, (pk.field, pk.I, pk.C)
@@ -754,8 +754,11 @@ def test_confirmed_bad_lambdas_tests_few_lambdas(n, monkeypatch):
     # pair +-lam, not one test per unit; R from 2n+1 resultants
     calls = {"is_squarefree": 0, "_resultant_values": 0, "roots_in_field": 0}
 
+    # twopacket calls the two spanned poly functions through poly
+    owners = {"is_squarefree": poly, "_resultant_values": twopacket, "roots_in_field": poly}
+
     def counting(name):
-        real = getattr(twopacket, name)
+        real = getattr(owners[name], name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -763,7 +766,7 @@ def test_confirmed_bad_lambdas_tests_few_lambdas(n, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(twopacket, name, counting(name))
+        monkeypatch.setattr(owners[name], name, counting(name))
     F = GF(10009)
     pk = two_packet(F, n, F.roots_of_unity(n + 1)[:(n + 1) // 2], 1)
     confirmed = confirmed_bad_lambdas(pk)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from supertorsion import GF, QQ, Poly, cli, serialize
+from supertorsion import GF, QQ, Poly, certificates, serialize
 from supertorsion.certificates import (
     assemble_certificate,
     build_certificate,
@@ -110,7 +110,7 @@ def test_a_declared_polynomial_of_the_wrong_degree_is_refused_at_parse(
     def unreachable(*args, **kwargs):
         raise AssertionError("verify_certificate ran on a refused certificate")
 
-    monkeypatch.setattr(cli, "verify_certificate", unreachable)
+    monkeypatch.setattr(certificates, "verify_certificate", unreachable)
     doc = cert_doc(field, **{key: poly})
     for command in ("verify", "normalize"):
         start = time.perf_counter()
