@@ -172,23 +172,15 @@ class SuperellipticCurve:
     def points_above(self, x):
         """All affine points with the given abscissa; over F_p ascending in y,
         over Q the nonnegative y first."""
-        x = self.field(x)
-        target = self.f(x)
-        if self.field.kind == "Fp":
-            # the d-th roots of target are one root times mu_gcd(d, p-1)
-            r = self.field.nth_root(target, self.d)
-            if r is None:
-                return ()
-            if r.is_zero():
-                return (AffinePoint(x, r),)
-            zetas = self.field.roots_of_unity(gcd(self.d, self.field.p - 1))
-            return tuple(AffinePoint(x, y)
-                         for y in sorted((r * z for z in zetas), key=lambda y: y.value))
-        # over Q: y is a rational d-th root when one exists
-        r = self.field.nth_root(target, self.d)
+        field, x = self.field, self.field(x)
+        r = field.nth_root(self.f(x), self.d)
         if r is None:
             return ()
-        pts = [AffinePoint(x, r)]
-        if self.d % 2 == 0 and not r.is_zero():
-            pts.append(AffinePoint(x, -r))
-        return tuple(pts)
+        if r.is_zero():
+            return (AffinePoint(x, r),)
+        if field.kind == "Fp":  # the d-th roots are r times mu_gcd(d, p-1)
+            ys = sorted((r * z for z in field.roots_of_unity(gcd(self.d, field.p - 1))),
+                        key=lambda y: y.value)
+        else:  # over Q, r and -r for even d
+            ys = (r, -r) if self.d % 2 == 0 else (r,)
+        return tuple(AffinePoint(x, y) for y in ys)

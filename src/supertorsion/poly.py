@@ -4,9 +4,11 @@ series and their d-th roots, solved one coefficient at a time.
 Coefficients are stored as bare values (Fractions over Q, residues in [0, p)
 over F_p), ascending by degree with trailing zeros trimmed; every accessor
 hands out ``FieldElement``s.  The zero polynomial has an empty tuple of values
-and degree ``NEG_INF``.  Division, Euclid, resultants, powers mod f and root
-splitting run in kernels on value lists (``_divmod_values`` and the like);
-``divmod`` and the public functions wrap them and build one result object.
+and degree ``NEG_INF``.  Every product, of polynomials, series or bare value
+lists, is one packed integer product (``_mul_values``, ``_packed_product``).
+Division, Euclid, resultants, powers mod f and root splitting run in kernels
+on value lists (``_divmod_values`` and the like); ``divmod`` and the public
+functions wrap them and build one result object.
 """
 
 from __future__ import annotations
@@ -141,8 +143,7 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        (a, da), (b, db) = field.split(self.values), field.split(o.values)
-        return Poly._from_values(field, field.join(_convolve(a, b, len(a) + len(b) - 1), da * db))
+        return Poly._from_values(field, _mul_values(field, self.values, o.values))
 
     __rmul__ = __mul__
 
@@ -224,14 +225,13 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _convolve(a, b, n):
-    """Coefficients 0..n-1 (n < len(a) + len(b)) of the product of a and b."""
-    rb = b[::-1]
-    out = []
-    for k in range(n):
-        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1) + 1
-        out.append(sum(map(mul, a[lo:hi], rb[len(b) - 1 - k + lo:])))
-    return out
+def _mul_values(field, a, b):
+    """The product of value lists a and b by ``_packed_product``: residues as
+    they are over F_p, integer numerators over a common denominator over Q."""
+    if field.characteristic():
+        return _packed_product(a, b, field.p)
+    (A, da), (B, db) = field.split(a), field.split(b)
+    return field.join(_packed_product(A, B, None), da * db)
 
 
 def _pow_ints(field, ints, e):
@@ -255,13 +255,17 @@ def _pow_ints(field, ints, e):
 
 
 def _packed_product(a, b, mod):
-    """The product of the integer lists a and b, reduced mod ``mod`` if given,
-    from one product of CPython integers (Kronecker substitution; von zur
-    Gathen & Gerhard, *Modern Computer Algebra*, §8.4) in w-byte slots; over
-    Q, where coefficients have signs, each slot is read with 256^w / 2 added."""
-    if not a or not b:
-        return []
-    w = (min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))).bit_length() // 8 + 1
+    """The product of the integer lists a and b (nonnegative if ``mod`` is given),
+    reduced mod ``mod`` if given.  An empty or one-term operand is answered directly,
+    any other pair from one product of CPython integers (Kronecker substitution; von zur
+    Gathen & Gerhard, *Modern Computer Algebra*, §8.4) in w-byte slots that hold each
+    operand and each product coefficient; over Q, where coefficients have signs, each
+    slot is read with 256^w / 2 added."""
+    a, b = (b, a) if len(b) < len(a) else (a, b)
+    if len(a) < 2:  # empty, or one term times b
+        return [] if not a else [a[0] * v % mod for v in b] if mod else [a[0] * v for v in b]
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    w = max(len(a) * top_a * top_b, top_a, top_b).bit_length() // 8 + 1
     m, half, x = len(a) + len(b) - 1, 0 if mod else 1 << (8 * w - 1), _pack(a, w)
     x *= x if a is b else _pack(b, w)
     raw = (x + half * _pack([1] * m, w) if half else x).to_bytes(w * m, "little")
@@ -304,8 +308,8 @@ def _trim(values):
 
 def _divmod_values(field, a, b):
     """(quotient, remainder) value lists of a by a trimmed nonzero b.  a may
-    be unreduced (a raw convolution, say): only each leading coefficient, as
-    it is divided out, and the final remainder are reduced."""
+    be unreduced: only each leading coefficient, as it is divided out, and the
+    final remainder are reduced."""
     red, nb = field.reduce, len(b)
     rem, quo = list(a), [0] * (len(a) - nb + 1)
     inv_lead, low = field.inv(b[-1]), b[:-1]
@@ -325,7 +329,7 @@ def _euclid_values(field, rows):
     while rows[1][0]:
         q, r = _divmod_values(field, rows[0][0], rows[1][0])
         rows = rows[1], (r, *(_trim([red(u - v) for u, v in zip_longest(
-            a, _convolve(q, b, len(q) + len(b) - 1), fillvalue=0)])
+            a, _mul_values(field, q, b), fillvalue=0)])
             for a, b in zip(rows[0][1:], rows[1][1:])))
     inv = field.inv(rows[0][0][-1])
     return [[red(v * inv) for v in w] for w in rows[0]]
@@ -354,7 +358,7 @@ def _powmod_linear(field, a, e, g):
     a step by x + a is a shift and one multiple of g, O(deg g), no division."""
     red, low, out = field.reduce, g[:-1], [1]
     for bit in bin(e)[2:]:
-        out = _divmod_values(field, _convolve(out, out, 2 * len(out) - 1), g)[1]
+        out = _divmod_values(field, _mul_values(field, out, out), g)[1]
         if bit == "1":  # out*(x + a), less c*g for out's top coefficient c
             c = out[-1] if len(out) == len(low) else 0
             out = _trim([red(a * u + v - c * w) for u, v, w in zip(out + [0], [0] + out, low)])
@@ -460,7 +464,7 @@ def roots_in_field(f: Poly):
     g = list(f.monic().values)
     if len(g) > 3:
         h = _powmod_linear(field, 0, (p - 1) // 2, g)
-        xp = _divmod_values(field, [0] + _convolve(h, h, 2 * len(h) - 1), g)[1] + [0, 0]
+        xp = _divmod_values(field, [0] + _mul_values(field, h, h), g)[1] + [0, 0]
         xp[1] -= 1
         g = _euclid_values(field, ((g,), (_trim([v % p for v in xp]),)))[0]
     return tuple(field(r) for r in sorted(_split_linear(field, g, 0, h)))
@@ -561,7 +565,7 @@ class TruncatedSeries:
                 self.field, [red(a * c) for a in self.values], self.precision)
         n = min(self.precision, other.precision)
         return TruncatedSeries._from_values(
-            self.field, [red(c) for c in _convolve(self.values, other.values, n)], n)
+            self.field, _mul_values(self.field, self.values[:n], other.values[:n]), n)
 
     __rmul__ = __mul__
 

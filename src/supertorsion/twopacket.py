@@ -52,7 +52,7 @@ from .errors import (
 )
 from . import poly
 from .fields import Field, FieldElement, PrimeField
-from .poly import Poly, _convolve, _resultant_values, interpolate
+from .poly import Poly, _mul_values, _resultant_values, interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def packet_polynomial(pk: TwoPacket, lam) -> Poly:
 def _packet_values(pk: TwoPacket, ut):
     """The residues of x^(n+1) - ut^2, n + 2 long, for residues ut."""
     p, n = pk.field.p, pk.n
-    f = [-c % p for c in _convolve(ut, ut, n + 2)]
+    f = [-c % p for c in _mul_values(pk.field, ut, ut)]
     f[n + 1] = (f[n + 1] + 1) % p
     return f
 
@@ -271,7 +271,7 @@ def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
     # checked against A2 (x+1)^(n+1) - v^2, both n + 2 long
     f = [A1.value * c % p for c in _packet_values(pk, ut)]
     if f != [(A2.value * comb(n + 1, k) - c) % p
-             for k, c in enumerate(_convolve(v, v, n + 2))]:
+             for k, c in enumerate(_mul_values(field, v, v))]:
         raise BadParameters("double representation failed: inconsistent inputs")
     f = Poly._from_values(field, f)
     if f.degree != n:
@@ -476,16 +476,16 @@ def _sieve(pk: TwoPacket):
     """(eliminant, ell0*H_I - x*H_I', ell0*H_comp - x*H_comp'), whose roots are the
     abscissas the analysis draws lambdas from (it divides by the brackets, of degree
     <= ell0 - 1), or None when the eliminant vanishes identically and every one is."""
-    red, n, hi, hc = pk.field.reduce, pk.n, pk.hi.values, pk.hc.values
+    field, red, n, hi, hc = pk.field, pk.field.reduce, pk.n, pk.hi.values, pk.hc.values
     bi, bc = (nonvanishing_bracket(h, pk.ell0) for h in (pk.hi, pk.hc))
-    m = len(hi) + len(hc) - 2  # the length of H_I' H_comp and of H_comp' H_I
-    wh = [red(u - v) for u, v in zip(_convolve([k * c for k, c in enumerate(hi)][1:], hc, m),
-                                     _convolve([k * c for k, c in enumerate(hc)][1:], hi, m))]
+    d_hi, d_hc = ([k * c for k, c in enumerate(h)][1:] for h in (hi, hc))
+    # H_I' H_comp - H_comp' H_I, of two products each len(hi) + len(hc) - 2 long
+    wh = [red(u - v) for u, v in zip(_mul_values(field, d_hi, hc), _mul_values(field, d_hc, hi))]
     # eliminant: 4 C^(n+1) * bc * bi * x^(n+1) - x^2 * wh^2, with x^2 removed
-    four_c, bcbi = 4 * pk.cl.value ** 2, _convolve(bc.values, bi.values, bc.degree + bi.degree + 1)
+    four_c, bcbi = 4 * pk.cl.value ** 2, _mul_values(field, bc.values, bi.values)
     eliminant = [red(u - v) for u, v in zip_longest(
-        [0] * (n - 1) + [four_c * c for c in bcbi], _convolve(wh, wh, 2 * m - 1), fillvalue=0)]
-    return (Poly._from_values(pk.field, eliminant), bi, bc) if any(eliminant) else None
+        [0] * (n - 1) + [four_c * c for c in bcbi], _mul_values(field, wh, wh), fillvalue=0)]
+    return (Poly._from_values(field, eliminant), bi, bc) if any(eliminant) else None
 
 
 def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:

@@ -18,7 +18,9 @@ references:
 * the powers of the d-th root of f(a + t) by the coupled recurrence over
   all d powers, the reference for the first-order one of the order engine;
 * the reduced cubics that the marked 4-torsion family and the Kubert curve
-  share.
+  share;
+* the schoolbook convolution, the reference for the packed product that
+  every polynomial product of the package goes through.
 
 The module has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -334,3 +336,17 @@ def kubert_model_cubic(b: FieldElement) -> Poly:
     - 2bx + b^2 after y -> (2y + x - b)/2 rescaling."""
     field = b.field
     return Poly(field, (b * b, -2 * b, 1 - 4 * b, field(4)))
+
+
+# ---------------------------------------------------------------------------
+# the schoolbook product
+# ---------------------------------------------------------------------------
+
+def _convolve(a, b, n):
+    """Coefficients 0..n-1 (n < len(a) + len(b)) of the product of a and b."""
+    rb = b[::-1]
+    out = []
+    for k in range(n):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1) + 1
+        out.append(sum(map(mul, a[lo:hi], rb[len(b) - 1 - k + lo:])))
+    return out

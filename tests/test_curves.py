@@ -114,4 +114,11 @@ def test_points_above():
     fam_f = Poly(F, (10, 6, 5, 5))
     curve = SuperellipticCurve(F, 2, fam_f)
     pts = curve.points_above(F(0))
-    assert {(p.x.value, p.y.value) for p in pts} == {(0, 6), (0, 7)}
+    assert [(p.x.value, p.y.value) for p in pts] == [(0, 6), (0, 7)]  # ascending in y
+    # over Q: r, then -r for even d; one root for odd d; one point at a root of f
+    for d, coeffs, x, ys in ((2, (1, 0, 0, 1), 2, [3, -3]), (2, (-4, 0, 0, 1), 2, [2, -2]),
+                             (3, (-8, 0, 0, 0, 1), 0, [-2]), (3, (-8, 0, 0, 0, 1), 2, [2]),
+                             (2, (-1, 0, 0, 1), 1, [0]), (3, (-16, 0, 0, 0, 1), 2, [0]),
+                             (2, (1, 0, 0, 1), 1, [])):
+        curve = SuperellipticCurve(QQ, d, Poly(QQ, coeffs))
+        assert [(p.x, p.y) for p in curve.points_above(QQ(x))] == [(QQ(x), QQ(y)) for y in ys]

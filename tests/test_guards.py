@@ -6,7 +6,8 @@ leaves no wrapper behind; the CLI loads only the modules a command runs,
 and every package name resolves to its defining module; the order oracles
 share one signature; every public function, class or method of the library
 is reached from the library itself, or wrapped by the benchmark, or listed
-with its reason; and so is every loop over a whole prime field."""
+with its reason; and so is every loop over a whole prime field, and every
+sum of termwise products, so that polynomial products have one kernel."""
 
 import ast
 import importlib.util
@@ -310,6 +311,32 @@ def test_every_whole_field_loop_is_listed():
     assert sorted(sites - set(WHOLE_FIELD_LOOPS)) == []
     # an entry whose loop is gone leaves the list
     assert sorted(set(WHOLE_FIELD_LOOPS) - sites) == []
+
+
+#: every scope of src/ with a sum of termwise products, sum(map(mul, ...)),
+#: keyed like WHOLE_FIELD_LOOPS, with the reason it is not a second product
+#: kernel: every polynomial product goes through poly._packed_product
+TERMWISE_SUMS = {
+    "poly._series_root_powers": "the first-order recurrence: each r_k needs the r_i before it",
+    "poly.TruncatedSeries.inverse": "series inversion, one coefficient at a time from the "
+                                    "ones before it",
+}
+
+
+def _is_termwise_sum(node):
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+            and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "map"
+                    and arg.args and getattr(arg.args[0], "id", None) == "mul"
+                    for arg in node.args))
+
+
+def test_one_polynomial_product_kernel():
+    # a sum of termwise products outside the list is a second product kernel
+    sites = {f"{module[:-3]}.{scope}" for module, tree in _src_trees()
+             for scope, node in _scopes(tree) if any(map(_is_termwise_sum, ast.walk(node)))}
+    assert sorted(sites - set(TERMWISE_SUMS)) == []
+    # an entry whose sum is gone leaves the list
+    assert sorted(set(TERMWISE_SUMS) - sites) == []
 
 
 def test_cli_import_generates_no_dataclass_code():

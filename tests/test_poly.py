@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as strat
 from supertorsion import GF, QQ, Poly, TruncatedSeries, is_squarefree, poly_gcd, \
     roots_in_field, series_dth_root
 from supertorsion.errors import BadParameters, MathCheckError, UnsupportedField
-from supertorsion.poly import NEG_INF, _GOOD_FIELDS, interpolate, resultant
+from supertorsion.poly import (NEG_INF, _GOOD_FIELDS, _mul_values, _packed_product, interpolate,
+                               resultant)
 
-from paper_checks import compose, reverse
+from paper_checks import _convolve, compose, reverse
 
 
 def binomial_power(field, inner_exponent, shift, e):
@@ -380,6 +381,64 @@ def test_mul_pow_shift_match_reference_kernels(field):
             value = f(a)
             assert value == reference_eval(f, a), (f, a)
             assert_canonical(Poly._from_values(field, [value.value]))
+
+
+def product_operands(entries):
+    """Lists of 0..64 drawn entries, all-zero lists and one-term lists."""
+    return strat.one_of(strat.lists(entries, max_size=64),
+                        strat.integers(0, 64).map(lambda n: [0] * n),
+                        entries.map(lambda c: [c]))
+
+
+def schoolbook(a, b, mod=None):
+    """The reference product of ``_convolve``, reduced mod ``mod`` if given;
+    empty when an operand is."""
+    out = _convolve(a, b, len(a) + len(b) - 1 if a and b else 0)
+    return [c % mod for c in out] if mod else out
+
+
+PRODUCT_MODULI = [2, 3, 241, 1073741789]
+BIG = 2 ** 200
+
+
+@pytest.mark.parametrize("mod", PRODUCT_MODULI + [None], ids=lambda m: f"F{m}" if m else "Z")
+@settings(max_examples=60, deadline=None)
+@given(data=strat.data())
+def test_packed_product_matches_the_schoolbook(mod, data):
+    """Over F_p on nonnegative entries, reduced or not; over Z with signs."""
+    entries = strat.integers(0 if mod else -BIG, BIG) | strat.integers(0 if mod else -9, 9)
+    a = data.draw(product_operands(entries))
+    b = a if data.draw(strat.booleans()) else data.draw(product_operands(entries))
+    assert _packed_product(a, b, mod) == schoolbook(a, b, mod)
+
+
+@pytest.mark.parametrize("field", [GF(m) for m in PRODUCT_MODULI] + [QQ], ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=strat.data())
+def test_poly_and_value_products_match_the_schoolbook(field, data):
+    """``Poly.__mul__`` and ``_mul_values`` on untrimmed value lists, whose
+    all-zero operands are the series' case; over Q with denominators."""
+    p = field.characteristic()
+    if p:
+        entries = strat.integers(0, p - 1)
+    else:
+        entries = strat.builds(Fraction, strat.integers(-BIG, BIG) | strat.integers(-9, 9),
+                               strat.sampled_from([1, 2, 3, 35, 2 ** 61 - 1]))
+    a = data.draw(product_operands(entries))
+    b = a if data.draw(strat.booleans()) else data.draw(product_operands(entries))
+    expected = schoolbook(a, b, p)
+    assert _mul_values(field, a, b) == expected
+    f, g = Poly(field, a), Poly(field, b)
+    h = f * (f if a is b else g)
+    assert h == Poly(field, expected)
+    assert_canonical(h)
+
+
+@pytest.mark.parametrize("mod", [None, 1009])
+def test_packed_product_slots_hold_each_operand(mod):
+    # the product bound is 0 beside an all-zero operand; 1000 still needs two bytes
+    assert _packed_product([0, 0], [1000, 1], mod) == [0, 0, 0]
+    assert _packed_product([1000, 1], [0, 0], mod) == [0, 0, 0]
 
 
 def test_pow_of_a_linear_base_over_f7_is_frobenius():
