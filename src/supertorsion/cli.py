@@ -189,20 +189,28 @@ def _cmd_elliptic4(args) -> int:
     return EXIT_OK if report.passed else EXIT_MATH_FAIL
 
 
-#: the largest explicit --max-k of each order backend.  The search grows with
-#: max_k itself, not its bit size; each cap takes about 2 s in-process at (0, 1)
-#: on y^2 = x^5 + x + 1 (rr, cantor) or x^3 + x + 1 (elliptic) mod 1073741789
-MAX_K_BUDGET = {"rr": 380, "cantor": 10_000, "elliptic": 100_000}
+#: the largest explicit --max-k of each order backend, by field kind.  The
+#: search grows with max_k itself, not its bit size; each cap takes about 2 s
+#: in-process at (0, 1) on y^2 = x^5 + x + 1 (rr, cantor) or x^3 + x + 1
+#: (elliptic), mod 1073741789 for "Fp".  Over Q the cost also grows with the
+#: height of kP, so the "Q" caps are lower and stay heuristic
+MAX_K_BUDGET = {"Fp": {"rr": 380, "cantor": 10_000, "elliptic": 100_000},
+                "Q": {"rr": 110, "cantor": 130, "elliptic": 210}}
+
+
+def _check_budget(max_k, backend, kind):
+    budget = MAX_K_BUDGET[kind][backend]
+    if max_k is not None and max_k > budget:
+        raise UsageError(f"--max-k {max_k} is above the {backend} backend's budget of "
+                         f"{budget}{' over Q' if kind == 'Q' else ''}: its search grows with max_k")
 
 
 def _cmd_order(args) -> int:
     from . import orders, serialize
 
-    budget = MAX_K_BUDGET[args.backend]
-    if args.max_k is not None and args.max_k > budget:
-        raise UsageError(f"--max-k {args.max_k} is above the {args.backend} backend's "
-                         f"budget of {budget}: its search grows with max_k")
+    _check_budget(args.max_k, args.backend, "Fp")  # the larger caps, before any input is read
     curve = serialize.curve_from_json(_load_json_arg(args.curve))
+    _check_budget(args.max_k, args.backend, curve.field.kind)
     coords = args.point.split(",")
     if len(coords) != 2:
         raise UsageError("point must be x,y")
@@ -269,8 +277,7 @@ def _cmd_two_packet(args) -> int:
         C = serialize.elem_from_str(field, args.C if args.C is not None else "1")
         pk = twopacket.two_packet(field, args.n, I, C)
         bad, confirmed = twopacket.bad_lambda_set(pk), twopacket.confirmed_bad_lambdas(pk)
-        _emit({"candidate_bad": sorted(x.value for x in bad),
-               "confirmed_bad": sorted(x.value for x in confirmed),
+        _emit({"candidate_bad": sorted(bad), "confirmed_bad": sorted(confirmed),
                "contained": confirmed <= bad})
         return EXIT_OK if confirmed <= bad else EXIT_MATH_FAIL
     if args.action == "build":

@@ -72,7 +72,9 @@ class ReachabilityReport(NamedTuple):
 
 def reachability_status(n: int, d: int, m: int, char: int = 0) -> ReachabilityReport:
     """Classify a candidate torsion order m for curves y^d = f(x), deg f = n,
-    over a base field of characteristic char (0 or a prime not dividing d)."""
+    over a base field of characteristic char (0 or a prime not dividing d).
+    An m above m0 outside <d, n> is impossible: a function with divisor
+    m(P) - m(O) has pole order exactly m at O, and x^i y^j has d*i + n*j."""
     params = torsion_params(n, d)
     if char != 0 and not is_prime(char):
         raise BadParameters(f"characteristic must be 0 or a prime, got {char}")
@@ -98,6 +100,9 @@ def reachability_status(n: int, d: int, m: int, char: int = 0) -> ReachabilityRe
             ReachabilityStatus.REQUIRES_M0_CONDITIONS, n, d, m, params,
             "order m0 needs the certificate shape; sufficient char conditions attached",
             m0_conditions=conds, m0_condition_met=any(ok for _, ok in conds))
+    if n * (m * pow(n, -1, d) % d) > m:  # m = d*i + n*j forces j = m/n mod d
+        return ReachabilityReport(ReachabilityStatus.IMPOSSIBLE, n, d, m, params,
+                                  f"{m} is not in <{d}, {n}>, the semigroup of pole orders at O")
     return ReachabilityReport(ReachabilityStatus.ABOVE_M0, n, d, m, params,
                               "orders above m0 are not classified here")
 

@@ -189,6 +189,9 @@ class Rationals(Field):
 
 
 class PrimeField(Field):
+    """F_p, p prime: its elements hold residues in [0, p), and a loop over
+    the field, such as range(1, p) over the units, runs on residues."""
+
     kind = "Fp"
 
     def __init__(self, p: int):
@@ -234,10 +237,6 @@ class PrimeField(Field):
         p = self.p
         s = 1 if den == 1 else pow(den, -1, p)
         return [c % p for c in ints] if s == 1 else [c * s % p for c in ints]
-
-    def units(self):
-        for v in range(1, self.p):
-            yield FieldElement(self, v)
 
     def nth_root(self, x, k):
         """The smallest residue r with r^k = x, or None.
@@ -447,7 +446,9 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        # as the int or Fraction it equals (3 in {GF(7)(3)}); two fields' elements
+        # may share it, and GF(7)(3) == 10 holds without a shared hash
+        return hash(self.value)
 
     def __repr__(self):
         return str(self.value)

@@ -167,10 +167,13 @@ def _check_max_k(max_k: int):
 def order_of_class(curve: SuperellipticCurve, point, max_k: int):
     """Least k with k(P) - k(O) principal, i.e. the order of [P - O] (d when
     y(P) = 0); None if it exceeds max_k.  The engine runs to
-    min(max_k, m0) first and doubles that bound up to max_k while it finds
-    no order.  It is exact at any bound, so one pass settles every order up
-    to m0: the order a certificate claims, and d or n, the only orders below
-    m0.  A small order costs the same whatever max_k is."""
+    min(max_k, m0) first; while it finds no order, it doubles that bound as
+    long as the double is at most max_k/2, then runs to max_k.  Every pass
+    between the first and the last is at most half the last, so a max_k just
+    past a doubling does not repeat almost all of the search.  It is
+    exact at any bound, so one pass settles every order up to m0: the order a
+    certificate claims, and d or n, the only orders below m0.  A small order
+    costs the same whatever max_k is."""
     point = curve.point(*point)
     _check_max_k(max_k)
     bound = min(max_k, curve.params.m0)
@@ -178,7 +181,7 @@ def order_of_class(curve: SuperellipticCurve, point, max_k: int):
         order = next(_principal_orders(curve, point, bound), None)
         if order is not None or bound == max_k:
             return order
-        bound = min(2 * bound, max_k)
+        bound = max_k if 4 * bound > max_k else 2 * bound
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ a candidate, or of every unit when p is too small for that resultant.
 Separately, only the lam for which ut has leading coefficient +-1 give the
 polynomial degree n (anything else leaves degree n+1, which defines no curve
 with a single infinite point); ``TwoPacket.normalizing_lambdas`` lists them.
+Each of these returns its lam as residues in [1, p), a tuple or a frozenset.
 
 The Wronskian identities behind the conditions of ``two_packet_admissible``
 are checked by the test suite; the package does not compute them.
@@ -40,7 +41,6 @@ are checked by the test suite; the package does not compute them.
 from __future__ import annotations
 
 from itertools import combinations, islice, repeat, zip_longest
-from math import comb
 from typing import NamedTuple
 
 from .curves import SuperellipticCurve, torsion_params
@@ -141,11 +141,11 @@ class TwoPacket(NamedTuple):
     hc: Poly
     cl: FieldElement  # C^ell0
 
-    def _values(self, lam, sign: str = "plus"):
-        """The residues of (ut, vt) at a nonzero lam, each ell0 + 1 long."""
+    def _values(self, lam: int, sign: str = "plus"):
+        """The residues of (ut, vt) at a residue lam != 0, each ell0 + 1 long."""
         if sign not in ("plus", "minus"):
             raise BadParameters("sign must be 'plus' or 'minus'")
-        p, lam = self.field.p, self.field(lam).value
+        p = self.field.p
         if not lam:
             raise BadParameters("lambda must be nonzero")
         half = (p + 1) // 2  # 1/2
@@ -160,12 +160,12 @@ class TwoPacket(NamedTuple):
         x^(n+1) - ut^2 has degree n: the roots of a lam^2 -+ 2 C^ell0 lam - b,
         a and b the x^ell0 coefficients of H_I, H_comp.  As a*b = 1 - C^(n+1),
         the discriminant is 4, so lam = (+-C^ell0 +- 1)/a, or -+b/(2 C^ell0)
-        when a = 0: at most four values."""
+        when a = 0: at most four residues."""
         p, ell0, cl = self.field.p, self.ell0, self.cl.value
         # a is 0 when the H_I factor for eps with C*eps = 1 dropped degree
         a, b = self.hi[ell0].value, self.hc[ell0].value
         nums, inv = (cl + 1, cl - 1, 1 - cl, -cl - 1) if a else (-b, b), pow(a or 2 * cl, -1, p)
-        return tuple(self.field(lam) for lam in dict.fromkeys(v * inv % p for v in nums) if lam)
+        return tuple(lam for lam in dict.fromkeys(v * inv % p for v in nums) if lam)
 
 
 def two_packet(field, n: int, I, C) -> TwoPacket:
@@ -200,7 +200,7 @@ def packet_polynomial(pk: TwoPacket, lam) -> Poly:
     """x^(n+1) - ut^2, the same for either sign of ut: degree n exactly when
     lam normalizes the leading term, degree n+1 otherwise.  Squarefreeness of
     this polynomial is what the bad lambda analysis controls."""
-    return Poly._from_values(pk.field, _packet_values(pk, pk._values(lam)[0]))
+    return Poly._from_values(pk.field, _packet_values(pk, pk._values(pk.field(lam).value)[0]))
 
 
 def _packet_values(pk: TwoPacket, ut):
@@ -251,13 +251,15 @@ class PacketFamily(NamedTuple):
 
 def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
     """The family u = B1*ut, v = B2*vt of one packet and lam, for the
-    smallest square roots B1, B2 of A1, A2 (all four are 1 in the equal case),
-    checked on residues.  A1 = (C^ell0)^2 A2, so one square root gives both,
-    and when A2 has none (nor has A1), it falls back to the normalized model
-    f = x^(n+1) - ut^2 (A1 = 1, A2 = C^-(n+1)), whose roots always exist."""
+    smallest square roots B1, B2 of A1, A2 (all four are 1 in the equal case).
+    A1 = (C^ell0)^2 A2 (the builders check C^(n+1) = A1/A2), so one square root
+    gives both, and when A2 has none (nor has A1), it falls back to the
+    normalized model f = x^(n+1) - ut^2 (A1 = 1, A2 = C^-(n+1)), whose roots
+    always exist.  As vt^2 - C^(n+1) ut^2 = H_I H_comp = (1 + x)^(n+1) - (C x)^(n+1),
+    f = A1 x^(n+1) - u^2 = A2 (x+1)^(n+1) - v^2 with no check."""
     field, n, p, one = pk.field, pk.n, pk.field.p, pk.field.one
     lam = field(lam)
-    ut, vt = pk._values(lam, sign)
+    ut, vt = pk._values(lam.value, sign)
     B1, B2, twisted = one, one, False
     if (A1, A2) != (one, one):
         B2 = field.nth_root(A2, 2)
@@ -267,13 +269,7 @@ def _build(pk: TwoPacket, lam, A1, A2, sign: str) -> PacketFamily:
         else:
             B1 = field(min(pk.cl.value * B2.value % p, -pk.cl.value * B2.value % p))
     u, v = [B1.value * c % p for c in ut], [B2.value * c % p for c in vt]
-    # f = A1 (x^(n+1) - ut^2) = A1 x^(n+1) - u^2, as B1^2 = A1 in every branch;
-    # checked against A2 (x+1)^(n+1) - v^2, both n + 2 long
-    f = [A1.value * c % p for c in _packet_values(pk, ut)]
-    if f != [(A2.value * comb(n + 1, k) - c) % p
-             for k, c in enumerate(_mul_values(field, v, v))]:
-        raise BadParameters("double representation failed: inconsistent inputs")
-    f = Poly._from_values(field, f)
+    f = Poly._from_values(field, [A1.value * c % p for c in _packet_values(pk, ut)])
     if f.degree != n:
         raise DegreeNotNormalized(
             f"lambda = {lam!r} leaves deg f = {f.degree}, not n = {n}; "
@@ -319,13 +315,15 @@ def build_two_packet_general(pk: TwoPacket, lam, A1, A2, sign: str = "plus"):
 
 
 def build_two_packet_equal(pk: TwoPacket, lam, sign: str = "plus"):
-    """Equal case A1 = A2 = 1 on a packet with C = 1: one of H_I, H_comp
-    drops to degree ell0 - 1 through the eps = 1 factor.  lam = +-1 is
-    excluded up front (those always give a degenerate polynomial)."""
+    """Equal case A1 = A2 = 1 on a packet with C^(n+1) = 1, as C = 1: one
+    of H_I, H_comp drops to degree ell0 - 1 through the eps = 1/C factor.
+    lam = +-1 is excluded up front (those always give a degenerate polynomial)."""
     one = pk.field.one
     lam = pk.field(lam)
     if lam == one or lam == -one:
         raise BadParameters("lambda = +-1 is excluded in the equal case")
+    if pow(pk.C.value, pk.n + 1, pk.field.p) != 1:
+        raise BadParameters("C^(n+1) != A1/A2 = 1")
     return _build(pk, lam, one, one, sign)
 
 
@@ -381,7 +379,7 @@ def nonvanishing_bracket(h: Poly, ell0: int) -> Poly:
 
 
 def bad_lambda_set(pk: TwoPacket) -> frozenset:
-    """Every lambda for which x^(n+1) - ut^2 may acquire a multiple root.
+    """Every residue lambda for which x^(n+1) - ut^2 may acquire a multiple root.
 
     Assembled from the multiple-root analysis of the factorization
     4 C^(n+1) (x^(n+1) - ut^2) = (2 C^ell0 x^ell0 - phi)(2 C^ell0 x^ell0 + phi),
@@ -410,7 +408,7 @@ def bad_lambda_set(pk: TwoPacket) -> frozenset:
 
 
 def _q_roots(pk: TwoPacket, xs) -> frozenset:
-    """The roots lam in F_p of Q(x0, lam) = a lam^2 - 2u lam - c at the residues
+    """The residue roots lam of Q(x0, lam) = a lam^2 - 2u lam - c at the residues
     x0 in xs (a = H_I(x0), u = C^ell0 x0^ell0, c = H_comp(x0)), with 1, closed
     under negation, without 0.  The discriminant is (2w)^2, w = (1 + x0)^ell0, as
     H_I H_comp = (1 + x)^(n+1) - (C x)^(n+1): the roots are (u +- w)/a, or
@@ -435,7 +433,7 @@ def _q_roots(pk: TwoPacket, xs) -> frozenset:
             bad.add((ui - wi) * inv % p)
         else:
             bad.add(-ci * inv % p)
-    return frozenset(pk.field(lam) for lam in bad | {p - lam for lam in bad} if lam % p)
+    return frozenset(lam for lam in bad | {p - lam for lam in bad} if lam % p)
 
 
 def _batch_inverse(values, p: int) -> list:
@@ -453,18 +451,20 @@ def _batch_inverse(values, p: int) -> list:
 
 
 def bad_lambda_members(pk: TwoPacket, lams) -> frozenset:
-    """The lams in ``bad_lambda_set(pk)``, found in polylog(p).  With a
-    ``_sieve``, that set is built from its roots, found once.  When the
-    eliminant vanishes, apart from +-1 a lam != 0 is in it iff
+    """The lams (anything the field takes) in ``bad_lambda_set(pk)``, as
+    residues, found in polylog(p).  With a ``_sieve``, that set is built from
+    its roots, found once.  When the eliminant vanishes, apart from +-1 a
+    lam != 0 is in it iff
     R = Q(x, lam) Q(x, -lam) = (lam^2 H_I - H_comp)^2 - 4 C^(2 ell0) lam^2 x^(n+1),
     nonzero at x = 0, has a root in F_p: one ``roots_in_field`` per lam."""
     sieve, field, p = _sieve(pk), pk.field, pk.field.p
+    lams = {field(lam).value for lam in lams}
     if sieve is not None:
         xs = {r.value for s in sieve for r in poly.roots_in_field(s)}
-        return _q_roots(pk, xs).intersection(map(field, lams))
+        return _q_roots(pk, xs) & lams
     out = set()
-    for lam in map(field, lams):
-        m = lam.value ** 2 % p  # lam^2: 1 for lam = +-1, 0 for lam = 0
+    for lam in lams:
+        m = lam * lam % p  # lam^2: 1 for lam = +-1, 0 for lam = 0
         if m == 1 or m and poly.roots_in_field((pk.hi * m - pk.hc) ** 2
                                           - Poly.monomial(field, pk.n + 1,
                                                           4 * pk.cl.value ** 2 * m)):
@@ -497,17 +497,17 @@ def confirmed_bad_lambdas(pk: TwoPacket) -> frozenset:
     outside F_p.  The sign of ut does not matter: ut and -ut give the same
     polynomial, and ut(-lam) = -ut(lam), so one test decides lam and -lam;
     the candidates are closed under negation."""
-    field, p, out = pk.field, pk.field.p, set()
-    for lam in {min(lam.value, p - lam.value) for lam in _candidate_lambdas(pk)}:
-        f = Poly._from_values(field, _packet_values(pk, pk._values(lam)[0]))
+    p, out = pk.field.p, set()
+    for lam in {min(lam, p - lam) for lam in _candidate_lambdas(pk)}:
+        f = Poly._from_values(pk.field, _packet_values(pk, pk._values(lam)[0]))
         if f.is_zero() or not poly.is_squarefree(f):
             out.update((lam, p - lam))
-    return frozenset(map(field, out))
+    return frozenset(out)
 
 
-def _candidate_lambdas(pk: TwoPacket):
-    """The units ``confirmed_bad_lambdas`` tests: every lambda that can make
-    x^(n+1) - ut^2 = (x^ell0 - ut)(x^ell0 + ut) non-squarefree.
+def _candidate_lambdas(pk: TwoPacket) -> frozenset:
+    """The units ``confirmed_bad_lambdas`` tests, as residues: every lambda that
+    can make x^(n+1) - ut^2 = (x^ell0 - ut)(x^ell0 + ut) non-squarefree.
 
     F(lam, x) = 2 C^ell0 lam (x^ell0 - ut) = 2 C^ell0 lam x^ell0 - lam^2 H_I
     + H_comp has degree 2 in lam and ell0 in x; the second factor is the
@@ -539,9 +539,9 @@ def _candidate_lambdas(pk: TwoPacket):
             values.append(_resultant_values(field, f, [red(k * c) for k, c in enumerate(f)][1:]))
         r = interpolate(field, lams, values)
         if not r.is_zero():
-            roots = {x.value for x in poly.roots_in_field(r)} | {1}
-            return {field(v) for v in roots | {-v % p for v in roots} if v}
-    return field.units()
+            roots = {x.value for x in poly.roots_in_field(r) if x} | {1}
+            return frozenset(roots | {p - v for v in roots})
+    return frozenset(range(1, p))
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +554,8 @@ def sweep_families(field: PrimeField, n: int, Cs):
     and every normalizing lam of their packet that builds a curve, ascending;
     candidate_bad says whether lam is in ``bad_lambda_set``.  Every other lam
     leaves deg f = n + 1.  C = 1 is the equal case, without lam = +-1; a
-    C != 1 with C^(n+1) = 1 would give A1 = A2 = 1, which neither builder
-    takes, so it yields nothing.  mu_(n+1) and every C are checked before the
+    C != 1 with C^(n+1) = 1 would give A1 = A2 = 1, which the general builder
+    refuses, so it yields nothing.  mu_(n+1) and every C are checked before the
     first family.
 
     Two symmetries share the work.  (S1) ut(-lam) = -ut(lam) and
@@ -582,7 +582,7 @@ def _sweep(field, n, mu, Cs):
                 continue
             pk = two_packet(field, n, I, C)
             # the normalizing lambdas are closed under negation: one per pair
-            lams = {min(lam.value, p - lam.value) for lam in pk.normalizing_lambdas()}
+            lams = {min(lam, p - lam) for lam in pk.normalizing_lambdas()}
             if C == one:
                 lams.discard(1)
             bad = bad_lambda_members(pk, lams)
@@ -594,7 +594,7 @@ def _sweep(field, n, mu, Cs):
                            build_two_packet_general(pk, lam, A1, one))
                 except (NotSquarefree, DegreeNotNormalized):
                     continue
-                flag = rep.lam in bad
+                flag = lam in bad
                 for fam in (rep, rep._replace(lam=-rep.lam, u=-rep.u, v=-rep.v)):  # (S1)
                     own.append((fam, flag))
                     theirs.append((fam._replace(I=comp, lam=-fam.lam.inverse(), v=-fam.v),

@@ -137,7 +137,7 @@ def packet_wronskian_triple(fam):
 def packet_shapes(pk, lam, sign: str = "plus"):
     """(ut, vt) of a ``TwoPacket`` at a nonzero lam, as polynomials; ut is
     negated for the "minus" sign."""
-    return tuple(Poly._from_values(pk.field, c) for c in pk._values(lam, sign))
+    return tuple(Poly._from_values(pk.field, c) for c in pk._values(pk.field(lam).value, sign))
 
 
 def q_coefficients_everywhere(pk):
@@ -155,25 +155,25 @@ def reference_degenerate_bad_lambdas(pk):
     """``bad_lambda_set`` of a packet whose eliminant vanishes identically,
     one abscissa at a time: the roots in lam of Q(x0, lam) at every x0, each
     solved by ``_quadratic_roots`` (a modular square root and inverse per
-    x0), with 1, closed under negation and without 0.  On any other packet,
-    the same union over every abscissa, not only the sieve's."""
+    x0), with 1, closed under negation and without 0, as residues.  On any
+    other packet, the same union over every abscissa, not only the sieve's."""
     field, p = pk.field, pk.field.p
     bad = {1}.union(*(_quadratic_roots(a, -b % p, -c % p, field)
                       for a, b, c in q_coefficients_everywhere(pk)))
-    return frozenset(field(lam) for lam in bad | {p - lam for lam in bad} if lam % p)
+    return frozenset(lam for lam in bad | {p - lam for lam in bad} if lam % p)
 
 
 def reference_normalizing_lambdas(pk):
     """The lam with a lam^2 -+ 2 C^ell0 lam - b = 0 for the x^ell0
     coefficients a, b of H_I and H_comp, in order: the roots of the "-"
     equation, then of the "+" one, each pair solved by ``_quadratic_roots``
-    (a modular square root), without 0 and repeats."""
+    (a modular square root), as residues without 0 and repeats."""
     field, p, ell0, out = pk.field, pk.field.p, pk.ell0, []
     a, b, two_cl = pk.hi[ell0].value, pk.hc[ell0].value, 2 * pk.cl.value % p
     for target in (two_cl, p - two_cl):
         for lam in _quadratic_roots(a, p - target, -b % p, field):
-            if lam and field(lam) not in out:
-                out.append(field(lam))
+            if lam and lam not in out:
+                out.append(lam)
     return tuple(out)
 
 

@@ -195,7 +195,7 @@ def _sweep_two_packet(field, n, C_values):
         for I in combinations(mu, ell0):
             pk = two_packet(field, n, I, C)
             bad = bad_lambda_set(pk)
-            for lam in field.units():
+            for lam in range(1, field.p):
                 fpoly = packet_polynomial(pk, lam)
                 if lam not in bad:
                     outside_checked += 1

@@ -86,7 +86,7 @@ def test_order_max_k_below_one_is_usage_error(capsys, backend, max_k):
 def test_order_max_k_above_the_backend_budget_is_usage_error(capsys, backend):
     # each search grows with max_k itself, not its bit size: an explicit bound
     # above the documented cap is refused before the curve is read
-    budget = cli.MAX_K_BUDGET[backend]
+    budget = cli.MAX_K_BUDGET["Fp"][backend]
     curve = json.dumps({"d": 2, "field": {"kind": "Fp", "p": 1009},
                         "f": ["1", "0", "0", "1"]})
     for max_k in (budget + 1, 10 ** 9):
@@ -95,6 +95,21 @@ def test_order_max_k_above_the_backend_budget_is_usage_error(capsys, backend):
             EXIT_USAGE, [], f"error: --max-k {max_k} is above the {backend} backend's "
                             f"budget of {budget}: its search grows with max_k\n")
     # the cap itself is taken, and stops at the order like any bound
+    assert run(capsys, "order", "--curve", curve, "--point", "0,1",
+               "--backend", backend, "--max-k", str(budget)) == (EXIT_OK, [{"order": 3}], "")
+
+
+@pytest.mark.parametrize("backend", ["rr", "cantor", "elliptic"])
+def test_order_max_k_above_the_budget_over_Q_is_usage_error(capsys, backend):
+    # over Q a search also grows with the height of kP, so its caps are lower
+    budget = cli.MAX_K_BUDGET["Q"][backend]
+    assert budget < cli.MAX_K_BUDGET["Fp"][backend]
+    curve = json.dumps({"d": 2, "field": {"kind": "Q"}, "f": ["1", "0", "0", "1"]})
+    assert run(capsys, "order", "--curve", curve, "--point", "0,1", "--backend", backend,
+               "--max-k", str(budget + 1)) == (
+        EXIT_USAGE, [], f"error: --max-k {budget + 1} is above the {backend} backend's "
+                        f"budget of {budget} over Q: its search grows with max_k\n")
+    # y^2 = x^3 + 1: (0, 1) has order 3 over Q too, found below the cap
     assert run(capsys, "order", "--curve", curve, "--point", "0,1",
                "--backend", backend, "--max-k", str(budget)) == (EXIT_OK, [{"order": 3}], "")
 
@@ -589,7 +604,7 @@ def reference_sweep_lines(p, n, cs):
         for I in combinations(field.roots_of_unity(n + 1), (n + 1) // 2):
             pk = two_packet(field, n, I, C)
             bad = bad_lambda_set(pk)
-            for lam in field.units():
+            for lam in range(1, p):
                 try:
                     if C == field.one:
                         fam = build_two_packet_equal(pk, lam)

@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import product
 from math import gcd
 
 import pytest
@@ -8,6 +10,7 @@ from supertorsion import (
     Poly,
     ReachabilityStatus,
     SuperellipticCurve,
+    order_of_class,
     reachability_status,
     torsion_params,
 )
@@ -76,6 +79,42 @@ def test_reachability_rejects_a_characteristic_dividing_d(n, d, char):
 
 def test_reachability_above_m0():
     assert reachability_status(5, 2, 7).status is ReachabilityStatus.ABOVE_M0
+
+
+def test_reachability_above_m0_rules_out_exactly_the_gaps_of_the_semigroup():
+    # pole orders at O of x^i y^j are d*i + n*j; past the largest gap
+    # n*d - n - d (Sylvester) every m is in <d, n>
+    checked = Counter()
+    for d in range(2, 9):
+        for n in (n for n in range(d + 1, 41) if gcd(n, d) == 1):
+            top, member = n * d, [True]
+            for s in range(1, top + 1):  # s is in <d, n> iff s - d or s - n is
+                member.append(s >= d and member[s - d] or s >= n and member[s - n])
+            for m in range(torsion_params(n, d).m0 + 1, top + 1):
+                rep = reachability_status(n, d, m)
+                if member[m]:
+                    assert rep.status is ReachabilityStatus.ABOVE_M0, (n, d, m)
+                else:
+                    assert rep.status is ReachabilityStatus.IMPOSSIBLE, (n, d, m)
+                    assert f"<{d}, {n}>" in rep.reason
+                checked[member[m]] += 1
+    assert checked[False] and checked[True]
+    assert reachability_status(7, 3, 11).status is ReachabilityStatus.IMPOSSIBLE
+    assert reachability_status(7, 3, 10).status is ReachabilityStatus.ABOVE_M0
+
+
+def test_no_order_found_by_the_oracle_lands_in_a_gap():
+    # y^3 = f over F_7 for every monic f of degree 5 with f(0) = 1, at (0, 1):
+    # the orders 8, 9 and 10 above m0 = 6 occur, the gap 7 of <3, 5> never does
+    F, found = GF(7), Counter()
+    for middle in product(range(7), repeat=4):
+        try:
+            curve = SuperellipticCurve(F, 3, Poly(F, (1, *middle, 1)))
+        except BadParameters:  # f not squarefree
+            continue
+        found[order_of_class(curve, (F(0), F(1)), 10)] += 1
+    assert found[7] == 0 and {8, 9, 10} <= set(found), found
+    assert reachability_status(5, 3, 7).status is ReachabilityStatus.IMPOSSIBLE
 
 
 def test_reachability_never_impossible_for_d_or_n():

@@ -66,6 +66,18 @@ def test_field_mismatch():
         Poly(GF(5), (1, 1)) * GF(7)(2)
 
 
+def test_an_element_hashes_as_the_value_it_equals():
+    # equal objects must hash equal, so a set of bare values finds an element
+    assert GF(7)(3) == 3 and 3 in {GF(7)(3)} and GF(7)(3) in {3}
+    assert {GF(7)(3)} == {3} and {GF(7)(3): "x"}[3] == "x"
+    assert QQ(Fraction(1, 2)) == Fraction(1, 2) and Fraction(1, 2) in {QQ("1/2")}
+    assert {QQ(Fraction(1, 2))} == {Fraction(1, 2)} and QQ(2) in {2}
+    # elements of two fields may share a hash; equality still tells them apart
+    assert hash(GF(5)(3)) == hash(GF(7)(3)) and len({GF(5)(3), GF(7)(3)}) == 2
+    # the one mismatch left: equal to a non-canonical int of its class, not hashed alike
+    assert GF(7)(3) == 10 and 10 not in {GF(7)(3)}
+
+
 def test_power_with_huge_exponent():
     # three-argument pow: value ** e would not finish at e = 10^18
     F = GF(1000003)

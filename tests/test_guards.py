@@ -264,7 +264,6 @@ def test_every_public_name_in_src_is_reached():
 #: hidden O(p): a for or comprehension over range(...) of p or .p, such a
 #: range passed to a call (which may loop over it), or a .units() call
 WHOLE_FIELD_LOOPS = {
-    "fields.PrimeField.units": "the API itself: its callers ask for every unit",
     "fields.PrimeField._element_of_order": "expected O(1) tries: c^((p-1)/m) has order m "
                                            "for a share phi(m)/m of the units c",
     "poly._split_linear": "expected few shifts a: by a character-sum bound, gcd((x+a)^((p-1)/2)"

@@ -322,7 +322,12 @@ def test_rr_doubles_its_bound_only_while_no_order_is_found(monkeypatch):
     assert calls == [(F, 6, 1), (F, 10, 1), (F, 18, 1), (F, 34, 1)]
     calls.clear()
     assert order_of_class(curve, (F(6), F(18)), 12) is None
-    assert calls == [(F, 6, 1), (F, 10, 1), (F, 14, 1)]
+    assert calls == [(F, 6, 1), (F, 14, 1)]  # 8 would be past 12/2
+    calls.clear()
+    # max_k just past the doubling to 16: no pass before the last exceeds max_k/2
+    assert order_of_class(curve, (F(6), F(18)), 17) == 17
+    assert calls == [(F, 6, 1), (F, 10, 1), (F, 19, 1)]
+    assert all(2 * (precision - 2) <= 17 for _, precision, _ in calls[:-1])
     calls.clear()
     assert order_of_class(curve, (F(6), F(18)), 8) is None  # max_k = 2*m0
     assert calls == [(F, 6, 1), (F, 10, 1)]

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -39,6 +40,7 @@ from supertorsion.poly import interpolate, resultant
 from supertorsion.twopacket import nonvanishing_bracket, ratio_root
 
 from paper_checks import (
+    _convolve,
     fermat_identity_check,
     packet_shapes,
     packet_wronskian_triple,
@@ -158,7 +160,7 @@ def test_equal_case_build_and_orders():
     F = GF(13)
     mu4 = F.roots_of_unity(4)
     pk = two_packet(F, 3, (mu4[0], mu4[1]), F(1))
-    assert sorted(l.value for l in pk.normalizing_lambdas()) == [6, 7]
+    assert sorted(pk.normalizing_lambdas()) == [6, 7]
     fam = build_two_packet_equal(pk, F(6))
     assert fam.f.degree == 3
     # double representation holds by construction; recheck explicitly
@@ -251,7 +253,7 @@ def test_general_case_build_and_twist():
     # ratio, so C exists but the square roots B1, B2 do not
     F29 = GF(29)
     mu = F29.roots_of_unity(4)
-    s = next(a for a in F29.units() if F29.nth_root(a, 2) is None)
+    s = next(F29(a) for a in range(1, 29) if F29.nth_root(F29(a), 2) is None)
     C29 = F29(2)
     A2, A1 = s, s * C29 ** 4
     assert F29.nth_root(A1, 2) is None and F29.nth_root(A2, 2) is None
@@ -305,6 +307,60 @@ def test_general_case_takes_one_square_root(monkeypatch):
                     assert (fam.B1, fam.B2) == roots, (p, C, A2, I, lam)
                 branches[fam.twisted] += 1
     assert set(branches) == {False, True}
+
+
+def assert_double_representation(fam):
+    """A1 x^(n+1) - u^2 == f == A2 (x+1)^(n+1) - v^2 with deg f = n, the
+    squares by the schoolbook product; the builders no longer check it."""
+    p, n, ell0 = fam.p, fam.n, fam.ell0
+    u, v = ((list(h.values) + [0] * ell0)[:ell0 + 1] for h in (fam.u, fam.v))
+    left = [-c % p for c in _convolve(u, u, n + 2)]
+    left[n + 1] = (left[n + 1] + fam.A1.value) % p
+    right = [(fam.A2.value * comb(n + 1, k) - c) % p
+             for k, c in enumerate(_convolve(v, v, n + 2))]
+    assert fam.f.degree == n, (p, n, fam.I, fam.lam, fam.C)
+    assert left == right == list(fam.f.values) + [0], (p, n, fam.I, fam.lam, fam.C)
+
+
+# p = 1 mod n + 1 for n = 3, 5 and 7: every swept family at C = 1 and at a
+# C with C^(n+1) != 1, and both builders on every normalizing lambda, the
+# general one at A2 a square and a non-square (the twisted model)
+@pytest.mark.parametrize("n,primes", [(3, (13, 17, 29, 37)), (5, (13, 37, 61, 73)),
+                                      (7, (17, 41, 73, 89))])
+def test_every_family_has_the_double_representation(n, primes):
+    built = Counter()
+    for p in primes:
+        F = GF(p)
+        generic = next(F(c) for c in range(2, p) if F(c) ** (n + 1) != 1)
+        for fam, _ in sweep_families(F, n, [1, generic]):
+            assert_double_representation(fam)
+            built["swept"] += 1
+        square = F(4)
+        nonsquare = next(F(a) for a in range(2, p) if F.nth_root(F(a), 2) is None)
+        for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
+            equal, pk = two_packet(F, n, I, 1), two_packet(F, n, I, generic)
+            for lam in equal.normalizing_lambdas():
+                if lam in (1, p - 1):
+                    continue
+                try:
+                    fam = build_two_packet_equal(equal, lam)
+                except (NotSquarefree, DegreeNotNormalized):
+                    pass
+                else:
+                    assert_double_representation(fam)
+                    built["equal"] += 1
+                # A1 = A2 = 1 needs C^(n+1) = 1: the equal builder refuses this packet
+                with pytest.raises(BadParameters, match=r"C\^\(n\+1\) != A1/A2 = 1"):
+                    build_two_packet_equal(pk, lam)
+            for A2, lam in ((A2, lam) for A2 in (square, nonsquare)
+                            for lam in pk.normalizing_lambdas()):
+                try:
+                    fam = build_two_packet_general(pk, lam, generic ** (n + 1) * A2, A2)
+                except (NotSquarefree, DegreeNotNormalized):
+                    continue
+                assert_double_representation(fam)
+                built["twisted" if fam.twisted else "general"] += 1
+    assert set(built) == {"swept", "equal", "general", "twisted"}, built
 
 
 def test_general_case_requires_root_of_unity_structure():
@@ -364,7 +420,7 @@ def test_bad_lambda_set_closed_under_negation():
     F = GF(29)
     mu4 = F.roots_of_unity(4)
     bad = bad_lambda_set(two_packet(F, 3, (mu4[0], mu4[2]), F(1)))
-    assert {-x for x in bad} == set(bad)
+    assert {29 - x for x in bad} == set(bad)
 
 
 # every subset, C in {1, 2, p-1}, and as lams every unit (8,856 memberships)
@@ -378,7 +434,7 @@ def test_bad_lambda_members_matches_bad_lambda_set(n, primes):
             for C in sorted({1, 2, p - 1}):
                 pk = two_packet(F, n, I, F(C))
                 bad = bad_lambda_set(pk)
-                for lams in (list(F.units()), list(map(F, range(p)))[::3]):
+                for lams in (range(1, p), list(map(F, range(p)))[::3]):
                     assert bad_lambda_members(pk, lams) == bad & set(lams), (p, I, C)
     assert bad_lambda_members(two_packet(13, 3, GF(13).roots_of_unity(4)[:2], 1), [0]) == \
         frozenset()
@@ -390,8 +446,8 @@ def reference_sweep(F, n, C):
     out = []
     for I in combinations(F.roots_of_unity(n + 1), (n + 1) // 2):
         pk = two_packet(F, n, I, C)
-        for lam in sorted(pk.normalizing_lambdas(), key=lambda lam: lam.value):
-            if C == 1 and lam in (1, -1):
+        for lam in sorted(pk.normalizing_lambdas()):
+            if C == 1 and lam in (1, F.p - 1):
                 continue
             try:
                 if C == 1:
@@ -441,7 +497,7 @@ def test_bad_lambda_roots_taken_once_per_sieve_factor(n, monkeypatch):
     pk = two_packet(F, n, F.roots_of_unity(n + 1)[:(n + 1) // 2], 2)
     factors = twopacket._sieve(pk)
     assert factors is not None
-    for lams in ([F(5)], list(F.units())):
+    for lams in ([F(5)], range(1, 10009)):
         calls.clear()
         members = bad_lambda_members(pk, lams)
         assert len(calls) <= 3 and all(f in factors for f in calls)
@@ -710,7 +766,7 @@ def test_shift_points_same_abscissa():
 def reference_confirmed_bad_lambdas(pk):
     """The exhaustive loop through packet_polynomial, one lambda at a time."""
     out = set()
-    for lam in pk.field.units():
+    for lam in range(1, pk.field.p):
         f = packet_polynomial(pk, lam)
         if f.is_zero() or not is_squarefree(f):
             out.add(lam)
